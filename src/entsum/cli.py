@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import evaluation
@@ -30,6 +29,7 @@ from .errors import DataError, NumericError
 from .esbm import load_esbm
 from .model import (
     ModelConfig,
+    TripleScorer,
     load_checkpoint,
     save_checkpoint,
     select_summary,
@@ -56,28 +56,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep our codes
         raise UsageError(message)
-
-
-@dataclass
-class RunSpec:
-    command: str
-    manifest_path: Path | None = None
-    esbm_root: Path | None = None
-    esbm_collection: str = "all"
-    vectors_path: Path | None = None
-    k: int = 5
-    seed: int = 0
-    output_dir: Path | None = None
-    checkpoint_path: Path | None = None
-    checkpoint_dir: Path | None = None
-    entity: str | None = None
-    max_epochs: int = 50
-    lr: float = 0.01
-    early_stop: str = "f1"
-    parallel_folds: bool = False
-    oracle: bool = False
-    compare: Path | None = None
-    out_path: Path | None = None
 
 
 def _add_manifest_args(p: argparse.ArgumentParser):
@@ -113,7 +91,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--early-stop", choices=["f1", "loss"], default="f1")
-    p.add_argument("--parallel-folds", action="store_true")
 
     p = sub.add_parser("evaluate", help="re-evaluate saved checkpoints or the oracle baseline")
     _add_manifest_args(p)
@@ -136,65 +113,56 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        command=args.command,
-        manifest_path=getattr(args, "manifest", None),
-        esbm_root=getattr(args, "esbm", None),
-        esbm_collection=getattr(args, "esbm_collection", "all"),
-        vectors_path=getattr(args, "vectors", None),
-        k=getattr(args, "k", 5),
-        seed=getattr(args, "seed", 0),
-        output_dir=getattr(args, "out", None) if args.command in ("train", "evaluate") else None,
-        checkpoint_path=getattr(args, "checkpoint", None),
-        checkpoint_dir=getattr(args, "checkpoints", None),
-        entity=getattr(args, "entity", None),
-        max_epochs=getattr(args, "max_epochs", 50),
-        lr=getattr(args, "lr", 0.01),
-        early_stop=getattr(args, "early_stop", "f1"),
-        parallel_folds=getattr(args, "parallel_folds", False),
-        oracle=getattr(args, "oracle", False),
-        compare=getattr(args, "compare", None),
-        out_path=getattr(args, "out", None) if args.command == "filter-vectors" else None,
-    )
-
-
-def _load_dataset(spec: RunSpec) -> DatasetManifest:
-    if spec.manifest_path is not None and spec.esbm_root is not None:
+def _load_dataset(args: argparse.Namespace) -> DatasetManifest:
+    if args.manifest is not None and args.esbm is not None:
         raise UsageError("give either --manifest or --esbm, not both")
-    if spec.manifest_path is not None:
-        return load_manifest(spec.manifest_path)
-    if spec.esbm_root is not None:
-        return load_esbm(spec.esbm_root, spec.esbm_collection)
+    if args.manifest is not None:
+        return load_manifest(args.manifest)
+    if args.esbm is not None:
+        return load_esbm(args.esbm, args.esbm_collection)
     raise UsageError("one of --manifest or --esbm is required")
 
 
-def _load_store(spec: RunSpec, manifest: DatasetManifest) -> EmbeddingStore:
-    if spec.vectors_path is None:
+def _load_store(args: argparse.Namespace, manifest: DatasetManifest) -> EmbeddingStore:
+    if args.vectors is None:
         raise UsageError("--vectors is required for this command")
-    return load_vec_file(spec.vectors_path, vocab=manifest_vocabulary(manifest))
+    return load_vec_file(args.vectors, vocab=manifest_vocabulary(manifest))
 
 
-def cmd_ingest(spec: RunSpec) -> int:
-    manifest = _load_dataset(spec)
+def _load_scorer(path: Path, store: EmbeddingStore, k: int) -> tuple[TripleScorer, dict]:
+    """A checkpoint that fits this run: its embedding width must match the
+    vector file, and the summary size it was trained for, if stored, ``--k``."""
+    model, meta = load_checkpoint(path)
+    if model.config.embed_dim != store.dim:
+        raise DataError(
+            f"{path}: checkpoint embed_dim {model.config.embed_dim} does not match "
+            f"the {store.dim}-dimensional vectors"
+        )
+    if "k" in meta and meta["k"] != k:
+        raise DataError(f"{path}: checkpoint was trained for k={meta['k']}, not --k {k}")
+    return model, meta
+
+
+def cmd_ingest(args: argparse.Namespace) -> int:
+    manifest = _load_dataset(args)
     print(
         f"{len(manifest.entities)} entities, {manifest.triple_count} triples, "
         f"{manifest.gold_count} golds"
     )
     print(f"folds: {len(manifest.folds)}")
-    if spec.vectors_path is not None:
-        store = _load_store(spec, manifest)
+    if args.vectors is not None:
+        store = _load_store(args, manifest)
         for warning in coverage_warnings(manifest, store):
             print(f"warning: {warning}")
     return EXIT_OK
 
 
-def cmd_filter_vectors(spec: RunSpec) -> int:
-    manifest = _load_dataset(spec)
+def cmd_filter_vectors(args: argparse.Namespace) -> int:
+    manifest = _load_dataset(args)
     vocab = manifest_vocabulary(manifest)
-    store = load_vec_file(spec.vectors_path, vocab=vocab)
-    save_vec_file(store, spec.out_path)
-    print(f"kept {len(store)} of {len(vocab)} vocabulary words -> {spec.out_path}")
+    store = load_vec_file(args.vectors, vocab=vocab)
+    save_vec_file(store, args.out)
+    print(f"kept {len(store)} of {len(vocab)} vocabulary words -> {args.out}")
     return EXIT_OK
 
 
@@ -204,29 +172,27 @@ def _write_reports(report_dir: Path, dataset: str, k: int, reports) -> None:
     evaluation.write_aggregate_json(dataset, k, reports, report_dir / "aggregate.json")
 
 
-def cmd_train(spec: RunSpec) -> int:
-    manifest = _load_dataset(spec)
-    store = _load_store(spec, manifest)
-    model_cfg = ModelConfig(embed_dim=store.dim, seed=spec.seed)
+def cmd_train(args: argparse.Namespace) -> int:
+    manifest = _load_dataset(args)
+    store = _load_store(args, manifest)
+    model_cfg = ModelConfig(embed_dim=store.dim, seed=args.seed)
     train_cfg = TrainConfig(
-        k=spec.k,
-        lr=spec.lr,
-        max_epochs=spec.max_epochs,
-        seed=spec.seed,
-        early_stop_metric=EarlyStopMetric(spec.early_stop),
+        k=args.k,
+        lr=args.lr,
+        max_epochs=args.max_epochs,
+        seed=args.seed,
+        early_stop_metric=EarlyStopMetric(args.early_stop),
     )
-    outcome: CrossValReport = cross_validate(
-        manifest, model_cfg, train_cfg, store, parallel=spec.parallel_folds
-    )
-    out = spec.output_dir
+    outcome: CrossValReport = cross_validate(manifest, model_cfg, train_cfg, store)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     for fold, result in zip(manifest.folds, outcome.results):
         save_checkpoint(
             result.model,
             out / f"fold{fold.index}.ckpt",
-            meta={"chosen_epoch": result.chosen_epoch, "k": spec.k, "fold": fold.index},
+            meta={"chosen_epoch": result.chosen_epoch, "k": args.k, "fold": fold.index},
         )
-    _write_reports(out, manifest.name, spec.k, outcome.reports)
+    _write_reports(out, manifest.name, args.k, outcome.reports)
     for report in outcome.reports:
         print(
             f"fold {report.fold_index}: mean F1 {report.mean_f1:.4f} "
@@ -236,27 +202,27 @@ def cmd_train(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(spec: RunSpec) -> int:
-    manifest = _load_dataset(spec)
-    if spec.oracle:
-        reports = oracle_reports(manifest, spec.k)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    manifest = _load_dataset(args)
+    if args.oracle:
+        reports = oracle_reports(manifest, args.k)
     else:
-        if spec.checkpoint_dir is None:
+        if args.checkpoints is None:
             raise UsageError("evaluate needs --checkpoints or --oracle")
-        store = _load_store(spec, manifest)
+        store = _load_store(args, manifest)
         reports = []
         for fold in manifest.folds:
-            model, meta = load_checkpoint(spec.checkpoint_dir / f"fold{fold.index}.ckpt")
+            model, meta = _load_scorer(args.checkpoints / f"fold{fold.index}.ckpt", store, args.k)
             chosen = int(meta.get("chosen_epoch", 0))
-            reports.append(evaluate_fold(model, manifest, fold, spec.k, store, chosen))
-    if spec.output_dir is not None:
-        _write_reports(spec.output_dir, manifest.name, spec.k, reports)
+            reports.append(evaluate_fold(model, manifest, fold, args.k, store, chosen))
+    if args.out is not None:
+        _write_reports(args.out, manifest.name, args.k, reports)
     all_f1 = {iri: f1 for r in reports for iri, f1 in r.per_entity_f1.items()}
     mean = sum(all_f1.values()) / len(all_f1) if all_f1 else 0.0
-    label = "oracle" if spec.oracle else "model"
+    label = "oracle" if args.oracle else "model"
     print(f"{label} mean F1 {mean:.4f} over {len(all_f1)} entities")
-    if spec.compare is not None:
-        other = evaluation.read_per_entity_tsv(spec.compare)
+    if args.compare is not None:
+        other = evaluation.read_per_entity_tsv(args.compare)
         shared = sorted(set(all_f1) & set(other))
         result = evaluation.paired_ttest(
             [all_f1[iri] for iri in shared], [other[iri] for iri in shared]
@@ -265,13 +231,13 @@ def cmd_evaluate(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def cmd_summarize(spec: RunSpec) -> int:
-    manifest = _load_dataset(spec)
-    store = _load_store(spec, manifest)
-    model, _ = load_checkpoint(spec.checkpoint_path)
-    desc = manifest.entity(spec.entity)
+def cmd_summarize(args: argparse.Namespace) -> int:
+    manifest = _load_dataset(args)
+    store = _load_store(args, manifest)
+    model, _ = _load_scorer(args.checkpoint, store, args.k)
+    desc = manifest.entity(args.entity)
     scored = model.score_entity(desc, store)
-    selected = select_summary(scored, spec.k)
+    selected = select_summary(scored, args.k)
     n = len(desc.triples)
     print(f"{desc.entity.raw}: top {len(selected)} of {n} triples")
     for tid in selected:
@@ -301,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        spec = _spec_from_args(args)
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

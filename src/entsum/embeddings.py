@@ -101,7 +101,7 @@ def embed_resource(r: Resource, store: EmbeddingStore) -> ResourceEmbedding:
 
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
     """Read a text-format vector file: optional ``count dim`` header, then
-    ``word v1 ... v_dim`` per line.
+    ``word v1 ... v_dim`` per line.  A loaded vector must be finite.
 
     Words are lowercased; the first occurrence of a folded word wins, which
     for frequency-ordered files keeps the most frequent casing.  ``vocab``
@@ -137,9 +137,12 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
             if word in vectors:
                 continue
             try:
-                vectors[word] = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise ParseError(line_no, "non-numeric vector component")
+            if not np.isfinite(vec).all():
+                raise ParseError(line_no, "non-finite vector component")
+            vectors[word] = vec
     if dim is None:
         raise ParseError(1, "empty vector file")
     return EmbeddingStore(dim, vectors)

@@ -8,13 +8,17 @@ softmax-normalized, and the weighted context representations are summed.
 Candidate encoding and pooled description vector are concatenated and mapped
 to a scalar salience score.
 
-All per-description arithmetic runs in ascending triple-id order no matter
-how the input list is ordered, which makes the scores bit-exactly invariant
-under permutations of the input.
+A description is scored in one batched pass: the three MLPs run on n x dim
+matrices, the n x n attention is ``softmax(cosine(C, G))`` and the pooled
+vectors are ``A @ G``; training runs the matching matrix chain rule backward.
+The rows are in ascending triple-id order no matter how the input list is
+ordered, which makes the scores bit-exactly invariant under permutations of
+the input.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +32,6 @@ from .errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
 from .nn import (
     Activation,
     DenseLayer,
-    GradientTape,
     Mlp,
     cosine,
     cosine_backward,
@@ -159,74 +162,42 @@ class TripleScorer:
 
     def _sorted_vectors(
         self, vectors: Sequence[tuple[int, TripleVector]]
-    ) -> tuple[list[int], list[np.ndarray]]:
+    ) -> tuple[list[int], np.ndarray]:
+        """Triple ids in ascending order and the n x 2d matrix of their vectors."""
+        if not vectors:
+            raise ShapeMismatch("cannot score an empty description")
         pairs = sorted(vectors, key=lambda pair: pair[0])
         ids = [tid for tid, _ in pairs]
         if len(set(ids)) != len(ids):
             raise ShapeMismatch("duplicate triple id in description vectors")
-        mats = []
+        dim = self.config.triple_dim
         for tid, vec in pairs:
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (self.config.triple_dim,):
+            if np.shape(vec) != (dim,):
                 raise ShapeMismatch(
-                    f"triple {tid}: vector length {arr.shape} does not match "
-                    f"2*embed_dim = {self.config.triple_dim}"
+                    f"triple {tid}: vector length {np.shape(vec)} does not match "
+                    f"2*embed_dim = {dim}"
                 )
-            mats.append(arr)
-        return ids, mats
+        return ids, np.array([vec for _, vec in pairs], dtype=np.float64)
 
-    def _forward(self, mats: list[np.ndarray]):
-        """Shared forward pass over the id-sorted triple vectors."""
-        ctx = [self.context_mlp.forward(x) for x in mats]
-        ctx_vecs = [c[0] for c in ctx]
-        ctx_caches = [c[1] for c in ctx]
-
-        cand_vecs, cand_caches = [], []
-        weights_all, pooled_all, score_caches = [], [], []
-        scores = np.empty(len(mats), dtype=np.float64)
-        for c, x in enumerate(mats):
-            cand_vec, cand_cache = self.candidate_mlp.forward(x)
-            sims = np.array(
-                [cosine(cand_vec, g) for g in ctx_vecs], dtype=np.float64
-            )
-            weights = softmax(sims)
-            pooled = np.zeros_like(ctx_vecs[0])
-            for i in range(len(ctx_vecs)):
-                pooled += weights[i] * ctx_vecs[i]
-            joint = np.concatenate([cand_vec, pooled])
-            out, score_cache = self.scoring_mlp.forward(joint)
-            scores[c] = out[0]
-            cand_vecs.append(cand_vec)
-            cand_caches.append(cand_cache)
-            weights_all.append(weights)
-            pooled_all.append(pooled)
-            score_caches.append(score_cache)
-        return {
-            "ctx_vecs": ctx_vecs,
-            "ctx_caches": ctx_caches,
-            "cand_vecs": cand_vecs,
-            "cand_caches": cand_caches,
-            "weights": weights_all,
-            "pooled": pooled_all,
-            "score_caches": score_caches,
-            "scores": scores,
-        }
+    def _forward(self, X: np.ndarray):
+        """Scores for the rows of X plus what the backward pass needs:
+        attention ``A = softmax(cosine(C, G))`` of the candidate encodings C
+        over the context encodings G, pooled ``P = A @ G``, and the scoring
+        head on ``[C | P]``."""
+        C, cand_cache = self.candidate_mlp.forward(X)
+        G, ctx_cache = self.context_mlp.forward(X)
+        A = softmax(cosine(C, G))
+        out, score_cache = self.scoring_mlp.forward(np.hstack([C, A @ G]))
+        return out[:, 0], (C, G, A, cand_cache, ctx_cache, score_cache)
 
     def score_description(
         self, entity: Resource, vectors: Sequence[tuple[int, TripleVector]]
     ) -> ScoredDescription:
         """Score every candidate in the context of the full description."""
-        if not vectors:
-            raise ShapeMismatch("cannot score an empty description")
-        ids, mats = self._sorted_vectors(vectors)
-        state = self._forward(mats)
-        scores = {tid: float(state["scores"][c]) for c, tid in enumerate(ids)}
-        attention = {
-            (ids[c], ids[i]): float(state["weights"][c][i])
-            for c in range(len(ids))
-            for i in range(len(ids))
-        }
-        return ScoredDescription(entity, scores, attention)
+        ids, X = self._sorted_vectors(vectors)
+        scores, (_, _, A, *_) = self._forward(X)
+        attention = dict(zip(itertools.product(ids, ids), A.ravel().tolist()))
+        return ScoredDescription(entity, dict(zip(ids, scores.tolist())), attention)
 
     def score_entity(
         self, desc: EntityDescription, store: EmbeddingStore
@@ -242,45 +213,20 @@ class TripleScorer:
     ) -> tuple[float, list[np.ndarray]]:
         """Mean squared error over all candidates and exact parameter
         gradients, ordered like ``parameters()``."""
-        ids, mats = self._sorted_vectors(vectors)
+        ids, X = self._sorted_vectors(vectors)
         missing = [tid for tid in ids if tid not in targets]
         if missing:
             raise ShapeMismatch(f"no supervision target for triple ids {missing}")
-        state = self._forward(mats)
+        scores, (C, G, A, cand_cache, ctx_cache, score_cache) = self._forward(X)
         target_vec = np.array([targets[tid] for tid in ids], dtype=np.float64)
-        loss, dscores = mse_loss(state["scores"], target_vec)
+        loss, dscores = mse_loss(scores, target_vec)
 
-        n = len(ids)
-        cand_dim = self.candidate_mlp.out_dim
-        ctx_vecs = state["ctx_vecs"]
-        tape_c = GradientTape.for_mlp(self.candidate_mlp)
-        tape_d = GradientTape.for_mlp(self.context_mlp)
-        tape_s = GradientTape.for_mlp(self.scoring_mlp)
-
-        dctx = [np.zeros_like(g) for g in ctx_vecs]
-        for c in range(n):
-            djoint = self.scoring_mlp.backward(
-                state["score_caches"][c], np.array([dscores[c]]), tape_s
-            )
-            dcand = djoint[:cand_dim].copy()
-            dpool = djoint[cand_dim:]
-
-            weights = state["weights"][c]
-            dweights = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                dweights[i] = float(np.dot(ctx_vecs[i], dpool))
-                dctx[i] += weights[i] * dpool
-            dsims = softmax_backward(weights, dweights)
-            cand_vec = state["cand_vecs"][c]
-            for i in range(n):
-                du, dv = cosine_backward(cand_vec, ctx_vecs[i], dsims[i])
-                dcand += du
-                dctx[i] += dv
-            self.candidate_mlp.backward(state["cand_caches"][c], dcand, tape_c)
-        for i in range(n):
-            self.context_mlp.backward(state["ctx_caches"][i], dctx[i], tape_d)
-
-        return loss, tape_c.grads + tape_d.grads + tape_s.grads
+        dJ, grads_s = self.scoring_mlp.backward(score_cache, dscores[:, None])
+        dC, dP = np.hsplit(dJ, [C.shape[1]])
+        dC_cos, dG_cos = cosine_backward(C, G, softmax_backward(A, dP @ G.T))
+        _, grads_c = self.candidate_mlp.backward(cand_cache, dC + dC_cos)
+        _, grads_d = self.context_mlp.backward(ctx_cache, A.T @ dP + dG_cos)
+        return loss, grads_c + grads_d + grads_s
 
 
 def select_summary(scored: ScoredDescription, k: int) -> list[int]:

@@ -1,9 +1,10 @@
 """Minimal dense-network machinery in 64-bit numpy.
 
 Implements exactly what the scorer needs: fully connected layers with ReLU
-or linear activations, reverse-mode gradients, numerically stable softmax,
-cosine similarity with a zero-norm guard, mean squared error, Adam, and a
-central-difference gradient checker.  No batching, no graphs, no GPU.
+or linear activations run on a batch of rows, their reverse-mode gradients,
+row-wise numerically stable softmax, the matrix of row cosines with a
+zero-norm guard, mean squared error, Adam, and a central-difference gradient
+checker.  Every function works on whole matrices; no graphs, no GPU.
 """
 
 from __future__ import annotations
@@ -96,108 +97,98 @@ class Mlp:
         return self.layers[-1].out_dim
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.layers:
-            params.append(layer.W)
-            params.append(layer.b)
-        return params
+        return [p for layer in self.layers for p in (layer.W, layer.b)]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Run the stack on one vector; the cache feeds ``backward``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.in_dim:
+        """Run the stack on an n x in batch as ``X @ W.T + b`` per layer; a
+        single vector runs as a batch of one.  The cache feeds ``backward``."""
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.in_dim:
             raise ShapeMismatch(
-                f"input of length {x.shape} does not match first layer "
+                f"input of shape {X.shape} does not match first layer "
                 f"input dim {self.in_dim}"
             )
+        single = X.ndim == 1
+        X = np.atleast_2d(X)
         cache = []
         for layer in self.layers:
-            z = layer.W @ x + layer.b
-            cache.append((x, z))
-            if layer.activation is Activation.RELU:
-                x = np.maximum(z, 0.0)
-            else:
-                x = z
-        return x, cache
+            Z = X @ layer.W.T + layer.b
+            cache.append((X, Z))
+            X = np.maximum(Z, 0.0) if layer.activation is Activation.RELU else Z
+        return (X[0] if single else X), cache
 
-    def backward(self, cache: list, dy: np.ndarray, tape: "GradientTape") -> np.ndarray:
-        """Accumulate parameter gradients onto the tape; return dL/dx."""
-        dy = np.asarray(dy, dtype=np.float64)
-        if dy.shape != (self.out_dim,):
+    def backward(self, cache: list, dy: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Return dL/dX and the parameter gradients summed over the batch,
+        ordered like ``parameters()``.  ``dy`` has the forward output's shape."""
+        dY = np.asarray(dy, dtype=np.float64)
+        single = dY.ndim == 1
+        G = np.atleast_2d(dY)
+        if G.shape != (cache[0][0].shape[0], self.out_dim):
             raise ShapeMismatch(
-                f"upstream gradient shape {dy.shape} does not match output "
-                f"dim {self.out_dim}"
+                f"upstream gradient shape {dY.shape} does not match output "
+                f"dim {self.out_dim} over the cached batch"
             )
-        grad = dy
-        for idx in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[idx]
-            x_in, z = cache[idx]
-            if layer.activation is Activation.RELU:
-                dz = grad * (z > 0.0)
-            else:
-                dz = grad
-            tape.grads[2 * idx] += np.outer(dz, x_in)
-            tape.grads[2 * idx + 1] += dz
-            grad = layer.W.T @ dz
-        return grad
-
-
-@dataclass
-class GradientTape:
-    """Per-parameter gradient accumulators mirroring an Mlp's parameters."""
-
-    grads: list[np.ndarray]
-
-    @classmethod
-    def for_mlp(cls, mlp: Mlp) -> "GradientTape":
-        return cls([np.zeros_like(p) for p in mlp.parameters()])
-
-    def zero(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
+        grads: list[np.ndarray] = []
+        for layer, (X, Z) in zip(reversed(self.layers), reversed(cache)):
+            dZ = G * (Z > 0.0) if layer.activation is Activation.RELU else G
+            grads[:0] = [dZ.T @ X, dZ.sum(axis=0)]
+            G = dZ @ layer.W
+        return (G[0] if single else G), grads
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax over a vector; outputs are positive and sum to one."""
+    """Stable softmax over the last axis; each row is positive and sums to one."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def softmax_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """Gradient of a loss wrt the softmax inputs, given output and its grad."""
-    inner = float(np.dot(out, dout))
-    return out * (dout - inner)
+    """Gradient of a loss wrt the softmax inputs, row by row, given the
+    output and its gradient."""
+    return out * (dout - np.sum(out * dout, axis=-1, keepdims=True))
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; returns 0 when either norm is (near) zero so that
+def _unit_rows(U: np.ndarray, V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both operands as float64 matrices of equal width, two vectors as
+    one-row matrices, each row divided by its norm; also the norms.  A row
+    under the zero-norm guard becomes zero."""
+    U, V = np.asarray(U, dtype=np.float64), np.asarray(V, dtype=np.float64)
+    if U.ndim != V.ndim or U.ndim not in (1, 2) or U.shape[-1] != V.shape[-1]:
+        raise ShapeMismatch(f"cosine over shapes {U.shape} and {V.shape}")
+    out = []
+    for X in (np.atleast_2d(U), np.atleast_2d(V)):
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        out.append((np.divide(X, norms, out=np.zeros_like(X), where=norms >= ZERO_NORM_EPS), norms))
+    return out
+
+
+def cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
+    """``S[i, j]`` is the cosine of rows ``U[i]`` and ``V[j]``; two vectors
+    give a scalar.  A pair with a (near) zero norm gets 0, so that
     all-unknown-token embeddings stay well defined."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeMismatch(f"cosine over shapes {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    # rounding can push the quotient an ulp past +-1 for (anti)parallel inputs
-    return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
+    (Uh, _), (Vh, _) = _unit_rows(U, V)
+    # rounding can push a product an ulp past +-1 for (anti)parallel rows
+    S = np.clip(Uh @ Vh.T, -1.0, 1.0)
+    return float(S[0, 0]) if np.ndim(U) == 1 else S
 
 
 def cosine_backward(
-    u: np.ndarray, v: np.ndarray, dcos: float
+    U: np.ndarray, V: np.ndarray, dS: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``dcos * cosine(u, v)`` wrt u and v; zero at the guard."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return np.zeros_like(u), np.zeros_like(v)
-    c = min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
-    du = dcos * (v / (nu * nv) - c * u / (nu * nu))
-    dv = dcos * (u / (nu * nv) - c * v / (nv * nv))
-    return du, dv
+    """Gradients of ``sum(dS * cosine(U, V))`` wrt the rows of U and V; zero
+    for every row under the guard."""
+    (Uh, nu), (Vh, nv) = _unit_rows(U, V)
+    dS = np.asarray(dS, dtype=np.float64)
+    if dS.shape != (len(Uh), len(Vh)):
+        raise ShapeMismatch(f"upstream gradient shape {dS.shape} does not match "
+                            f"{len(Uh)} x {len(Vh)} cosines")
+    grads = []
+    for Xh, norms, dXh in ((Uh, nu, dS @ Vh), (Vh, nv, dS.T @ Uh)):
+        # back through X / |X|: drop the radial part, divide by the norm
+        dX = dXh - np.sum(dXh * Xh, axis=1, keepdims=True) * Xh
+        grads.append(np.divide(dX, norms, out=np.zeros_like(dX), where=norms >= ZERO_NORM_EPS))
+    return grads[0], grads[1]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

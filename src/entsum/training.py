@@ -11,7 +11,6 @@ reproduces results bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -210,33 +209,20 @@ def cross_validate(
     train_cfg: TrainConfig,
     store: EmbeddingStore,
     train_fn: TrainFn = train_fold,
-    parallel: bool = False,
 ) -> CrossValReport:
-    """Train one model per fold and evaluate it on that fold's test set.
-
-    Folds are independent; with ``parallel`` they run in a thread pool and
-    the results are still assembled in fold order, so output is identical
-    either way.
-    """
-    def run(fold: FoldSpec) -> tuple[TrainResult, EvalReport]:
+    """Train one model per fold, in fold order, and evaluate it on that
+    fold's test set."""
+    reports, results = [], []
+    for fold in manifest.folds:
         # the manifest loader guarantees this; re-check before evaluating
         leaked = set(fold.test) & set(fold.train)
         if leaked:
             raise AssertionError(f"fold {fold.index} trains on test entity {leaked}")
         result = train_fn(manifest, fold, model_cfg, train_cfg, store)
-        report = evaluate_fold(
+        results.append(result)
+        reports.append(evaluate_fold(
             result.model, manifest, fold, train_cfg.k, store, result.chosen_epoch
-        )
-        return result, report
-
-    if parallel and len(manifest.folds) > 1:
-        with ThreadPoolExecutor(max_workers=len(manifest.folds)) as pool:
-            outcomes = list(pool.map(run, manifest.folds))
-    else:
-        outcomes = [run(fold) for fold in manifest.folds]
-
-    reports = [report for _, report in outcomes]
-    results = [result for result, _ in outcomes]
+        ))
     per_entity = [
         (report.fold_index, iri, f1)
         for report in reports

@@ -14,7 +14,7 @@ from entsum.evaluation import (
     read_per_entity_tsv,
 )
 from entsum.embeddings import load_vec_file
-from entsum.model import load_checkpoint
+from entsum.model import load_checkpoint, save_checkpoint
 
 from conftest import ARIA, BLUE, TOYMUSIC, build_esbm_tree
 
@@ -310,18 +310,6 @@ def test_train_reruns_are_byte_identical(train_dir, capsys, tmp_path):
         assert (again / name).read_bytes() == (train_dir / name).read_bytes()
 
 
-def test_train_parallel_folds_match_sequential(train_dir, capsys, tmp_path):
-    par = tmp_path / "par"
-    rc, _, _ = invoke(
-        capsys, "train", "--manifest", MANIFEST, "--vectors", VEC,
-        "--k", "2", "--seed", "0", "--max-epochs", "3", "--parallel-folds",
-        "--out", str(par),
-    )
-    assert rc == 0
-    for name in ("fold0.ckpt", "fold1.ckpt", "per_entity.tsv", "aggregate.json"):
-        assert (par / name).read_bytes() == (train_dir / name).read_bytes()
-
-
 def test_train_seed_changes_checkpoints(train_dir, capsys, tmp_path):
     other = tmp_path / "other"
     rc, _, _ = invoke(
@@ -428,14 +416,48 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys):
 
 
 def test_evaluate_dim_mismatched_checkpoint(train_dir, capsys, tmp_path):
+    # 4-dimensional checkpoints against a 3-dimensional vector file
     slim = tmp_path / "slim.vec"
     slim.write_text("1 3\ntype 0.1 0.2 0.3\n", encoding="utf-8")
     rc, _, err = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--vectors", str(slim),
         "--k", "2", "--checkpoints", str(train_dir),
     )
-    assert rc == 3
-    assert err.startswith("numeric error:")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "embed_dim 4" in err and "3-dimensional" in err
+
+
+def test_evaluate_k_mismatched_checkpoint(train_dir, capsys):
+    # the checkpoints were trained for k=2
+    rc, stdout, err = invoke(
+        capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
+        "--k", "3", "--checkpoints", str(train_dir),
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert "k=2" in err and "--k 3" in err
+
+
+def nonfinite_vec(tmp_path):
+    path = tmp_path / "nan.vec"
+    lines = (TOYMUSIC / "toy.vec").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("type ")
+    lines[1] = "type nan 0.13 0.19 0.4"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_nonfinite_vector_file_is_a_data_error(capsys, tmp_path, command):
+    args = [command, "--manifest", MANIFEST, "--vectors", str(nonfinite_vec(tmp_path))]
+    if command == "train":
+        args += ["--k", "2", "--max-epochs", "1", "--out", str(tmp_path / "o")]
+    rc, _, err = invoke(capsys, *args)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "line 2" in err and "non-finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_missing_checkpoint(capsys, tmp_path):
@@ -470,15 +492,32 @@ def test_summarize_prints_ranked_summary(overfit_dir, capsys):
     assert all(":" in entry for entry in attended)
 
 
-def test_summarize_caps_k_at_description_size(overfit_dir, capsys):
+def test_summarize_caps_k_at_description_size(overfit_dir, capsys, tmp_path):
+    model, meta = load_checkpoint(overfit_dir / "fold0.ckpt")
+    ckpt = tmp_path / "k3.ckpt"
+    save_checkpoint(model, ckpt, meta={**meta, "k": 3})
     rc, stdout, _ = invoke(
         capsys, "summarize", "--manifest", MANIFEST, "--vectors", VEC,
-        "--k", "3", "--checkpoint", str(overfit_dir / "fold0.ckpt"),
-        "--entity", BLUE,
+        "--k", "3", "--checkpoint", str(ckpt), "--entity", BLUE,
     )
     assert rc == 0
     assert stdout.splitlines()[0] == f"{BLUE}: top 3 of 7 triples"
     assert len(stdout.splitlines()) == 4
+
+
+def test_summarize_mismatched_checkpoint(overfit_dir, capsys, tmp_path):
+    slim = tmp_path / "slim.vec"
+    slim.write_text("1 3\ntype 0.1 0.2 0.3\n", encoding="utf-8")
+    ckpt = str(overfit_dir / "fold0.ckpt")
+    for vectors, k, names in [(str(slim), "2", ("embed_dim 4", "3-dimensional")),
+                              (VEC, "3", ("k=2", "--k 3"))]:
+        rc, stdout, err = invoke(
+            capsys, "summarize", "--manifest", MANIFEST, "--vectors", vectors,
+            "--k", k, "--checkpoint", ckpt, "--entity", ARIA,
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert all(name in err for name in names)
 
 
 def test_summarize_unknown_entity(overfit_dir, capsys):

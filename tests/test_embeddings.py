@@ -212,6 +212,15 @@ def test_non_numeric_component_rejected(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_component_rejected(tmp_path, bad):
+    path = write_vec(tmp_path, f"2 2\ncat 1.0 2.0\ndog 3.0 {bad}\n")
+    with pytest.raises(ParseError) as err:
+        load_vec_file(path)
+    assert "line 3" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_word_without_components_rejected(tmp_path):
     path = write_vec(tmp_path, "cat 1.0\nlonely\n")
     with pytest.raises(ParseError) as err:

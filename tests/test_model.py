@@ -226,20 +226,26 @@ def test_identical_triples_share_score_and_split_attention():
 
 
 def test_three_triple_straight_line_recomputation():
-    # re-derive every score with plain numpy on the model's own weights
+    # re-derive every score and attention weight one candidate and one pair
+    # at a time, with plain numpy on the model's own weights
     model = TripleScorer.create(small_config(seed=5))
     rng = np.random.default_rng(31)
-    vectors = random_vectors(rng, 3, 12)
-    scored = model.score_description(ENT, vectors)
+    for n in (1, 3, 12):
+        vectors = random_vectors(rng, n, 12)
+        scored = model.score_description(ENT, vectors)
 
-    ctx = [model.context_mlp.forward(v)[0] for _, v in vectors]
-    for tid, vec in vectors:
-        cand = model.candidate_mlp.forward(vec)[0]
-        sims = np.array([cosine(cand, g) for g in ctx])
-        weights = softmax(sims)
-        pooled = weights[0] * ctx[0] + weights[1] * ctx[1] + weights[2] * ctx[2]
-        expected = model.scoring_mlp.forward(np.concatenate([cand, pooled]))[0][0]
-        assert abs(scored.scores[tid] - expected) < 1e-12
+        ctx = [model.context_mlp.forward(v)[0] for _, v in vectors]
+        for tid, vec in vectors:
+            cand = model.candidate_mlp.forward(vec)[0]
+            sims = np.array([cosine(cand, g) for g in ctx])
+            weights = softmax(sims)
+            pooled = np.zeros_like(ctx[0])
+            for w, g in zip(weights, ctx):
+                pooled += w * g
+            expected = model.scoring_mlp.forward(np.concatenate([cand, pooled]))[0][0]
+            assert abs(scored.scores[tid] - expected) < 1e-12
+            for (ctx_id, _), w in zip(vectors, weights):
+                assert abs(scored.attention[(tid, ctx_id)] - w) < 1e-12
 
 
 def test_score_entity_matches_encode_then_score(toy_manifest, toy_store):

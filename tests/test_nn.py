@@ -10,7 +10,6 @@ from entsum.nn import (
     Activation,
     AdamState,
     DenseLayer,
-    GradientTape,
     Mlp,
     adam_step,
     cosine,
@@ -121,6 +120,10 @@ def test_identity_forward():
     y, cache = mlp.forward([1.0, -2.0, 3.0])
     assert y.tolist() == [1.0, -2.0, 3.0]
     assert len(cache) == 1
+    X = np.array([[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]])
+    Y, cache = mlp.forward(X)
+    assert Y.tolist() == X.tolist()
+    assert cache[0][0].shape == (2, 3)
 
 
 def test_relu_clamps_negative_preactivations():
@@ -134,6 +137,10 @@ def test_two_layer_hand_value():
     # y = 0.5 * 0.15 - 0.6 * 0.25 + 0.1 = 0.025
     y, _ = two_layer_fixture().forward([1.0, 0.0])
     assert abs(y[0] - 0.025) < 1e-12
+    # rows run independently: for (0, 1), z1 = (0.25, -0.45), y = 0.5 * 0.25 + 0.1
+    Y, _ = two_layer_fixture().forward(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert Y.shape == (2, 1)
+    assert np.allclose(Y[:, 0], [0.025, 0.225], atol=1e-12)
 
 
 def test_forward_rejects_bad_input():
@@ -141,7 +148,9 @@ def test_forward_rejects_bad_input():
     with pytest.raises(ShapeMismatch):
         mlp.forward([1.0, 2.0, 3.0])
     with pytest.raises(ShapeMismatch):
-        mlp.forward(np.zeros((2, 2)))
+        mlp.forward(np.zeros((2, 3)))  # rows of the wrong width
+    with pytest.raises(ShapeMismatch):
+        mlp.forward(np.zeros((2, 2, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -151,16 +160,21 @@ def test_forward_rejects_bad_input():
 def test_two_layer_hand_gradients():
     mlp = two_layer_fixture()
     _, cache = mlp.forward([1.0, 0.0])
-    tape = GradientTape.for_mlp(mlp)
-    dx = mlp.backward(cache, np.array([1.0]), tape)
+    dx, grads = mlp.backward(cache, np.array([1.0]))
     # dz2 = 1: dW2 = h1 = (0.15, 0.25), db2 = 1
-    assert np.allclose(tape.grads[2], [[0.15, 0.25]], atol=1e-12)
-    assert tape.grads[3].tolist() == [1.0]
+    assert np.allclose(grads[2], [[0.15, 0.25]], atol=1e-12)
+    assert grads[3].tolist() == [1.0]
     # dh = W2^T = (0.5, -0.6), both units active
-    assert np.allclose(tape.grads[0], [[0.5, 0.0], [-0.6, 0.0]], atol=1e-12)
-    assert np.allclose(tape.grads[1], [0.5, -0.6], atol=1e-12)
+    assert np.allclose(grads[0], [[0.5, 0.0], [-0.6, 0.0]], atol=1e-12)
+    assert np.allclose(grads[1], [0.5, -0.6], atol=1e-12)
     # dx = W1^T dz1 = (-0.13, 0.34)
     assert np.allclose(dx, [-0.13, 0.34], atol=1e-12)
+    # a batch of two copies sums to twice the gradients, one dx row each
+    _, cache = mlp.forward(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    dX, batch_grads = mlp.backward(cache, np.array([[1.0], [1.0]]))
+    for g1, g2 in zip(grads, batch_grads):
+        assert np.array_equal(g2, 2.0 * g1)
+    assert np.array_equal(dX, np.stack([dx, dx]))
 
 
 def test_relu_blocks_gradient_of_inactive_unit():
@@ -171,10 +185,9 @@ def test_relu_blocks_gradient_of_inactive_unit():
         ]
     )
     _, cache = mlp.forward([1.0, 1.0])  # second unit pre-activation -4 < 0
-    tape = GradientTape.for_mlp(mlp)
-    dx = mlp.backward(cache, np.array([1.0]), tape)
+    dx, grads = mlp.backward(cache, np.array([1.0]))
     assert dx.tolist() == [1.0, 0.0]
-    assert tape.grads[1].tolist() == [1.0, 0.0]
+    assert grads[1].tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("dims", [[2, 3, 1], [4, 8, 8, 2], [1, 5, 1]])
@@ -182,60 +195,54 @@ def test_relu_blocks_gradient_of_inactive_unit():
 def test_backward_matches_numeric(dims, seed):
     rng = np.random.default_rng(100 * seed + len(dims))
     mlp = Mlp.create(dims, Activation.LINEAR, rng)
-    x = rng.normal(size=dims[0])
-    dy = rng.normal(size=dims[-1])
+    # one vector, then a batch whose gradients sum over the rows
+    for shape in [(dims[0],), (5, dims[0])]:
+        x = rng.normal(size=shape)
+        dy = rng.normal(size=shape[:-1] + (dims[-1],))
 
-    def loss_fn():
-        y, _ = mlp.forward(x)
-        return float(np.dot(y, dy))
+        def loss_fn():
+            y, _ = mlp.forward(x)
+            return float(np.sum(y * dy))
 
-    _, cache = mlp.forward(x)
-    tape = GradientTape.for_mlp(mlp)
-    mlp.backward(cache, dy, tape)
-    assert grad_check(loss_fn, mlp.parameters(), tape.grads) < 1e-6
+        _, cache = mlp.forward(x)
+        _, grads = mlp.backward(cache, dy)
+        assert grad_check(loss_fn, mlp.parameters(), grads) < 1e-6
 
 
 def test_backward_input_gradient_matches_numeric():
     rng = np.random.default_rng(7)
     mlp = Mlp.create([3, 6, 2], Activation.LINEAR, rng)
-    x = rng.normal(size=3)
-    dy = rng.normal(size=2)
-    _, cache = mlp.forward(x)
-    tape = GradientTape.for_mlp(mlp)
-    dx = mlp.backward(cache, dy, tape)
+    X = rng.normal(size=(4, 3))
+    dY = rng.normal(size=(4, 2))
+    _, cache = mlp.forward(X)
+    dX, _ = mlp.backward(cache, dY)
+    assert dX.shape == X.shape
     h = 1e-6
-    for i in range(3):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        numeric = (np.dot(mlp.forward(xp)[0], dy) - np.dot(mlp.forward(xm)[0], dy)) / (2 * h)
-        assert abs(dx[i] - numeric) < 1e-6
+    for r in range(4):
+        for i in range(3):
+            Xp, Xm = X.copy(), X.copy()
+            Xp[r, i] += h
+            Xm[r, i] -= h
+            numeric = float(np.sum((mlp.forward(Xp)[0] - mlp.forward(Xm)[0]) * dY)) / (2 * h)
+            assert abs(dX[r, i] - numeric) < 1e-6
 
 
 def test_backward_rejects_wrong_upstream_shape():
     mlp = two_layer_fixture()
     _, cache = mlp.forward([1.0, 0.0])
     with pytest.raises(ShapeMismatch):
-        mlp.backward(cache, np.array([1.0, 2.0]), GradientTape.for_mlp(mlp))
+        mlp.backward(cache, np.array([1.0, 2.0]))
+    _, cache = mlp.forward(np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        mlp.backward(cache, np.zeros((2, 1)))  # two rows for a batch of three
 
 
-def test_tape_accumulates_and_zeroes():
+def test_backward_grads_mirror_parameters():
     mlp = two_layer_fixture()
-    _, cache = mlp.forward([1.0, 0.0])
-    tape = GradientTape.for_mlp(mlp)
-    mlp.backward(cache, np.array([1.0]), tape)
-    once = [g.copy() for g in tape.grads]
-    mlp.backward(cache, np.array([1.0]), tape)
-    for g1, g2 in zip(once, tape.grads):
-        assert np.array_equal(g2, 2.0 * g1)
-    tape.zero()
-    assert all(np.all(g == 0.0) for g in tape.grads)
-
-
-def test_tape_shapes_mirror_parameters():
-    mlp = two_layer_fixture()
-    tape = GradientTape.for_mlp(mlp)
-    for g, p in zip(tape.grads, mlp.parameters()):
+    _, cache = mlp.forward(np.zeros((3, 2)))
+    _, grads = mlp.backward(cache, np.zeros((3, 1)))
+    assert len(grads) == len(mlp.parameters())
+    for g, p in zip(grads, mlp.parameters()):
         assert g.shape == p.shape
         assert np.all(g == 0.0)
 
@@ -290,6 +297,12 @@ def test_softmax_sums_to_one():
         out = softmax(z)
         assert np.all(out > 0.0)
         assert abs(float(np.sum(out)) - 1.0) <= 1e-12
+    # a matrix is normalized row by row, each row as if on its own
+    Z = rng.normal(scale=20.0, size=(6, 9))
+    out = softmax(Z)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
+    for z, row in zip(Z, out):
+        assert np.array_equal(softmax(z), row)
 
 
 def test_softmax_shift_invariance():
@@ -313,17 +326,18 @@ def test_softmax_extreme_magnitudes():
 
 def test_softmax_backward_matches_numeric():
     rng = np.random.default_rng(31)
-    for _ in range(20):
+    for trial in range(20):
         n = int(rng.integers(2, 8))
-        z = rng.normal(size=n)
-        dout = rng.normal(size=n)
+        shape = (n,) if trial % 2 else (3, n)  # one vector, or rows
+        z = rng.normal(size=shape)
+        dout = rng.normal(size=shape)
         dz = softmax_backward(softmax(z), dout)
         h = 1e-6
-        for i in range(n):
+        for i in np.ndindex(shape):
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            numeric = float(np.dot(softmax(zp) - softmax(zm), dout)) / (2 * h)
+            numeric = float(np.sum((softmax(zp) - softmax(zm)) * dout)) / (2 * h)
             assert abs(dz[i] - numeric) < 1e-6
 
 
@@ -336,6 +350,12 @@ def test_cosine_hand_values():
     assert abs(cosine(np.array([1.0, 2.0]), np.array([2.0, 4.0])) - 1.0) < 1e-12
     assert abs(cosine(np.array([1.0, 2.0]), np.array([-2.0, -4.0])) + 1.0) < 1e-12
     assert abs(cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) - 1 / math.sqrt(2)) < 1e-12
+    # matrices give every row pair: S[i, j] = cos(U[i], V[j])
+    S = cosine(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
+               np.array([[3.0, 0.0], [1.0, 1.0]]))
+    assert S.shape == (3, 2)
+    assert np.allclose(S, [[1.0, 1 / math.sqrt(2)], [0.0, 1 / math.sqrt(2)], [0.0, 0.0]],
+                       atol=1e-12)
 
 
 def test_cosine_scale_invariance():
@@ -369,38 +389,66 @@ def test_cosine_zero_norm_guard():
     assert cosine(np.array([1e-13]), np.array([1e-13])) == 0.0
     # just above the guard the value is well defined again
     assert cosine(np.array([1e-11]), np.array([1e-11])) == 1.0
+    # in a matrix only the pairs with a guarded row are zeroed
+    S = cosine(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[2.0, 0.0], [1e-13, 0.0]]))
+    assert S.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_cosine_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         cosine(np.zeros(2), np.zeros(3))
+    with pytest.raises(ShapeMismatch):
+        cosine(np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(ShapeMismatch):
+        cosine(np.zeros(2), np.zeros((4, 2)))
+    with pytest.raises(ShapeMismatch):
+        cosine(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
 
 
 def test_cosine_backward_matches_numeric():
+    # live rows match central differences of sum(dS * S); every other batch
+    # has a zero row, which sits at the guard, where S is not smooth
     rng = np.random.default_rng(43)
-    for _ in range(20):
-        dim = int(rng.integers(2, 8))
-        u, v = rng.normal(size=dim), rng.normal(size=dim)
-        dcos = float(rng.normal())
-        du, dv = cosine_backward(u, v, dcos)
-        h = 1e-6
-        for i in range(dim):
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            numeric = dcos * (cosine(up, v) - cosine(um, v)) / (2 * h)
-            assert abs(du[i] - numeric) < 1e-6
-            vp, vm = v.copy(), v.copy()
-            vp[i] += h
-            vm[i] -= h
-            numeric = dcos * (cosine(u, vp) - cosine(u, vm)) / (2 * h)
-            assert abs(dv[i] - numeric) < 1e-6
+    h = 1e-6
+    for trial in range(20):
+        dim, n, m = int(rng.integers(2, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        U, V = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+        if trial % 2:
+            U[rng.integers(n)] = 0.0
+            V[rng.integers(m)] = 0.0
+        dS = rng.normal(size=(n, m))
+        dU, dV = cosine_backward(U, V, dS)
+        assert (dU.shape, dV.shape) == (U.shape, V.shape)
+        for X, dX in ((U, dU), (V, dV)):
+            for r in np.flatnonzero(np.any(X != 0.0, axis=1)):
+                for i in range(dim):
+                    orig = X[r, i]
+                    X[r, i] = orig + h
+                    plus = float(np.sum(dS * cosine(U, V)))
+                    X[r, i] = orig - h
+                    minus = float(np.sum(dS * cosine(U, V)))
+                    X[r, i] = orig
+                    assert abs(dX[r, i] - (plus - minus) / (2 * h)) < 1e-6
 
 
 def test_cosine_backward_zero_at_guard():
-    du, dv = cosine_backward(np.zeros(3), np.array([1.0, 2.0, 3.0]), 1.0)
+    du, dv = cosine_backward(np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0]]), [[1.0]])
     assert np.all(du == 0.0)
     assert np.all(dv == 0.0)
+    # in a batch the guarded rows get zero gradient and add none to the others
+    U = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+    V = np.array([[1.0, 2.0, 3.0], [1e-13, 0.0, 0.0], [-1.0, 0.0, 2.0]])
+    dS = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    dU, dV = cosine_backward(U, V, dS)
+    assert np.all(dU[0] == 0.0)
+    assert np.all(dV[1] == 0.0)
+    du0, dv0 = cosine_backward(U[1:], V[:1], dS[1:, :1])
+    du2, dv2 = cosine_backward(U[1:], V[2:], dS[1:, 2:])
+    assert np.allclose(dU[1:], du0 + du2, atol=1e-12)
+    assert np.allclose(dV[:1], dv0, atol=1e-12)
+    assert np.allclose(dV[2:], dv2, atol=1e-12)
+    with pytest.raises(ShapeMismatch):
+        cosine_backward(U, V, dS.T)
 
 
 # --------------------------------------------------------------------------

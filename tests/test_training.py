@@ -201,16 +201,6 @@ def test_cross_validate_per_entity_rows(toy_manifest, toy_store):
     assert cv.mean_f1 == pooled
 
 
-def test_parallel_matches_sequential(toy_manifest, toy_store):
-    cfg = TrainConfig(k=2, max_epochs=3)
-    seq = cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store, parallel=False)
-    par = cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store, parallel=True)
-    assert seq.per_entity == par.per_entity
-    for rs, rp in zip(seq.results, par.results):
-        for pa, pb in zip(rs.model.parameters(), rp.model.parameters()):
-            assert np.array_equal(pa, pb)
-
-
 def test_leaking_fold_is_refused(toy_manifest, toy_store):
     leaky = DatasetManifest(
         name=toy_manifest.name,
