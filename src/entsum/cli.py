@@ -224,6 +224,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.compare is not None:
         other = evaluation.read_per_entity_tsv(args.compare)
         shared = sorted(set(all_f1) & set(other))
+        print(
+            f"paired {len(shared)} shared entities; left out {len(all_f1) - len(shared)} "
+            f"of this run and {len(other) - len(shared)} of {args.compare}"
+        )
         result = evaluation.paired_ttest(
             [all_f1[iri] for iri in shared], [other[iri] for iri in shared]
         )

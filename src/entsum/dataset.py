@@ -341,11 +341,6 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
     return ParsedDescription(tuple(triples), frozen)
 
 
-def parse_triples_document(text: str, entity_iri: str) -> list[Triple]:
-    """All statements whose subject or object is the entity, ids in document order."""
-    return list(parse_description(text, entity_iri).triples)
-
-
 # --------------------------------------------------------------------------
 # manifest loading
 # --------------------------------------------------------------------------
@@ -478,20 +473,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 # supervision targets
 # --------------------------------------------------------------------------
 
-def supervision_label(
-    desc: EntityDescription, t: Triple, k: int, mode: str = "frequency"
-) -> float:
-    """Regression target for one triple under size budget k.
-
-    ``frequency`` is the fraction of ground-truth summaries containing the
-    triple; ``binary`` collapses that to membership in at least one summary.
-    """
+def supervision_label(desc: EntityDescription, t: Triple, k: int) -> float:
+    """Regression target for one triple under size budget k: the fraction of
+    ground-truth summaries that contain it."""
     if k not in desc.gold:
         raise NoGoldForK(k)
     summaries = desc.gold[k]
-    count = sum(1 for g in summaries if t.id in g.triple_ids)
-    if mode == "frequency":
-        return count / len(summaries)
-    if mode == "binary":
-        return 1.0 if count > 0 else 0.0
-    raise ValueError(f"unknown label mode {mode!r}")
+    return sum(1 for g in summaries if t.id in g.triple_ids) / len(summaries)

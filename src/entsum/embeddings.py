@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_writer
 from .dataset import DatasetManifest, NodeKind, Resource
 from .errors import DimMismatch, ParseError
 
@@ -154,8 +155,7 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     Floats are serialized with ``repr`` so a round trip reproduces the exact
     doubles; words are sorted for byte-stable output.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"{len(store.vectors)} {store.dim}\n")
         for word in sorted(store.vectors):
             values = " ".join(repr(float(v)) for v in store.vectors[word])
@@ -171,16 +171,6 @@ def manifest_vocabulary(manifest: DatasetManifest) -> set[str]:
             vocab.update(resource_tokens(t.prop))
             vocab.update(resource_tokens(t.val))
     return vocab
-
-
-def load_word_list(path: str | Path) -> set[str]:
-    """One word per line, lowercased; used as a vocabulary filter."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return words
 
 
 def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[str]:

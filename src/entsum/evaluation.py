@@ -17,9 +17,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
+from .atomic import atomic_writer
 from .dataset import EntityDescription, GoldSummary
-from .errors import DegenerateVariance, EmptySummary, LengthMismatch, NoGoldForK
-from .model import ScoredDescription
+from .errors import (
+    DataError,
+    DegenerateVariance,
+    EmptySummary,
+    LengthMismatch,
+    MissingFile,
+    NoGoldForK,
+    ParseError,
+)
 
 
 def f1_against_golds(summary: Iterable[int], golds: Sequence[GoldSummary]) -> float:
@@ -128,18 +136,42 @@ def write_per_entity_tsv(reports: Sequence[EvalReport], path: str | Path) -> Non
     for report in reports:
         for iri, f1 in report.per_entity_f1.items():
             lines.append(f"{report.fold_index}\t{iri}\t{float(f1)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_per_entity_tsv(path: str | Path) -> dict[str, float]:
-    """Entity to F1, for significance comparisons between two runs."""
+    """Entity to F1 from a ``write_per_entity_tsv`` file, for significance
+    comparisons between two runs.  The file may come from anywhere, so each
+    row must have three fields, an F1 in [0, 1], and an entity not seen on
+    an earlier row."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(path)
     result: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+    seen_on: dict[str, int] = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        _, iri, f1 = line.split("\t")
-        result[iri] = float(f1)
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(
+                line_no, f"{len(fields)} tab-separated fields in {path}, expected 3"
+            )
+        _, iri, f1_text = fields
+        try:
+            f1 = float(f1_text)
+        except ValueError:
+            raise ParseError(line_no, f"non-numeric F1 {f1_text!r} in {path}") from None
+        if not 0.0 <= f1 <= 1.0:  # also rejects nan
+            raise ParseError(line_no, f"F1 {f1_text!r} in {path} is outside [0, 1]")
+        if iri in seen_on:
+            raise DataError(
+                f"{path}: entity {iri} appears on line {seen_on[iri]} and line {line_no}"
+            )
+        seen_on[iri] = line_no
+        result[iri] = f1
     return result
 
 
@@ -165,21 +197,5 @@ def write_aggregate_json(
         "mean_f1": sum(all_f1) / len(all_f1) if all_f1 else 0.0,
         "entities": len(all_f1),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def write_scores_tsv(
-    scored: Sequence[tuple[ScoredDescription, Sequence[int]]],
-    path: str | Path,
-) -> None:
-    """Score export: entity IRI, triple id, score, and selection marker."""
-    lines = ["entity\ttriple_id\tscore\tselected"]
-    for desc_scores, selected in scored:
-        chosen = set(selected)
-        for tid in sorted(desc_scores.scores):
-            mark = 1 if tid in chosen else 0
-            lines.append(
-                f"{desc_scores.entity.raw}\t{tid}\t{desc_scores.scores[tid]!r}\t{mark}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

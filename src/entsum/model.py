@@ -14,24 +14,31 @@ vectors are ``A @ G``; training runs the matching matrix chain rule backward.
 The rows are in ascending triple-id order no matter how the input list is
 ordered, which makes the scores bit-exactly invariant under permutations of
 the input.
+
+``ModelConfig`` is the only description of the architecture: every layer's
+shape follows from the embedding width and the hidden sizes, the encoders end
+in ReLU and the scoring head in one linear unit.  A checkpoint therefore
+stores the config, a meta mapping, and all parameters as one flat
+little-endian float64 blob.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_writer
 from .dataset import EntityDescription, Resource, Triple
 from .embeddings import EmbeddingStore, embed_resource
 from .errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
 from .nn import (
     Activation,
-    DenseLayer,
     Mlp,
     cosine,
     cosine_backward,
@@ -44,7 +51,7 @@ from .nn import (
 TripleVector = np.ndarray
 
 CHECKPOINT_FORMAT = "entsum-scorer"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("candidate_hidden", "context_hidden", "scoring_hidden"):
             dims = getattr(self, name)
-            if not dims or any(d < 1 for d in dims):
+            if not dims or any(not isinstance(d, int) or d < 1 for d in dims):
                 raise ValueError(f"{name} must be non-empty positive dims, got {dims}")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be positive")
+        if not isinstance(self.embed_dim, int) or self.embed_dim < 1:
+            raise ValueError("embed_dim must be a positive integer")
 
     @property
     def triple_dim(self) -> int:
@@ -70,6 +77,22 @@ class ModelConfig:
     @property
     def scoring_input_dim(self) -> int:
         return self.candidate_hidden[-1] + self.context_hidden[-1]
+
+    def mlp_dims(self) -> tuple[list[int], list[int], list[int]]:
+        """Layer widths of the candidate encoder, context encoder and scoring head."""
+        return (
+            [self.triple_dim, *self.candidate_hidden],
+            [self.triple_dim, *self.context_hidden],
+            [self.scoring_input_dim, *self.scoring_hidden, 1],
+        )
+
+    @property
+    def parameter_count(self) -> int:
+        return sum(
+            (d_in + 1) * d_out
+            for dims in self.mlp_dims()
+            for d_in, d_out in zip(dims, dims[1:])
+        )
 
 
 @dataclass(frozen=True)
@@ -107,37 +130,19 @@ class TripleScorer:
         self.candidate_mlp = candidate_mlp
         self.context_mlp = context_mlp
         self.scoring_mlp = scoring_mlp
-        self._check_architecture()
-
-    def _check_architecture(self):
-        cfg = self.config
-        expect = {
-            "candidate": ([cfg.triple_dim, *cfg.candidate_hidden], self.candidate_mlp),
-            "context": ([cfg.triple_dim, *cfg.context_hidden], self.context_mlp),
-            "scoring": ([cfg.scoring_input_dim, *cfg.scoring_hidden, 1], self.scoring_mlp),
-        }
-        for name, (dims, mlp) in expect.items():
-            got = [mlp.in_dim] + [layer.out_dim for layer in mlp.layers]
-            if got != dims:
-                raise ShapeMismatch(f"{name} MLP dims {got} do not match config {dims}")
-        if self.scoring_mlp.layers[-1].activation is not Activation.LINEAR:
-            raise ShapeMismatch("scoring head must end in a linear unit")
 
     @classmethod
     def create(cls, config: ModelConfig) -> "TripleScorer":
         """Seeded initialization; the three MLPs draw from one generator in a
         fixed order, so equal seeds give bit-identical parameters."""
         rng = np.random.default_rng(config.seed)
-        candidate = Mlp.create(
-            [config.triple_dim, *config.candidate_hidden], Activation.RELU, rng
+        candidate, context, scoring = config.mlp_dims()
+        return cls(
+            config,
+            Mlp.create(candidate, Activation.RELU, rng),
+            Mlp.create(context, Activation.RELU, rng),
+            Mlp.create(scoring, Activation.LINEAR, rng),
         )
-        context = Mlp.create(
-            [config.triple_dim, *config.context_hidden], Activation.RELU, rng
-        )
-        scoring = Mlp.create(
-            [config.scoring_input_dim, *config.scoring_hidden, 1], Activation.LINEAR, rng
-        )
-        return cls(config, candidate, context, scoring)
 
     def parameters(self) -> list[np.ndarray]:
         return (
@@ -242,69 +247,28 @@ def select_summary(scored: ScoredDescription, k: int) -> list[int]:
 # checkpoints
 # --------------------------------------------------------------------------
 
-def _mlp_to_doc(mlp: Mlp) -> list[dict]:
-    return [
-        {
-            "activation": layer.activation.value,
-            "shape": list(layer.W.shape),
-            "weights": layer.W.reshape(-1).tolist(),
-            "bias": layer.b.tolist(),
-        }
-        for layer in mlp.layers
-    ]
-
-
-def _mlp_from_doc(doc, what: str) -> Mlp:
-    layers = []
-    try:
-        for entry in doc:
-            rows, cols = entry["shape"]
-            W = np.array(entry["weights"], dtype=np.float64).reshape(rows, cols)
-            b = np.array(entry["bias"], dtype=np.float64)
-            if b.shape != (rows,):
-                raise CorruptCheckpoint(f"{what}: bias length {b.shape} != {rows}")
-            try:
-                activation = Activation(entry["activation"])
-            except ValueError:
-                raise CorruptCheckpoint(
-                    f"{what}: unknown activation {entry['activation']!r}"
-                )
-            layers.append(DenseLayer(W, b, activation))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"{what}: {exc}") from exc
-    return Mlp(layers)
-
-
 def save_checkpoint(
     model: TripleScorer, path: str | Path, meta: Mapping[str, object] | None = None
 ) -> None:
-    """Versioned, self-describing JSON checkpoint; floats keep full 64-bit
-    precision through repr-based serialization."""
-    cfg = model.config
+    """JSON of the config, the meta mapping and every parameter as one blob:
+    ``parameters()`` raveled and concatenated as little-endian float64,
+    base64-encoded.  Equal models give byte-equal files."""
+    flat = np.concatenate([p.ravel() for p in model.parameters()]).astype("<f8")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "embed_dim": cfg.embed_dim,
-            "candidate_hidden": list(cfg.candidate_hidden),
-            "context_hidden": list(cfg.context_hidden),
-            "scoring_hidden": list(cfg.scoring_hidden),
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
         "meta": dict(meta or {}),
-        "mlps": {
-            "candidate": _mlp_to_doc(model.candidate_mlp),
-            "context": _mlp_to_doc(model.context_mlp),
-            "scoring": _mlp_to_doc(model.scoring_mlp),
-        },
+        "parameters": base64.b64encode(flat.tobytes()).decode("ascii"),
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     """Rebuild a scorer from ``save_checkpoint`` output; returns the model and
-    the stored meta mapping."""
+    the stored meta mapping.  The blob's length is checked against the
+    config before any parameter array is allocated."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -324,21 +288,27 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     try:
         cfg_doc = doc["config"]
         config = ModelConfig(
-            embed_dim=int(cfg_doc["embed_dim"]),
+            embed_dim=cfg_doc["embed_dim"],
             candidate_hidden=tuple(cfg_doc["candidate_hidden"]),
             context_hidden=tuple(cfg_doc["context_hidden"]),
             scoring_hidden=tuple(cfg_doc["scoring_hidden"]),
             seed=int(cfg_doc["seed"]),
         )
-        mlps = doc["mlps"]
-        candidate = _mlp_from_doc(mlps["candidate"], "candidate")
-        context = _mlp_from_doc(mlps["context"], "context")
-        scoring = _mlp_from_doc(mlps["scoring"], "scoring")
+        blob = base64.b64decode(doc["parameters"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    try:
-        model = TripleScorer(config, candidate, context, scoring)
-    except ShapeMismatch as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+    if len(blob) != 8 * config.parameter_count:
+        raise CorruptCheckpoint(
+            f"{path}: {len(blob)} parameter bytes, the config needs "
+            f"{8 * config.parameter_count}"
+        )
+    values = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CorruptCheckpoint(f"{path}: non-finite parameter")
+    model = TripleScorer.create(config)
+    offset = 0
+    for p in model.parameters():
+        p[...] = values[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
     meta = doc.get("meta", {})
     return model, meta if isinstance(meta, dict) else {}

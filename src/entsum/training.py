@@ -37,7 +37,6 @@ class TrainConfig:
     max_epochs: int = 50
     seed: int = 0
     early_stop_metric: EarlyStopMetric = EarlyStopMetric.VAL_F1
-    label_mode: str = "frequency"
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -75,10 +74,7 @@ def _prepare(
         vectors = encode_description(desc, store)
         targets = {}
         if with_targets:
-            targets = {
-                t.id: supervision_label(desc, t, cfg.k, cfg.label_mode)
-                for t in desc.triples
-            }
+            targets = {t.id: supervision_label(desc, t, cfg.k) for t in desc.triples}
         prepared.append(_PreparedEntity(desc, vectors, targets))
     return prepared
 

@@ -384,9 +384,16 @@ def test_evaluate_needs_checkpoints_or_oracle(capsys):
     assert "needs --checkpoints or --oracle" in err
 
 
-def test_evaluate_compare_runs_significance_test(train_dir, capsys):
+def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):
     model_f1 = read_per_entity_tsv(train_dir / "per_entity.tsv")
     shared = sorted(model_f1)
+    # an entity the oracle run does not have is left out of the pairing
+    compare = tmp_path / "compare.tsv"
+    compare.write_text(
+        (train_dir / "per_entity.tsv").read_text(encoding="utf-8")
+        + "1\thttp://toy.example/music/Elsewhere\t0.5\n",
+        encoding="utf-8",
+    )
     from entsum.dataset import load_manifest
     from entsum.evaluation import f1_against_golds, oracle_summary
 
@@ -405,7 +412,10 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys):
 
     rc, stdout, err = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--k", "2",
-        "--oracle", "--compare", str(train_dir / "per_entity.tsv"),
+        "--oracle", "--compare", str(compare),
+    )
+    assert stdout.splitlines()[1] == (
+        f"paired 2 shared entities; left out 0 of this run and 1 of {compare}"
     )
     if expected is None:
         assert rc == 2
@@ -413,6 +423,31 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys):
     else:
         assert rc == 0
         assert stdout.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("rows, names", [
+    (None, ["missing file"]),
+    (["0\thttp://x/a"], ["line 2", "2 tab-separated fields"]),
+    (["0\thttp://x/a\t0.5", "0\thttp://x/b\t0.5\textra"], ["line 3", "4 tab-separated"]),
+    (["0\thttp://x/a\thigh"], ["line 2", "non-numeric F1 'high'"]),
+    (["0\thttp://x/a\tnan"], ["line 2", "'nan'", "outside [0, 1]"]),
+    (["0\thttp://x/a\tinf"], ["line 2", "'inf'"]),
+    (["0\thttp://x/a\t1.5"], ["line 2", "'1.5'"]),
+    (["0\thttp://x/a\t-0.25"], ["line 2", "'-0.25'"]),
+    (["0\thttp://x/a\t0.5", "", "1\thttp://x/a\t0.5"], ["http://x/a", "line 2 and line 4"]),
+])
+def test_evaluate_compare_rejects_bad_tsv(capsys, tmp_path, rows, names):
+    path = tmp_path / "other.tsv"
+    if rows is not None:
+        path.write_text("\n".join(["fold\tentity\tf1", *rows]) + "\n", encoding="utf-8")
+    rc, _, err = invoke(
+        capsys, "evaluate", "--manifest", MANIFEST, "--k", "2",
+        "--oracle", "--compare", str(path),
+    )
+    assert rc == 2
+    assert err.startswith("error:")
+    assert str(path) in err
+    assert all(name in err for name in names), err
 
 
 def test_evaluate_dim_mismatched_checkpoint(train_dir, capsys, tmp_path):
@@ -518,6 +553,29 @@ def test_summarize_mismatched_checkpoint(overfit_dir, capsys, tmp_path):
         assert rc == 2
         assert stdout == ""
         assert all(name in err for name in names)
+
+
+def test_summarize_rejects_version_1_checkpoint(overfit_dir, capsys, tmp_path):
+    # version 1 stored every layer's shape, activation and weights as JSON
+    model, _ = load_checkpoint(overfit_dir / "fold0.ckpt")
+    doc = json.loads((overfit_dir / "fold0.ckpt").read_text(encoding="utf-8"))
+    del doc["parameters"]
+    doc["version"] = 1
+    doc["mlps"] = {
+        name: [{"activation": layer.activation.value, "shape": list(layer.W.shape),
+                "weights": layer.W.ravel().tolist(), "bias": layer.b.tolist()}
+               for layer in getattr(model, f"{name}_mlp").layers]
+        for name in ("candidate", "context", "scoring")
+    }
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    rc, stdout, err = invoke(
+        capsys, "summarize", "--manifest", MANIFEST, "--vectors", VEC,
+        "--k", "2", "--checkpoint", str(ckpt), "--entity", ARIA,
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert "checkpoint version 1" in err
 
 
 def test_summarize_unknown_entity(overfit_dir, capsys):

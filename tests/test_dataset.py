@@ -17,7 +17,6 @@ from entsum.dataset import (
     load_manifest,
     parse_description,
     parse_statements,
-    parse_triples_document,
     supervision_label,
     validate_folds,
 )
@@ -47,7 +46,7 @@ def desc_of(text: str, iri: str = E):
 # --------------------------------------------------------------------------
 
 def test_parse_single_statement_literal_object():
-    triples = parse_triples_document(f'<{E}> <http://ex.org/p> "Tim" .', E)
+    triples = parse_description(f'<{E}> <http://ex.org/p> "Tim" .', E).triples
     assert len(triples) == 1
     t = triples[0]
     assert t.prop.raw == "http://ex.org/p"
@@ -56,7 +55,7 @@ def test_parse_single_statement_literal_object():
 
 
 def test_entity_as_object_takes_subject_as_value():
-    triples = parse_triples_document(f"<http://ex.org/x> <http://ex.org/p> <{E}> .", E)
+    triples = parse_description(f"<http://ex.org/x> <http://ex.org/p> <{E}> .", E).triples
     assert len(triples) == 1
     assert triples[0].val.raw == "http://ex.org/x"
     assert triples[0].subject.raw == "http://ex.org/x"
@@ -64,14 +63,14 @@ def test_entity_as_object_takes_subject_as_value():
 
 
 def test_self_loop_keeps_object_as_value():
-    triples = parse_triples_document(f"<{E}> <http://ex.org/p> <{E}> .", E)
+    triples = parse_description(f"<{E}> <http://ex.org/p> <{E}> .", E).triples
     assert len(triples) == 1
     assert triples[0].val.raw == E
 
 
 def test_blank_node_terms():
     text = f"_:b0 <http://ex.org/p> <{E}> ."
-    t = parse_triples_document(text, E)[0]
+    t = parse_description(text, E).triples[0]
     assert t.subject.kind is NodeKind.BLANK
     assert t.subject.raw == "b0"
     assert t.val.raw == "b0"
@@ -82,7 +81,7 @@ def test_language_tag_and_datatype_are_stripped_from_raw():
         f'<{E}> <http://ex.org/p> "hello"@en .',
         f'<{E}> <http://ex.org/q> "1998"^^<http://www.w3.org/2001/XMLSchema#gYear> .',
     ])
-    triples = parse_triples_document(text, E)
+    triples = parse_description(text, E).triples
     assert triples[0].val.raw == "hello"
     assert triples[1].val.raw == "1998"
 
@@ -100,7 +99,7 @@ def test_comments_and_blank_lines_are_skipped():
 
 def test_escape_sequences_in_literals():
     text = f'<{E}> <http://ex.org/p> "a\\nb\\t\\"c\\"\\\\d\\u0041" .'
-    t = parse_triples_document(text, E)[0]
+    t = parse_description(text, E).triples[0]
     assert t.val.raw == 'a\nb\t"c"\\dA'
 
 
@@ -139,7 +138,7 @@ def test_literal_escape_round_trip_property():
         n = int(rng.integers(1, 12))
         s = "".join(pool[int(i)] for i in rng.integers(0, len(pool), size=n))
         line = f'<{E}> <http://ex.org/p> "{_escape_literal(s)}" .'
-        t = parse_triples_document(line, E)[0]
+        t = parse_description(line, E).triples[0]
         assert t.val.raw == s
 
 
@@ -151,7 +150,7 @@ def test_mixed_document_keeps_only_touching_statements():
     band = "http://toy.example/music/Night_Band"
     text = (DATA_DIR / "mixed_statements.nt").read_text(encoding="utf-8")
     assert len(parse_statements(text)) == 10
-    triples = parse_triples_document(text, band)
+    triples = parse_description(text, band).triples
     assert [t.id for t in triples] == [0, 1, 2, 3, 4, 5, 6]
     # object-position statements flip the value to the subject side
     by_prop = {t.prop.raw.rsplit("/", 1)[1]: t for t in triples}
@@ -162,7 +161,7 @@ def test_mixed_document_keeps_only_touching_statements():
 def test_labels_are_collected_from_non_candidate_statements():
     band = "http://toy.example/music/Night_Band"
     text = (DATA_DIR / "mixed_statements.nt").read_text(encoding="utf-8")
-    triples = parse_triples_document(text, band)
+    triples = parse_description(text, band).triples
     genre = next(t for t in triples if t.prop.raw.endswith("genre"))
     assert genre.val.label == "jazz"
     assert triples[0].subject.label == "Night Band"
@@ -173,7 +172,7 @@ def test_first_label_in_document_order_wins():
         f'<{E}> <http://www.w3.org/2000/01/rdf-schema#label> "first" .',
         f'<{E}> <http://www.w3.org/2000/01/rdf-schema#label> "second" .',
     ])
-    triples = parse_triples_document(text, E)
+    triples = parse_description(text, E).triples
     assert triples[0].subject.label == "first"
     assert triples[1].subject.label == "first"
 
@@ -451,15 +450,6 @@ def test_supervision_frequency_fractions():
     assert supervision_label(desc, t0, 2) == 1.0
     assert supervision_label(desc, t1, 2) == 0.5
     assert supervision_label(desc, t2, 2) == 0.0
-
-
-def test_supervision_binary_mode():
-    desc = six_gold_entity()
-    t0, t1, t2 = desc.triples
-    assert supervision_label(desc, t1, 2, mode="binary") == 1.0
-    assert supervision_label(desc, t2, 2, mode="binary") == 0.0
-    with pytest.raises(ValueError):
-        supervision_label(desc, t0, 2, mode="nope")
 
 
 def test_supervision_missing_k():

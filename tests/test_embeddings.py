@@ -9,7 +9,6 @@ from entsum.embeddings import (
     coverage_warnings,
     embed_resource,
     load_vec_file,
-    load_word_list,
     manifest_vocabulary,
     resource_tokens,
     save_vec_file,
@@ -368,13 +367,3 @@ def test_coverage_deduplicates_resources(toy_manifest):
     mentioned = [w for w in warnings if "Harbor_City" in w]
     # Harbor_City appears as the value of two different triples
     assert len(mentioned) == 1
-
-
-# --------------------------------------------------------------------------
-# word lists
-# --------------------------------------------------------------------------
-
-def test_load_word_list(tmp_path):
-    path = tmp_path / "words.txt"
-    path.write_text("Cat\n\n  dog  \ncat\n", encoding="utf-8")
-    assert load_word_list(path) == {"cat", "dog"}

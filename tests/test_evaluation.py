@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entsum.dataset import GoldSummary, NodeKind, Resource
+from entsum.dataset import GoldSummary
 from entsum.errors import (
     DegenerateVariance,
     EmptySummary,
@@ -24,9 +24,7 @@ from entsum.evaluation import (
     read_per_entity_tsv,
     write_aggregate_json,
     write_per_entity_tsv,
-    write_scores_tsv,
 )
-from entsum.model import ScoredDescription
 
 from conftest import ARIA, BLUE, synthetic_entity
 
@@ -270,16 +268,3 @@ def test_aggregate_json_stable_bytes(tmp_path):
     write_aggregate_json("toy", 5, reports, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text(encoding="utf-8").endswith("\n")
-
-
-def test_scores_tsv(tmp_path):
-    entity = Resource(NodeKind.IRI, "http://x/e", None)
-    scored = ScoredDescription(entity, {1: 0.25, 0: 0.75})
-    path = tmp_path / "scores.tsv"
-    write_scores_tsv([(scored, [0])], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [
-        "entity\ttriple_id\tscore\tselected",
-        "http://x/e\t0\t0.75\t1",
-        "http://x/e\t1\t0.25\t0",
-    ]

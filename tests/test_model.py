@@ -1,6 +1,8 @@
 """Triple encoding, the three-MLP scorer, summary selection, checkpoints."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from entsum.model import (
     save_checkpoint,
     select_summary,
 )
-from entsum.nn import Activation, Mlp, cosine, grad_check, mse_loss, softmax
+from entsum.nn import Activation, cosine, grad_check, mse_loss, softmax
 
 from conftest import random_vectors, small_config
 
@@ -94,6 +96,10 @@ def test_config_validation():
         ModelConfig(candidate_hidden=())
     with pytest.raises(ValueError):
         ModelConfig(scoring_hidden=(8, 0))
+    with pytest.raises(ValueError):
+        ModelConfig(embed_dim=4.0)
+    with pytest.raises(ValueError):
+        ModelConfig(context_hidden=(8, 2.5))
 
 
 def test_create_is_seed_deterministic():
@@ -112,24 +118,6 @@ def test_create_architecture():
     assert model.scoring_mlp.in_dim == 16
     assert model.scoring_mlp.out_dim == 1
     assert model.scoring_mlp.layers[-1].activation is Activation.LINEAR
-
-
-def test_mismatched_mlp_rejected():
-    cfg = small_config()
-    good = TripleScorer.create(cfg)
-    rng = np.random.default_rng(0)
-    wrong = Mlp.create([10, 8, 8], Activation.RELU, rng)  # in_dim 10, not 12
-    with pytest.raises(ShapeMismatch):
-        TripleScorer(cfg, wrong, good.context_mlp, good.scoring_mlp)
-
-
-def test_nonlinear_scoring_head_rejected():
-    cfg = small_config()
-    good = TripleScorer.create(cfg)
-    rng = np.random.default_rng(0)
-    relu_head = Mlp.create([16, 8, 8, 1], Activation.RELU, rng)
-    with pytest.raises(ShapeMismatch):
-        TripleScorer(cfg, good.candidate_mlp, good.context_mlp, relu_head)
 
 
 def test_set_parameters_round_trip():
@@ -409,48 +397,75 @@ def test_load_wrong_format_marker(tmp_path):
 
 
 def test_load_unsupported_version(tmp_path):
-    path = corrupt(tmp_path, lambda doc: doc.update(version=99))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(path)
+    # version 1 stored per-layer JSON; it is rejected, not read
+    for version in (1, 99):
+        path = corrupt(tmp_path, lambda doc: doc.update(version=version))
+        with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+
+def test_checkpoint_stores_config_and_one_blob(tmp_path):
+    model = TripleScorer.create(small_config(seed=5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, meta={"k": 2})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(doc) == ["config", "format", "meta", "parameters", "version"]
+    assert doc["version"] == 2
+    flat = np.frombuffer(base64.b64decode(doc["parameters"]), dtype="<f8")
+    assert flat.size == model.config.parameter_count
+    assert np.array_equal(flat, np.concatenate([p.ravel() for p in model.parameters()]))
+    loaded, _ = load_checkpoint(path)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(p, q)
 
 
 def test_load_missing_section(tmp_path):
-    path = corrupt(tmp_path, lambda doc: doc.pop("mlps"))
+    path = corrupt(tmp_path, lambda doc: doc.pop("parameters"))
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
 
 
-def test_load_unknown_activation(tmp_path):
+def _with_blob(edit):
     def mutate(doc):
-        doc["mlps"]["candidate"][0]["activation"] = "tanh"
-
-    with pytest.raises(CorruptCheckpoint) as err:
-        load_checkpoint(corrupt(tmp_path, mutate))
-    assert "tanh" in str(err.value)
-
-
-def test_load_bias_length_mismatch(tmp_path):
-    def mutate(doc):
-        doc["mlps"]["context"][0]["bias"].append(0.0)
-
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(corrupt(tmp_path, mutate))
+        blob = base64.b64decode(doc["parameters"])
+        doc["parameters"] = base64.b64encode(edit(blob)).decode("ascii")
+    return mutate
 
 
 def test_load_weight_count_mismatch(tmp_path):
-    def mutate(doc):
-        doc["mlps"]["scoring"][0]["weights"].append(0.0)
+    for edit in (lambda b: b[:-8], lambda b: b + b"\0" * 8, lambda b: b[:-3]):
+        with pytest.raises(CorruptCheckpoint, match="parameter bytes"):
+            load_checkpoint(corrupt(tmp_path, _with_blob(edit)))
 
+
+@pytest.mark.parametrize("text", ["not base64!", "AAA", "AAAAAAAA\nAAAAAAAA", "\u00e9"])
+def test_load_blob_not_base64(tmp_path, text):
+    path = corrupt(tmp_path, lambda doc: doc.update(parameters=text))
     with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(corrupt(tmp_path, mutate))
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_non_finite_parameter(tmp_path, bad):
+    edit = lambda blob: struct.pack("<d", bad) + blob[8:]
+    with pytest.raises(CorruptCheckpoint, match="non-finite"):
+        load_checkpoint(corrupt(tmp_path, _with_blob(edit)))
 
 
 def test_load_architecture_config_disagreement(tmp_path):
-    def mutate(doc):
-        doc["config"]["embed_dim"] = 7
-
+    # a hostile size must fail on the byte count, before anything is allocated
+    for key, value in [("embed_dim", 7), ("embed_dim", 10**9),
+                       ("scoring_hidden", [10**9, 10**9]), ("candidate_hidden", [8, 9])]:
+        path = corrupt(tmp_path, lambda doc: doc["config"].update({key: value}))
+        with pytest.raises(CorruptCheckpoint, match="parameter bytes"):
+            load_checkpoint(path)
+    for value in ("4", 4.0, None, [4]):
+        path = corrupt(tmp_path, lambda doc: doc["config"].update(embed_dim=value))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+    path = corrupt(tmp_path, lambda doc: doc["config"].update(context_hidden=[8.0, 8.0]))
     with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(corrupt(tmp_path, mutate))
+        load_checkpoint(path)
 
 
 def test_checkpoint_dim_mismatch_surfaces_at_scoring(tmp_path):

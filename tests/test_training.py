@@ -50,7 +50,6 @@ def test_train_config_defaults():
     assert cfg.lr == 0.01
     assert cfg.max_epochs == 50
     assert cfg.early_stop_metric is EarlyStopMetric.VAL_F1
-    assert cfg.label_mode == "frequency"
 
 
 # --------------------------------------------------------------------------
