@@ -21,8 +21,9 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = tmp.open("w", encoding="utf-8", newline="\n")  # on failure there is nothing to remove
     try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

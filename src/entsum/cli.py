@@ -5,7 +5,9 @@ vector file to a manifest's vocabulary, ``train`` runs cross-validation and
 writes checkpoints plus reports, ``evaluate`` re-scores saved checkpoints
 (or the frequency oracle), and ``summarize`` prints one entity's summary.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (also an input that
+cannot be read or an output that cannot be written), 3 numeric failure
+(also a non-finite score).
 All randomness funnels through ``--seed``; rerunning a command with the
 same inputs and seed reproduces its output files byte for byte.
 """
@@ -183,9 +185,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         early_stop_metric=EarlyStopMetric(args.early_stop),
     )
-    outcome: CrossValReport = cross_validate(manifest, model_cfg, train_cfg, store)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
+    outcome: CrossValReport = cross_validate(manifest, model_cfg, train_cfg, store)
     for fold, result in zip(manifest.folds, outcome.results):
         save_checkpoint(
             result.model,
@@ -275,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

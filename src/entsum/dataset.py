@@ -1,12 +1,15 @@
 """Entity descriptions, ground-truth summaries and benchmark manifests.
 
-The on-disk inputs are deliberately small:
+The on-disk inputs are deliberately small UTF-8 text files:
 
 * description files hold one ``<subj> <pred> <obj> .`` statement per line
   (an N-Triples compatible subset, no prefixes, no multi-line literals),
 * gold-summary files use the same grammar and must repeat statements of
-  the description file verbatim,
-* a JSON manifest ties entities, gold files and fold assignments together.
+  the description file; a statement matches when its parsed terms are equal,
+* a JSON manifest (``load_manifest``) or an ESBM tree (``esbm.load_esbm``)
+  names the entities, gold files and folds.  Both read through
+  ``read_text``, build entities with ``load_entity`` and end in
+  ``build_manifest``, so they differ only in how they name their files.
 
 Everything is immutable after ingestion and safe to share across threads.
 """
@@ -15,12 +18,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
+    DataError,
     EmptyDescription,
     GoldNotSubset,
     GoldTooLarge,
@@ -153,25 +158,13 @@ class DatasetManifest:
 # statement-level parsing
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(NamedTuple):
+    """A parsed term; two statements are the same when their terms are equal."""
+
     kind: NodeKind
     value: str            # IRI string, blank-node id, or unescaped lexical form
     lang: str | None = None
     datatype: str | None = None
-
-    def key(self) -> str:
-        """Canonical serialization used for statement-identity matching."""
-        if self.kind is NodeKind.IRI:
-            return f"<{self.value}>"
-        if self.kind is NodeKind.BLANK:
-            return f"_:{self.value}"
-        body = _escape_literal(self.value)
-        if self.lang:
-            return f'"{body}"@{self.lang}'
-        if self.datatype:
-            return f'"{body}"^^<{self.datatype}>'
-        return f'"{body}"'
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,8 @@ class _Statement:
     predicate: _Term
     object: _Term
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.subject.key(), self.predicate.key(), self.object.key())
+    def key(self) -> tuple[_Term, _Term, _Term]:
+        return (self.subject, self.predicate, self.object)
 
 
 _IRI_RE = re.compile(r'<([^<>"\s]+)>')
@@ -227,11 +220,6 @@ def _unescape_literal(body: str, line_no: int) -> str:
         else:
             raise MalformedLine(line_no, f"unknown escape \\{nxt}")
     return "".join(out)
-
-
-def _escape_literal(value: str) -> str:
-    out = value.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
 
 
 def _parse_term(line: str, pos: int, line_no: int) -> tuple[_Term, int]:
@@ -309,10 +297,12 @@ def _to_resource(term: _Term, labels: Mapping[tuple[NodeKind, str], str]) -> Res
 
 @dataclass(frozen=True)
 class ParsedDescription:
-    """Candidate triples plus the statement-identity index used for gold matching."""
+    """Candidate triples plus the statement-identity index used for gold
+    matching: each statement's terms map to the earliest triple id that
+    carries them, since duplicated description statements share them."""
 
     triples: tuple[Triple, ...]
-    key_to_ids: Mapping[tuple[str, str, str], tuple[int, ...]]
+    first_id: Mapping[tuple[_Term, _Term, _Term], int]
 
 
 def parse_description(text: str, entity_iri: str) -> ParsedDescription:
@@ -320,7 +310,7 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
     labels = _collect_labels(statements)
 
     triples: list[Triple] = []
-    key_to_ids: dict[tuple[str, str, str], list[int]] = {}
+    first_id: dict[tuple[_Term, _Term, _Term], int] = {}
     for st in statements:
         subject_is_entity = st.subject.kind is NodeKind.IRI and st.subject.value == entity_iri
         object_is_entity = st.object.kind is NodeKind.IRI and st.object.value == entity_iri
@@ -333,22 +323,29 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
         val = obj if subject_is_entity else subject
         tid = len(triples)
         triples.append(Triple(tid, subject, predicate, obj, val))
-        key_to_ids.setdefault(st.key(), []).append(tid)
+        first_id.setdefault(st.key(), tid)
 
     if not triples:
         raise EmptyDescription(f"no statement mentions <{entity_iri}>")
-    frozen = {k: tuple(v) for k, v in key_to_ids.items()}
-    return ParsedDescription(tuple(triples), frozen)
+    return ParsedDescription(tuple(triples), first_id)
 
 
 # --------------------------------------------------------------------------
-# manifest loading
+# input files to a manifest
 # --------------------------------------------------------------------------
 
-def _read_text(path: Path) -> str:
-    if not path.is_file():
-        raise MissingFile(path)
-    return path.read_text(encoding="utf-8")
+def read_text(path: str | Path) -> str:
+    """The content of an input text file, which must be UTF-8.  A missing
+    file raises ``MissingFile``; any other failure to read or decode it
+    raises a ``DataError`` naming the path."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise MissingFile(path) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
 
 
 def _match_gold_statements(
@@ -356,15 +353,29 @@ def _match_gold_statements(
 ) -> frozenset[int]:
     ids = set()
     for st in parse_statements(gold_text):
-        matches = parsed.key_to_ids.get(st.key())
-        if not matches:
+        tid = parsed.first_id.get(st.key())
+        if tid is None:
             raise GoldNotSubset(
                 f"{source}: statement on line {st.line_no} does not occur in the "
                 f"description of <{entity_iri}>"
             )
-        # duplicated description statements share a key; take the earliest id
-        ids.add(matches[0])
+        ids.add(tid)
     return frozenset(ids)
+
+
+def load_entity(
+    iri: str, desc_file: Path, golds: Iterable[tuple[int, str, Path]]
+) -> EntityDescription:
+    """One entity from its description file and its ``(k, annotator,
+    gold_file)`` summaries, kept in that order within each k; every gold
+    statement must occur in the description."""
+    parsed = parse_description(read_text(desc_file), iri)
+    gold: dict[int, list[GoldSummary]] = {}
+    for k, annotator, gold_file in golds:
+        ids = _match_gold_statements(parsed, read_text(gold_file), iri, str(gold_file))
+        gold.setdefault(k, []).append(GoldSummary(annotator, ids))
+    frozen = {k: tuple(gold[k]) for k in sorted(gold)}
+    return EntityDescription(Resource(NodeKind.IRI, iri), parsed.triples, frozen)
 
 
 def validate_folds(folds: Iterable[FoldSpec], entity_iris: Iterable[str]) -> None:
@@ -395,6 +406,23 @@ def validate_folds(folds: Iterable[FoldSpec], entity_iris: Iterable[str]) -> Non
             raise InvalidFold(fold.index, f"entity not assigned: {sorted(uncovered)[0]}")
 
 
+def build_manifest(
+    name: str,
+    entities: Sequence[EntityDescription],
+    folds: Sequence[FoldSpec],
+    source: str | Path,
+) -> DatasetManifest:
+    """The manifest of ``entities`` and ``folds`` once no entity IRI repeats
+    and the folds pass ``validate_folds``; ``source`` names the input in
+    errors."""
+    iris = [e.entity.raw for e in entities]
+    repeated = sorted(iri for iri, count in Counter(iris).items() if count > 1)
+    if repeated:
+        raise InvalidManifest(f"{source}: duplicate entity iri {repeated[0]}")
+    validate_folds(folds, iris)
+    return DatasetManifest(name, tuple(entities), tuple(folds))
+
+
 def _require(mapping: Mapping, key: str, context: str):
     if key not in mapping:
         raise InvalidManifest(f"{context}: missing field {key!r}")
@@ -405,7 +433,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and fully validate a JSON manifest and all files it references."""
     path = Path(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidManifest(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -419,10 +447,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     entities = []
     for ent in entity_docs:
         iri = _require(ent, "iri", f"{path} entity")
-        desc_file = base / _require(ent, "desc_file", iri)
-        parsed = parse_description(_read_text(desc_file), iri)
-
-        gold: dict[int, tuple[GoldSummary, ...]] = {}
+        golds = []
         for k_str, summaries in ent.get("gold", {}).items():
             try:
                 k = int(k_str)
@@ -432,41 +457,21 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 raise InvalidManifest(f"{iri}: gold key {k} must be positive")
             if not summaries:
                 raise InvalidManifest(f"{iri}: empty gold list for k={k}")
-            loaded = []
             for g in summaries:
                 annotator = _require(g, "annotator", f"{iri} gold k={k}")
-                gold_file = base / _require(g, "file", f"{iri} gold k={k}")
-                ids = _match_gold_statements(
-                    parsed, _read_text(gold_file), iri, str(gold_file)
-                )
-                if len(ids) > k:
-                    raise GoldTooLarge(
-                        f"{gold_file}: {len(ids)} triples exceed k={k}"
-                    )
-                loaded.append(GoldSummary(str(annotator), ids))
-            gold[k] = tuple(loaded)
+                golds.append((k, str(annotator), base / _require(g, "file", f"{iri} gold k={k}")))
+        entities.append(load_entity(iri, base / _require(ent, "desc_file", iri), golds))
 
-        entities.append(
-            EntityDescription(Resource(NodeKind.IRI, iri), parsed.triples, gold)
+    folds = [
+        FoldSpec(
+            index=int(_require(f, "index", f"{path} fold")),
+            train=tuple(_require(f, "train", f"{path} fold")),
+            valid=tuple(f.get("valid", [])),
+            test=tuple(_require(f, "test", f"{path} fold")),
         )
-
-    iris = [e.entity.raw for e in entities]
-    if len(set(iris)) != len(iris):
-        raise InvalidManifest(f"{path}: duplicate entity iri")
-
-    folds = []
-    for f in fold_docs:
-        folds.append(
-            FoldSpec(
-                index=int(_require(f, "index", f"{path} fold")),
-                train=tuple(_require(f, "train", f"{path} fold")),
-                valid=tuple(f.get("valid", [])),
-                test=tuple(_require(f, "test", f"{path} fold")),
-            )
-        )
-    validate_folds(folds, iris)
-
-    return DatasetManifest(str(name), tuple(entities), tuple(folds))
+        for f in fold_docs
+    ]
+    return build_manifest(str(name), entities, folds, path)
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,9 @@ Expected layout under the benchmark root::
     <collection>_split/Fold<i>/{train,valid,test}.txt   (or {train,valid,test}set.txt)
 
 where ``<collection>`` is ``dbpedia`` or ``lmdb`` and split files list one
-entity id per line.  The adapter converts such a tree into the same
-``DatasetManifest`` the JSON manifest loader produces, so the rest of the
-pipeline does not care where the data came from.
+entity id per line.  The adapter only names the tree's files and leaves
+reading, entity building and every check to ``dataset``, as a JSON manifest
+does, so the pipeline does not care where the data came from.
 """
 
 from __future__ import annotations
@@ -22,16 +22,14 @@ from .dataset import (
     DatasetManifest,
     EntityDescription,
     FoldSpec,
-    GoldSummary,
-    NodeKind,
-    Resource,
-    _match_gold_statements,
-    validate_folds,
-    parse_description,
+    build_manifest,
+    load_entity,
+    read_text,
 )
-from .errors import GoldTooLarge, InvalidManifest, MissingFile
+from .errors import InvalidManifest, MissingFile
 
 COLLECTIONS = ("dbpedia", "lmdb")
+PARTS = ("train", "valid", "test")
 
 _GOLD_RE = re.compile(r"_gold_top(\d+)_(\d+)\.nt$")
 
@@ -39,10 +37,8 @@ _GOLD_RE = re.compile(r"_gold_top(\d+)_(\d+)\.nt$")
 def _read_elist(root: Path) -> dict[str, str]:
     """Map entity id to IRI; picks the integer field and the first IRI-like field."""
     path = root / "elist.txt"
-    if not path.is_file():
-        raise MissingFile(path)
     mapping: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         fields = [f for f in re.split(r"[\t ]+", line.strip()) if f]
         if not fields:
             continue
@@ -57,36 +53,22 @@ def _read_elist(root: Path) -> dict[str, str]:
 
 
 def _load_entity(entity_dir: Path, eid: str, iri: str) -> EntityDescription:
-    desc_file = entity_dir / f"{eid}_desc.nt"
-    if not desc_file.is_file():
-        raise MissingFile(desc_file)
-    parsed = parse_description(desc_file.read_text(encoding="utf-8"), iri)
-
-    gold: dict[int, list[GoldSummary]] = {}
+    """The entity with its gold files ``<eid>_gold_top<k>_<annotator>.nt``."""
+    golds = []
     for gold_file in sorted(entity_dir.iterdir()):
         m = _GOLD_RE.search(gold_file.name)
-        if not m:
-            continue
-        k, annotator = int(m.group(1)), m.group(2)
-        ids = _match_gold_statements(
-            parsed, gold_file.read_text(encoding="utf-8"), iri, str(gold_file)
-        )
-        if len(ids) > k:
-            raise GoldTooLarge(f"{gold_file}: {len(ids)} triples exceed k={k}")
-        gold.setdefault(k, []).append(GoldSummary(annotator, ids))
-
-    frozen = {k: tuple(v) for k, v in sorted(gold.items())}
-    return EntityDescription(Resource(NodeKind.IRI, iri), parsed.triples, frozen)
+        if m:
+            golds.append((int(m.group(1)), m.group(2), gold_file))
+    return load_entity(iri, entity_dir / f"{eid}_desc.nt", golds)
 
 
 def _read_split_file(fold_dir: Path, part: str) -> list[str]:
-    for candidate in (f"{part}.txt", f"{part}set.txt"):
-        path = fold_dir / candidate
-        if path.is_file():
-            return [
-                ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()
-                if ln.strip()
-            ]
+    for name in (f"{part}.txt", f"{part}set.txt"):
+        try:
+            text = read_text(fold_dir / name)
+        except MissingFile:
+            continue
+        return [ln.strip() for ln in text.splitlines() if ln.strip()]
     raise MissingFile(fold_dir / f"{part}.txt")
 
 
@@ -103,7 +85,7 @@ def _load_splits(root: Path, collection: str, elist: dict[str, str]) -> list[Fol
         if fold_dir is None:
             break
         parts = {}
-        for part in ("train", "valid", "test"):
+        for part in PARTS:
             eids = _read_split_file(fold_dir, part)
             missing = [e for e in eids if e not in elist]
             if missing:
@@ -138,7 +120,6 @@ def load_esbm(root: str | Path, collection: str = "all") -> DatasetManifest:
     elist = _read_elist(root)
 
     entities: list[EntityDescription] = []
-    per_collection_iris: dict[str, set[str]] = {}
     for coll in wanted:
         coll_dir = root / coll
         if not coll_dir.is_dir():
@@ -147,13 +128,10 @@ def load_esbm(root: str | Path, collection: str = "all") -> DatasetManifest:
                       key=int)
         if not eids:
             raise InvalidManifest(f"{coll_dir}: no entity directories")
-        iris = set()
         for eid in eids:
             if eid not in elist:
                 raise InvalidManifest(f"{coll_dir / eid}: entity id missing from elist.txt")
             entities.append(_load_entity(coll_dir / eid, eid, elist[eid]))
-            iris.add(elist[eid])
-        per_collection_iris[coll] = iris
 
     splits = {coll: _load_splits(root, coll, elist) for coll in wanted}
     fold_counts = {coll: len(f) for coll, f in splits.items()}
@@ -161,17 +139,9 @@ def load_esbm(root: str | Path, collection: str = "all") -> DatasetManifest:
         raise InvalidManifest(f"fold count differs between collections: {fold_counts}")
 
     folds = []
-    for index in range(next(iter(fold_counts.values()))):
-        train: tuple[str, ...] = ()
-        valid: tuple[str, ...] = ()
-        test: tuple[str, ...] = ()
-        for coll in wanted:
-            f = splits[coll][index]
-            train += f.train
-            valid += f.valid
-            test += f.test
-        folds.append(FoldSpec(index, train, valid, test))
+    for index, per_coll in enumerate(zip(*splits.values())):
+        parts = [tuple(iri for f in per_coll for iri in getattr(f, part)) for part in PARTS]
+        folds.append(FoldSpec(index, *parts))
 
-    validate_folds(folds, [e.entity.raw for e in entities])
     name = "esbm" if collection == "all" else f"esbm-{collection}"
-    return DatasetManifest(name, tuple(entities), tuple(folds))
+    return build_manifest(name, entities, folds, root)

@@ -18,13 +18,12 @@ import numpy as np
 from scipy import stats
 
 from .atomic import atomic_writer
-from .dataset import EntityDescription, GoldSummary
+from .dataset import EntityDescription, GoldSummary, read_text
 from .errors import (
     DataError,
     DegenerateVariance,
     EmptySummary,
     LengthMismatch,
-    MissingFile,
     NoGoldForK,
     ParseError,
 )
@@ -145,12 +144,9 @@ def read_per_entity_tsv(path: str | Path) -> dict[str, float]:
     comparisons between two runs.  The file may come from anywhere, so each
     row must have three fields, an F1 in [0, 1], and an entity not seen on
     an earlier row."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     result: dict[str, float] = {}
     seen_on: dict[str, int] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

@@ -34,9 +34,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_writer
-from .dataset import EntityDescription, Resource, Triple
+from .dataset import EntityDescription, Resource, Triple, read_text
 from .embeddings import EmbeddingStore, embed_resource
-from .errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
+from .errors import CorruptCheckpoint, NumericError, ShapeMismatch, VersionMismatch
 from .nn import (
     Activation,
     Mlp,
@@ -198,9 +198,12 @@ class TripleScorer:
     def score_description(
         self, entity: Resource, vectors: Sequence[tuple[int, TripleVector]]
     ) -> ScoredDescription:
-        """Score every candidate in the context of the full description."""
+        """Score every candidate in the context of the full description; a
+        non-finite score is a ``NumericError``."""
         ids, X = self._sorted_vectors(vectors)
         scores, (_, _, A, *_) = self._forward(X)
+        if not np.isfinite(scores).all():
+            raise NumericError(f"{entity.raw}: non-finite triple score")
         attention = dict(zip(itertools.product(ids, ids), A.ravel().tolist()))
         return ScoredDescription(entity, dict(zip(ids, scores.tolist())), attention)
 
@@ -269,13 +272,8 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     """Rebuild a scorer from ``save_checkpoint`` output; returns the model and
     the stored meta mapping.  The blob's length is checked against the
     config before any parameter array is allocated."""
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CorruptCheckpoint(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:

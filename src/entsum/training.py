@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import DatasetManifest, EntityDescription, FoldSpec, supervision_label
 from .embeddings import EmbeddingStore
-from .errors import NoGoldForK, NonFiniteLoss
+from .errors import NoGoldForK, NonFiniteLoss, NumericError
 from .evaluation import EvalReport, f1_against_golds, make_report, oracle_summary
 from .model import ModelConfig, TripleScorer, encode_description, select_summary
 from .nn import AdamState, adam_step, mse_loss
@@ -145,7 +145,10 @@ def train_fold(
             adam_step(params, grads, adam)
 
         if valid_set:
-            metric = _validation_metric(model, valid_set, train_cfg)
+            try:
+                metric = _validation_metric(model, valid_set, train_cfg)
+            except NumericError as exc:  # only a diverged model's scores fail here
+                raise NonFiniteLoss(f"fold {fold.index}, epoch {epoch}, validation: {exc}") from exc
             history.append(metric)
             improved = metric > best_metric if maximize else metric < best_metric
             if improved:

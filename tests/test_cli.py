@@ -14,7 +14,7 @@ from entsum.evaluation import (
     read_per_entity_tsv,
 )
 from entsum.embeddings import load_vec_file
-from entsum.model import load_checkpoint, save_checkpoint
+from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
 
 from conftest import ARIA, BLUE, TOYMUSIC, build_esbm_tree
 
@@ -502,6 +502,90 @@ def test_evaluate_missing_checkpoint(capsys, tmp_path):
     )
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
+def test_nonfinite_scores_are_a_numeric_error(capsys, tmp_path):
+    # parameters of +-1e300 are finite, so the checkpoints load, but every
+    # score overflows to nan
+    model = TripleScorer.create(ModelConfig(
+        embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8), scoring_hidden=(8, 8),
+    ))
+    for p in model.parameters():
+        p[...] = np.where(p >= 0, 1e300, -1e300)
+    for fold in (0, 1):
+        save_checkpoint(model, tmp_path / f"fold{fold}.ckpt", meta={"k": 2, "chosen_epoch": 1})
+    for entity, args in [
+        (ARIA, ["summarize", "--checkpoint", str(tmp_path / "fold0.ckpt"), "--entity", ARIA]),
+        (BLUE, ["evaluate", "--checkpoints", str(tmp_path)]),  # fold 0 tests Blue River
+    ]:
+        rc, stdout, err = invoke(
+            capsys, args[0], "--manifest", MANIFEST, "--vectors", VEC, "--k", "2", *args[1:]
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert err.startswith("numeric error:")
+        assert entity in err and "non-finite" in err
+
+
+# --------------------------------------------------------------------------
+# unreadable inputs and unwritable outputs
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", [
+    "manifest", "description", "gold", "elist", "split", "compare", "checkpoint",
+])
+def test_non_utf8_input_is_a_data_error(capsys, tmp_path, which):
+    toy = tmp_path / "toymusic"
+    shutil.copytree(TOYMUSIC, toy)
+    esbm = tmp_path / "esbm"
+    build_esbm_tree(esbm)
+    compare = tmp_path / "other.tsv"
+    compare.write_text(f"fold\tentity\tf1\n0\t{ARIA}\t0.5\n", encoding="utf-8")
+    ckpt = tmp_path / "fold0.ckpt"
+    save_checkpoint(TripleScorer.create(ModelConfig(embed_dim=4)), ckpt, meta={"k": 2})
+    manifest = ["--manifest", str(toy / "manifest.json")]
+    path, args = {
+        "manifest": (toy / "manifest.json", ["ingest", *manifest]),
+        "description": (toy / "aria_desc.nt", ["ingest", *manifest]),
+        "gold": (toy / "aria_gold_top2_0.nt", ["ingest", *manifest]),
+        "elist": (esbm / "elist.txt", ["ingest", "--esbm", str(esbm)]),
+        "split": (esbm / "dbpedia_split" / "Fold0" / "train.txt", ["ingest", "--esbm", str(esbm)]),
+        "compare": (compare, ["evaluate", *manifest, "--k", "2", "--oracle",
+                              "--compare", str(compare)]),
+        "checkpoint": (ckpt, ["summarize", *manifest, "--vectors", VEC, "--k", "2",
+                              "--checkpoint", str(ckpt), "--entity", ARIA]),
+    }[which]
+    size = path.stat().st_size
+    with path.open("ab") as fh:
+        fh.write(b"\xff\n")
+    rc, _, err = invoke(capsys, *args)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert str(path) in err and "not UTF-8" in err and f"byte {size}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "filter-vectors", "manifest-dir"])
+def test_unwritable_output_is_a_data_error(capsys, tmp_path, monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    # an unwritable --out must fail before the cross-validation runs
+    monkeypatch.setattr(cli, "cross_validate", lambda *args: pytest.fail("trained"))
+    args, named = {
+        "evaluate": (["evaluate", "--manifest", MANIFEST, "--k", "2", "--oracle",
+                      "--out", str(blocker / "sub")], blocker / "sub"),
+        "train": (["train", "--manifest", MANIFEST, "--vectors", VEC, "--k", "2",
+                   "--out", str(blocker / "sub")], blocker / "sub"),
+        "filter-vectors": (["filter-vectors", "--manifest", MANIFEST, "--vectors", VEC,
+                            "--out", str(blocker / "sub.vec")], blocker),
+        "manifest-dir": (["ingest", "--manifest", str(tmp_path)], tmp_path),
+    }[command]
+    rc, stdout, err = invoke(capsys, *args)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error:") and str(named) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no temp file left
+    assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
 # --------------------------------------------------------------------------

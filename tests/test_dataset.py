@@ -1,6 +1,7 @@
 """Statement parsing, description assembly, gold matching, manifest loading."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from entsum.dataset import (
     NodeKind,
     Resource,
     Triple,
-    _escape_literal,
     _match_gold_statements,
     load_manifest,
     parse_description,
@@ -21,6 +21,7 @@ from entsum.dataset import (
     validate_folds,
 )
 from entsum.errors import (
+    DataError,
     EmptyDescription,
     GoldNotSubset,
     GoldTooLarge,
@@ -131,15 +132,62 @@ def test_malformed_line_number_is_reported():
     assert "line 2" in str(err.value)
 
 
+def escape_literal(value: str) -> str:
+    """N-Triples escaping of a lexical form, the inverse of the parser's."""
+    out = value.replace("\\", "\\\\").replace('"', '\\"')
+    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+
+
 def test_literal_escape_round_trip_property():
     rng = np.random.default_rng(42)
     pool = list('ab "\\\n\r\té世') + ["x"]
     for _ in range(60):
         n = int(rng.integers(1, 12))
         s = "".join(pool[int(i)] for i in rng.integers(0, len(pool), size=n))
-        line = f'<{E}> <http://ex.org/p> "{_escape_literal(s)}" .'
+        line = f'<{E}> <http://ex.org/p> "{escape_literal(s)}" .'
         t = parse_description(line, E).triples[0]
         assert t.val.raw == s
+
+
+# every character the grammar gives a meaning to, plus a few that it does not
+NT_ALPHABET = '<>"\\_:@^.#- \t\n\rabeuUxE09/é'
+VALID_LINES = [
+    f'<{E}> <http://ex.org/p> "a\\u0041\\tb"@en .',
+    f"_:b0 <http://ex.org/p> <{E}> .",
+    f'<{E}> <http://ex.org/q> "1998"^^<http://www.w3.org/2001/XMLSchema#gYear> .',
+]
+
+
+def fuzz_inputs(rng: random.Random, count: int):
+    """Random strings over the N-Triples alphabet, alternating with valid
+    lines under one to four character inserts, deletes or replacements."""
+    for i in range(count):
+        if i % 2:
+            yield "".join(rng.choice(NT_ALPHABET) for _ in range(rng.randint(0, 40)))
+            continue
+        chars = list(rng.choice(VALID_LINES))
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                chars.insert(pos, rng.choice(NT_ALPHABET))
+            elif edit == 1:
+                del chars[pos]
+            else:
+                chars[pos] = rng.choice(NT_ALPHABET)
+        yield "".join(chars)
+
+
+def test_parser_fuzz_raises_only_data_errors():
+    rng = random.Random(4)
+    for text in fuzz_inputs(rng, 20000):
+        for parse in (parse_statements, lambda doc: parse_description(doc, E)):
+            try:
+                parse(text)
+            except DataError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__} on {text!r}: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +234,8 @@ def test_duplicate_statements_get_distinct_ids_and_gold_takes_earliest():
     line = f'<{E}> <http://ex.org/p> "x" .'
     parsed = desc_of("\n".join([line, line]))
     assert [t.id for t in parsed.triples] == [0, 1]
-    (key,) = parsed.key_to_ids
-    assert parsed.key_to_ids[key] == (0, 1)
+    (key,) = parsed.first_id
+    assert parsed.first_id[key] == 0
     ids = _match_gold_statements(parsed, line, E, "gold")
     assert ids == frozenset({0})
 
@@ -195,6 +243,17 @@ def test_duplicate_statements_get_distinct_ids_and_gold_takes_earliest():
 def test_gold_matching_is_whitespace_insensitive():
     parsed = desc_of(f'<{E}> <http://ex.org/p> "x y" .')
     ids = _match_gold_statements(parsed, f'<{E}>\t<http://ex.org/p>   "x y"  .', E, "gold")
+    assert ids == frozenset({0})
+    # identity is the parsed terms: a plain, a language-tagged and a typed
+    # literal, an IRI and a blank node with the same text are all different
+    objects = ['"x"', '"x"@en', '"x"^^<http://www.w3.org/2001/XMLSchema#string>', "<x>", "_:x"]
+    lines = [f"<{E}> <http://ex.org/p> {obj} ." for obj in objects]
+    parsed = desc_of("\n".join(lines))
+    for tid, line in enumerate(lines):
+        assert _match_gold_statements(parsed, line, E, "gold") == frozenset({tid})
+    # and escapes compare after unescaping
+    parsed = desc_of(f'<{E}> <http://ex.org/p> "a\\u0041" .')
+    ids = _match_gold_statements(parsed, f'<{E}> <http://ex.org/p> "aA" .', E, "gold")
     assert ids == frozenset({0})
 
 

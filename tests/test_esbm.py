@@ -147,6 +147,18 @@ def test_entity_dir_missing_from_elist(tmp_path):
         load_esbm(tmp_path, "dbpedia")
 
 
+def test_repeated_entity_iri_rejected(tmp_path):
+    # entity ids 1 and 2 name the same IRI, and entity 2's files describe it
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5})
+    for path in [tmp_path / "elist.txt", *(tmp_path / "dbpedia" / "2").iterdir()]:
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("http://ex.org/dbpedia/e2", "http://ex.org/dbpedia/e1"),
+                        encoding="utf-8")
+    with pytest.raises(InvalidManifest) as err:
+        load_esbm(tmp_path, "dbpedia")
+    assert "duplicate entity iri http://ex.org/dbpedia/e1" in str(err.value)
+
+
 def test_fold_count_mismatch_between_collections(tmp_path):
     build_esbm_tree(tmp_path)
     import shutil

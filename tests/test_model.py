@@ -9,7 +9,7 @@ import pytest
 
 from entsum.dataset import NodeKind, Resource, Triple
 from entsum.embeddings import EmbeddingStore
-from entsum.errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
+from entsum.errors import CorruptCheckpoint, MissingFile, ShapeMismatch, VersionMismatch
 from entsum.model import (
     ModelConfig,
     TripleScorer,
@@ -377,7 +377,7 @@ def corrupt(tmp_path, mutate):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(CorruptCheckpoint):
+    with pytest.raises(MissingFile):
         load_checkpoint(tmp_path / "absent.ckpt")
 
 
