@@ -184,6 +184,9 @@ _LITERAL_RE = re.compile(
     r'"((?:[^"\\\n]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9\-]*)|\^\^<([^<>"\s]+)>)?'
 )
 
+# int(s, 16) would also take spaces, a sign, underscores and non-ASCII digits
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+
 _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
@@ -212,10 +215,14 @@ def _unescape_literal(body: str, line_no: int) -> str:
             hexpart = body[i + 2: i + 2 + width]
             if len(hexpart) != width:
                 raise MalformedLine(line_no, "truncated unicode escape")
-            try:
-                out.append(chr(int(hexpart, 16)))
-            except ValueError:
+            if not _HEX_RE.fullmatch(hexpart):
                 raise MalformedLine(line_no, f"bad unicode escape \\{nxt}{hexpart}")
+            code = int(hexpart, 16)
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise MalformedLine(
+                    line_no, f"unicode escape \\{nxt}{hexpart} is not a character"
+                )
+            out.append(chr(code))
             i += 2 + width
         else:
             raise MalformedLine(line_no, f"unknown escape \\{nxt}")
@@ -423,10 +430,30 @@ def build_manifest(
     return DatasetManifest(name, tuple(entities), tuple(folds))
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_ABSENT = object()
+
+
+def _check(value, kind: type, context: str):
+    """``value`` when it has the JSON type ``kind``; ``true`` is no integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InvalidManifest(f"{context} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _field(mapping: Mapping, key: str, context: str, kind: type = object, default=_ABSENT):
+    """``mapping[key]`` of JSON type ``kind``, or ``default`` when absent."""
+    value = mapping.get(key, default)
+    if value is _ABSENT:
         raise InvalidManifest(f"{context}: missing field {key!r}")
-    return mapping[key]
+    return _check(value, kind, f"{context}: field {key!r}")
+
+
+def _iris(fold: Mapping, key: str, context: str, default=_ABSENT) -> tuple[str, ...]:
+    iris = _field(fold, key, context, list, default)
+    for iri in iris:
+        _check(iri, str, f"{context}: every entry of {key!r}")
+    return tuple(iris)
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -440,37 +467,42 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise InvalidManifest(f"{path}: top-level value must be an object")
 
     base = path.parent
-    name = _require(doc, "name", str(path))
-    entity_docs = _require(doc, "entities", str(path))
-    fold_docs = _require(doc, "folds", str(path))
+    name = _field(doc, "name", str(path))
+    entity_docs = _field(doc, "entities", str(path), list)
+    fold_docs = _field(doc, "folds", str(path), list)
 
     entities = []
-    for ent in entity_docs:
-        iri = _require(ent, "iri", f"{path} entity")
+    for i, ent in enumerate(entity_docs):
+        _check(ent, dict, f"{path}: entity {i}")
+        iri = _field(ent, "iri", f"{path} entity {i}", str)
         golds = []
-        for k_str, summaries in ent.get("gold", {}).items():
+        for k_str, summaries in _field(ent, "gold", iri, dict, {}).items():
             try:
                 k = int(k_str)
             except ValueError:
                 raise InvalidManifest(f"{iri}: gold key {k_str!r} is not an integer")
             if k < 1:
                 raise InvalidManifest(f"{iri}: gold key {k} must be positive")
+            _check(summaries, list, f"{iri}: gold k={k}")
             if not summaries:
                 raise InvalidManifest(f"{iri}: empty gold list for k={k}")
             for g in summaries:
-                annotator = _require(g, "annotator", f"{iri} gold k={k}")
-                golds.append((k, str(annotator), base / _require(g, "file", f"{iri} gold k={k}")))
-        entities.append(load_entity(iri, base / _require(ent, "desc_file", iri), golds))
+                context = f"{iri} gold k={k}"
+                _check(g, dict, f"{context}: every entry")
+                annotator = _field(g, "annotator", context)
+                golds.append((k, str(annotator), base / _field(g, "file", context, str)))
+        entities.append(load_entity(iri, base / _field(ent, "desc_file", iri, str), golds))
 
-    folds = [
-        FoldSpec(
-            index=int(_require(f, "index", f"{path} fold")),
-            train=tuple(_require(f, "train", f"{path} fold")),
-            valid=tuple(f.get("valid", [])),
-            test=tuple(_require(f, "test", f"{path} fold")),
-        )
-        for f in fold_docs
-    ]
+    folds = []
+    for i, f in enumerate(fold_docs):
+        context = f"{path} fold {i}"
+        _check(f, dict, context)
+        folds.append(FoldSpec(
+            index=_field(f, "index", context, int),
+            train=_iris(f, "train", context),
+            valid=_iris(f, "valid", context, []),
+            test=_iris(f, "test", context),
+        ))
     return build_manifest(str(name), entities, folds, path)
 
 

@@ -73,72 +73,71 @@ class EmbeddingStore:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class ResourceEmbedding:
-    vector: np.ndarray
-    covered: int
-    total: int
-
-
-def embed_resource(r: Resource, store: EmbeddingStore) -> ResourceEmbedding:
+def embed_resource(r: Resource, store: EmbeddingStore) -> np.ndarray:
     """Mean of the store vectors of the resource's known tokens.
 
     The mean divides by the number of tokens actually found, so coverage does
     not shrink magnitudes.  Accumulation runs in token order to keep results
     reproducible bit for bit.
     """
-    tokens = resource_tokens(r)
     acc = np.zeros(store.dim, dtype=np.float64)
     covered = 0
-    for tok in tokens:
+    for tok in resource_tokens(r):
         vec = store.vectors.get(tok)
         if vec is not None:
             acc += vec
             covered += 1
     if covered > 0:
         acc /= covered
-    return ResourceEmbedding(acc, covered, len(tokens))
+    return acc
 
 
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
     """Read a text-format vector file: optional ``count dim`` header, then
     ``word v1 ... v_dim`` per line.  A loaded vector must be finite.
 
-    Words are lowercased; the first occurrence of a folded word wins, which
-    for frequency-ordered files keeps the most frequent casing.  ``vocab``
-    restricts loading to the given (lowercase) words.
+    Fields are separated by spaces; a run of spaces counts as one.  Words are
+    lowercased; the first occurrence of a folded word wins, which for
+    frequency-ordered files keeps the most frequent casing.  ``vocab``
+    restricts loading to the given (lowercase) words.  Every line's field
+    count is checked, but only the lines that are kept have their components
+    parsed, each as a Python ``float``.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with path.open("r", encoding="utf-8", errors="replace", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
+            line = line.rstrip("\n").strip(" ")
+            if "  " in line:
+                line = " ".join(p for p in line.split(" ") if p)
+            if not line:
                 continue
-            if line_no == 1 and len(parts) == 2:
+            # fields are now separated by single spaces, so they can be
+            # counted without splitting the lines that are not kept
+            word, _, rest = line.partition(" ")
+            n_values = rest.count(" ") + 1 if rest else 0
+            if line_no == 1 and n_values == 1:
                 try:
-                    int(parts[0]), int(parts[1])
+                    int(word), int(rest)
                 except ValueError:
                     pass
                 else:
-                    dim = int(parts[1])
+                    dim = int(rest)
                     continue
-            word, values = parts[0], parts[1:]
-            if not values:
+            if not n_values:
                 raise ParseError(line_no, "no vector components")
             if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise DimMismatch(line_no, dim, len(values))
+                dim = n_values
+            elif n_values != dim:
+                raise DimMismatch(line_no, dim, n_values)
             word = word.lower()
             if vocab is not None and word not in vocab:
                 continue
             if word in vectors:
                 continue
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.fromiter(map(float, rest.split(" ")), dtype=np.float64, count=n_values)
             except ValueError:
                 raise ParseError(line_no, "non-numeric vector component")
             if not np.isfinite(vec).all():
@@ -152,14 +151,15 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     """Write a store in the text format ``load_vec_file`` reads.
 
-    Floats are serialized with ``repr`` so a round trip reproduces the exact
-    doubles; words are sorted for byte-stable output.
+    Components are converted to float64 and serialized with ``repr`` so a
+    round trip reproduces the exact doubles; words are sorted for byte-stable
+    output.
     """
     with atomic_writer(path) as fh:
         fh.write(f"{len(store.vectors)} {store.dim}\n")
         for word in sorted(store.vectors):
-            values = " ".join(repr(float(v)) for v in store.vectors[word])
-            fh.write(f"{word} {values}\n")
+            values = np.asarray(store.vectors[word], dtype=np.float64).tolist()
+            fh.write(f"{word} {' '.join(map(repr, values))}\n")
 
 
 def manifest_vocabulary(manifest: DatasetManifest) -> set[str]:
@@ -184,8 +184,7 @@ def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[
                 if key in seen:
                     continue
                 seen.add(key)
-                emb = embed_resource(r, store)
-                if emb.covered == 0:
+                if not any(tok in store for tok in resource_tokens(r)):
                     warnings.append(
                         f"all tokens unknown for {r.kind.value} "
                         f"{r.raw!r} (textual form {textual_form(r)!r})"

@@ -129,9 +129,12 @@ def format_significance(result: SignificanceResult) -> str:
 # deterministic report files
 # --------------------------------------------------------------------------
 
+PER_ENTITY_HEADER = "fold\tentity\tf1"
+
+
 def write_per_entity_tsv(reports: Sequence[EvalReport], path: str | Path) -> None:
     """One row per test entity: fold index, entity IRI, F1 at full precision."""
-    lines = ["fold\tentity\tf1"]
+    lines = [PER_ENTITY_HEADER]
     for report in reports:
         for iri, f1 in report.per_entity_f1.items():
             lines.append(f"{report.fold_index}\t{iri}\t{float(f1)!r}")
@@ -141,12 +144,14 @@ def write_per_entity_tsv(reports: Sequence[EvalReport], path: str | Path) -> Non
 
 def read_per_entity_tsv(path: str | Path) -> dict[str, float]:
     """Entity to F1 from a ``write_per_entity_tsv`` file, for significance
-    comparisons between two runs.  The file may come from anywhere, so each
-    row must have three fields, an F1 in [0, 1], and an entity not seen on
-    an earlier row."""
+    comparisons between two runs.  The file may come from anywhere, so line 1
+    must be the header, and each row must have three fields, an F1 in [0, 1],
+    and an entity not seen on an earlier row."""
     result: dict[str, float] = {}
     seen_on: dict[str, int] = {}
     lines = read_text(path).splitlines()
+    if not lines or lines[0] != PER_ENTITY_HEADER:
+        raise ParseError(1, f"{path} does not start with the header {PER_ENTITY_HEADER!r}")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

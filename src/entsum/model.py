@@ -110,9 +110,7 @@ class ScoredDescription:
 
 def encode_triple(t: Triple, store: EmbeddingStore) -> TripleVector:
     """Concatenate the property embedding and the value embedding."""
-    prop = embed_resource(t.prop, store)
-    val = embed_resource(t.val, store)
-    return np.concatenate([prop.vector, val.vector])
+    return np.concatenate([embed_resource(t.prop, store), embed_resource(t.val, store)])
 
 
 def encode_description(

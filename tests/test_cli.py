@@ -134,6 +134,50 @@ def test_invalid_manifest_json(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def set_first_fold(key, value):
+    return lambda doc: doc["folds"][0].update({key: value})
+
+
+def set_aria_gold(value):
+    return lambda doc: doc["entities"][0].update(gold=value)
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda doc: doc.update(entities={"iri": ARIA}), "field 'entities' must be a list"),
+    (lambda doc: doc.update(entities=[1], folds=[]), "entity 0 must be an object"),
+    (lambda doc: doc["entities"].append([ARIA]), "entity 2 must be an object"),
+    (lambda doc: doc["entities"][1].update(iri=7), "field 'iri' must be a string"),
+    (lambda doc: doc["entities"][0].update(desc_file=None), "field 'desc_file' must be a string"),
+    (set_aria_gold([]), "field 'gold' must be an object"),
+    (set_aria_gold({"2": {"annotator": "a0", "file": "aria_gold_top2_0.nt"}}),
+     "gold k=2 must be a list"),
+    (set_aria_gold({"2": ["aria_gold_top2_0.nt"]}), "every entry must be an object"),
+    (set_aria_gold({"2": [{"annotator": "a0", "file": 2}]}), "field 'file' must be a string"),
+    (lambda doc: doc.update(folds={"index": 0}), "field 'folds' must be a list"),
+    (lambda doc: doc.update(folds=[0]), "fold 0 must be an object"),
+    (set_first_fold("index", "0"), "field 'index' must be an integer"),
+    (set_first_fold("index", 0.5), "field 'index' must be an integer"),
+    (set_first_fold("index", True), "field 'index' must be an integer"),
+    (set_first_fold("train", ARIA), "field 'train' must be a list"),
+    (set_first_fold("train", [[ARIA]]), "every entry of 'train' must be a string"),
+    (set_first_fold("valid", ARIA), "field 'valid' must be a list"),
+    (set_first_fold("valid", [None]), "every entry of 'valid' must be a string"),
+    (set_first_fold("test", 5), "field 'test' must be a list"),
+    (set_first_fold("test", [{"iri": BLUE}]), "every entry of 'test' must be a string"),
+], ids=[
+    "entities-object", "entity-int", "entity-list", "iri-int", "desc_file-null",
+    "gold-list", "gold-k-object", "gold-entry-string", "gold-file-int", "folds-object",
+    "fold-int", "index-string", "index-float", "index-bool", "train-string",
+    "train-entry-list", "valid-string", "valid-entry-null", "test-int", "test-entry-object",
+])
+def test_manifest_of_wrong_json_shape_is_a_data_error(capsys, tmp_path, mutate, fragment):
+    path = patched_manifest(tmp_path, mutate)
+    rc, _, err = invoke(capsys, "ingest", "--manifest", str(path))
+    assert rc == 2
+    assert err.startswith("error:")
+    assert fragment in err, err
+
+
 # --------------------------------------------------------------------------
 # usage errors
 # --------------------------------------------------------------------------
@@ -425,21 +469,28 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):
         assert stdout.splitlines()[-1] == expected
 
 
+TSV_HEADER = "fold\tentity\tf1"
+
+
 @pytest.mark.parametrize("rows, names", [
     (None, ["missing file"]),
-    (["0\thttp://x/a"], ["line 2", "2 tab-separated fields"]),
-    (["0\thttp://x/a\t0.5", "0\thttp://x/b\t0.5\textra"], ["line 3", "4 tab-separated"]),
-    (["0\thttp://x/a\thigh"], ["line 2", "non-numeric F1 'high'"]),
-    (["0\thttp://x/a\tnan"], ["line 2", "'nan'", "outside [0, 1]"]),
-    (["0\thttp://x/a\tinf"], ["line 2", "'inf'"]),
-    (["0\thttp://x/a\t1.5"], ["line 2", "'1.5'"]),
-    (["0\thttp://x/a\t-0.25"], ["line 2", "'-0.25'"]),
-    (["0\thttp://x/a\t0.5", "", "1\thttp://x/a\t0.5"], ["http://x/a", "line 2 and line 4"]),
+    ([TSV_HEADER, "0\thttp://x/a"], ["line 2", "2 tab-separated fields"]),
+    ([TSV_HEADER, "0\thttp://x/a\t0.5", "0\thttp://x/b\t0.5\textra"],
+     ["line 3", "4 tab-separated"]),
+    ([TSV_HEADER, "0\thttp://x/a\thigh"], ["line 2", "non-numeric F1 'high'"]),
+    ([TSV_HEADER, "0\thttp://x/a\tnan"], ["line 2", "'nan'", "outside [0, 1]"]),
+    ([TSV_HEADER, "0\thttp://x/a\tinf"], ["line 2", "'inf'"]),
+    ([TSV_HEADER, "0\thttp://x/a\t1.5"], ["line 2", "'1.5'"]),
+    ([TSV_HEADER, "0\thttp://x/a\t-0.25"], ["line 2", "'-0.25'"]),
+    ([TSV_HEADER, "0\thttp://x/a\t0.5", "", "1\thttp://x/a\t0.5"],
+     ["http://x/a", "line 2 and line 4"]),
+    # without its header the first row would be lost unread
+    ([f"0\t{ARIA}\t0.5", f"1\t{BLUE}\t0.25"], ["line 1", "header"]),
 ])
 def test_evaluate_compare_rejects_bad_tsv(capsys, tmp_path, rows, names):
     path = tmp_path / "other.tsv"
     if rows is not None:
-        path.write_text("\n".join(["fold\tentity\tf1", *rows]) + "\n", encoding="utf-8")
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     rc, _, err = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--k", "2",
         "--oracle", "--compare", str(path),
@@ -660,6 +711,22 @@ def test_summarize_rejects_version_1_checkpoint(overfit_dir, capsys, tmp_path):
     assert rc == 2
     assert stdout == ""
     assert "checkpoint version 1" in err
+
+
+def test_summarize_rejects_surrogate_escape(overfit_dir, capsys, tmp_path):
+    # a lone surrogate cannot be printed; it must not get past the parser
+    path = patched_manifest(tmp_path, lambda doc: None)
+    with (path.parent / "aria_desc.nt").open("a", encoding="utf-8") as fh:
+        fh.write(f'<{ARIA}> <http://toy.example/voc/nick> "x\\uD800" .\n')
+    model, meta = load_checkpoint(overfit_dir / "fold0.ckpt")
+    ckpt = tmp_path / "k11.ckpt"
+    save_checkpoint(model, ckpt, meta={**meta, "k": 11})
+    rc, _, err = invoke(
+        capsys, "summarize", "--manifest", str(path), "--vectors", VEC,
+        "--k", "11", "--checkpoint", str(ckpt), "--entity", ARIA,
+    )
+    assert rc == 2
+    assert "\\uD800 is not a character" in err, err
 
 
 def test_summarize_unknown_entity(overfit_dir, capsys):

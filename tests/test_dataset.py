@@ -99,9 +99,11 @@ def test_comments_and_blank_lines_are_skipped():
 
 
 def test_escape_sequences_in_literals():
-    text = f'<{E}> <http://ex.org/p> "a\\nb\\t\\"c\\"\\\\d\\u0041" .'
+    # \u and \U at the edges of the surrogate block and of Unicode
+    boundaries = "\\u004a\\uD7FF\\uE000\\U0010FFFF\\U0001f600\\u00e9"
+    text = f'<{E}> <http://ex.org/p> "a\\nb\\t\\"c\\"\\\\d\\u0041{boundaries}" .'
     t = parse_description(text, E).triples[0]
-    assert t.val.raw == 'a\nb\t"c"\\dA'
+    assert t.val.raw == 'a\nb\t"c"\\dAJ\ud7ff\ue000\U0010ffff\U0001f600é'
 
 
 @pytest.mark.parametrize(
@@ -116,6 +118,16 @@ def test_escape_sequences_in_literals():
         (f'<{E}> <http://ex.org/p> "x\\u00" .', "truncated unicode"),
         (f'<{E}> <http://ex.org/p> .', "unexpected character"),
         (f'<{E}>', "statement ended early"),
+        (f'<{E}> <http://ex.org/p> "x\\u 041" .', "bad unicode escape"),
+        (f'<{E}> <http://ex.org/p> "x\\u+041" .', "bad unicode escape"),
+        (f'<{E}> <http://ex.org/p> "x\\u0_41" .', "bad unicode escape"),
+        (f'<{E}> <http://ex.org/p> "x\\U0000_041" .', "bad unicode escape"),
+        (f'<{E}> <http://ex.org/p> "x\\u٠٠٤١" .', "bad unicode escape"),  # Arabic-Indic digits
+        (f'<{E}> <http://ex.org/p> "x\\uD800" .', "is not a character"),
+        (f'<{E}> <http://ex.org/p> "x\\uDFFF" .', "is not a character"),
+        (f'<{E}> <http://ex.org/p> "x\\U0000DC00" .', "is not a character"),
+        (f'<{E}> <http://ex.org/p> "x\\U00110000" .', "is not a character"),
+        (f'<{E}> <http://ex.org/p> "x\\UFFFFFFFF" .', "is not a character"),
     ],
 )
 def test_malformed_statements(line, fragment):

@@ -1,5 +1,7 @@
 """Textual forms, tokenization, vector files, mean-of-word embeddings."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -109,40 +111,35 @@ def make_store(dim, **vectors):
 
 def test_mean_over_known_tokens_only():
     store = make_store(2, birth=[1.0, 0.0], place=[0.0, 1.0])
-    emb = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
-    assert emb.vector.tolist() == [0.5, 0.5]
-    assert (emb.covered, emb.total) == (2, 2)
+    vec = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
+    assert vec.tolist() == [0.5, 0.5]
 
 
 def test_unknown_tokens_do_not_enter_denominator():
     store = make_store(2, birth=[1.0, 0.0])
-    emb = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
+    vec = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
     # one covered word of two, mean over the covered one only
-    assert emb.vector.tolist() == [1.0, 0.0]
-    assert (emb.covered, emb.total) == (1, 2)
+    assert vec.tolist() == [1.0, 0.0]
 
 
 def test_all_unknown_embeds_to_zero():
     store = make_store(3, other=[1.0, 1.0, 1.0])
-    emb = embed_resource(lit("xyzzy"), store)
-    assert emb.vector.tolist() == [0.0, 0.0, 0.0]
-    assert (emb.covered, emb.total) == (0, 1)
+    vec = embed_resource(lit("xyzzy"), store)
+    assert vec.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_empty_token_list_embeds_to_zero():
     store = make_store(2, a=[1.0, 1.0])
-    emb = embed_resource(lit("---"), store)
-    assert emb.vector.tolist() == [0.0, 0.0]
-    assert (emb.covered, emb.total) == (0, 0)
+    vec = embed_resource(lit("---"), store)
+    assert vec.tolist() == [0.0, 0.0]
 
 
 def test_toy_store_mean_recomputed(toy_store):
-    emb = embed_resource(lit("Golden Note Prize"), toy_store)
+    vec = embed_resource(lit("Golden Note Prize"), toy_store)
     expected = (
         toy_store.vectors["golden"] + toy_store.vectors["note"] + toy_store.vectors["prize"]
     ) / 3
-    assert emb.vector.tolist() == expected.tolist()
-    assert (emb.covered, emb.total) == (3, 3)
+    assert vec.tolist() == expected.tolist()
 
 
 def test_accumulation_order_is_token_order():
@@ -155,8 +152,8 @@ def test_accumulation_order_is_token_order():
     for w in words:
         acc += store.vectors[w]
     acc /= len(words)
-    emb = embed_resource(lit(text), store)
-    assert emb.vector.tolist() == acc.tolist()
+    vec = embed_resource(lit(text), store)
+    assert vec.tolist() == acc.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -283,6 +280,127 @@ def test_toy_duplicate_first_wins(toy_store):
     assert toy_store.vectors["note"].tolist() == first
 
 
+def reference_load_vec_file(path, vocab=None):
+    """The loader as it was before lines were counted without splitting:
+    every line is split and filtered, every kept component goes through
+    ``float``.  The differential test holds ``load_vec_file`` to it."""
+    vectors = {}
+    dim = None
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = [p for p in line.rstrip("\n").split(" ") if p]
+            if not parts:
+                continue
+            if line_no == 1 and len(parts) == 2:
+                try:
+                    int(parts[0]), int(parts[1])
+                except ValueError:
+                    pass
+                else:
+                    dim = int(parts[1])
+                    continue
+            word, values = parts[0], parts[1:]
+            if not values:
+                raise ParseError(line_no, "no vector components")
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise DimMismatch(line_no, dim, len(values))
+            word = word.lower()
+            if vocab is not None and word not in vocab:
+                continue
+            if word in vectors:
+                continue
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise ParseError(line_no, "non-numeric vector component")
+            if not np.isfinite(vec).all():
+                raise ParseError(line_no, "non-finite vector component")
+            vectors[word] = vec
+    if dim is None:
+        raise ParseError(1, "empty vector file")
+    return EmbeddingStore(dim, vectors)
+
+
+def reference_vec_text(store):
+    """What ``save_vec_file`` wrote before it serialised from ``tolist``."""
+    lines = [f"{len(store.vectors)} {store.dim}\n"]
+    for word in sorted(store.vectors):
+        values = " ".join(repr(float(v)) for v in store.vectors[word])
+        lines.append(f"{word} {values}\n")
+    return "".join(lines)
+
+
+VEC_WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "eel", "naïve", "NAÏVE", "x_y", "1998"]
+VEC_GOOD = ["1.0", "-0.5", "0.1", "2", "-0.0", "1e-400", "3.25e2", "+7", "1_0", ".5"]
+VEC_ODD = ["nan", "inf", "-inf", "1e999", "oops", "1__0", "0x10", "\t2", "3\t", "\ufffd", "١٢"]
+VEC_NEAR_HEADERS = ["2 3", "1_0 3", "+2 3", "2 3 4", "2 x", "2", " 2  3 ", "2 3.0", "0 0", "2\t3"]
+
+
+def random_vec_text(rng):
+    """A small vector file that is mostly well formed, with headers and
+    near-headers, blank and space-only lines, irregular spacing, tabs,
+    CRLF endings, odd components and wrong field counts mixed in."""
+    dim = rng.randint(1, 4)
+    noise = rng.choice([0.0, 0.03, 0.15, 0.4])
+    lines = []
+    if rng.random() < 0.6:
+        lines.append(rng.choice(VEC_NEAR_HEADERS) if rng.random() < noise * 2 else f"5 {dim}")
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if r < noise / 4:
+            lines.append(rng.choice(["", "   ", "\r", " \r", "\t"]))
+            continue
+        n = dim + rng.choice([-1, 1, -dim]) if r < noise / 2 else dim
+        fields = [rng.choice(VEC_WORDS)]
+        fields += [rng.choice(VEC_ODD if rng.random() < noise / 3 else VEC_GOOD)
+                   for _ in range(n)]
+        seps = [" "] * 6 + (["  ", "   ", "\t"] if r < noise else [])
+        line = "".join(f + rng.choice(seps) for f in fields)[:-1]
+        if rng.random() < noise:
+            line = rng.choice([" ", "  "]) + line
+        if rng.random() < noise:
+            line += rng.choice([" ", "  ", "\t"])
+        lines.append(line)
+    ending = "\r\n" if rng.random() < noise else "\n"
+    return "".join(line + ending for line in lines)
+
+
+def load_outcome(loader, path, vocab):
+    try:
+        store = loader(path, vocab)
+    except (ParseError, DimMismatch) as exc:
+        return ("error", type(exc), exc.line_no, str(exc)), None
+    items = [(w, v.dtype, v.shape, v.tobytes()) for w, v in store.vectors.items()]
+    return ("store", store.dim, items), store
+
+
+def test_loader_matches_reference_on_random_files(tmp_path):
+    # the same store bit for bit, or the same error type, line and message,
+    # with and without a vocabulary; saved stores give the old bytes
+    rng = random.Random(20240518)
+    path, out = tmp_path / "fuzz.vec", tmp_path / "out.vec"
+    seen = set()
+    for _ in range(2000):
+        path.write_bytes(random_vec_text(rng).encode("utf-8"))
+        folded = sorted({w.lower() for w in VEC_WORDS})
+        for vocab in (None, set(rng.sample(folded, rng.randint(0, len(folded))))):
+            expected, _ = load_outcome(reference_load_vec_file, path, vocab)
+            got, store = load_outcome(load_vec_file, path, vocab)
+            assert got == expected, path.read_text(encoding="utf-8")
+            seen.add("store" if store is not None else got[3].split(": ", 1)[1])
+            if store is not None:
+                save_vec_file(store, out)
+                assert out.read_bytes() == reference_vec_text(store).encode("utf-8")
+    # every outcome the loader has occurred at least once
+    assert seen >= {
+        "store", "empty vector file", "no vector components",
+        "non-numeric vector component", "non-finite vector component",
+    }
+    assert any(s.startswith("expected") for s in seen)  # DimMismatch
+
+
 # --------------------------------------------------------------------------
 # saving
 # --------------------------------------------------------------------------
@@ -310,6 +428,17 @@ def test_save_writes_header_and_sorted_words(tmp_path):
     assert lines[0] == "2 1"
     assert lines[1].startswith("a ")
     assert lines[2].startswith("b ")
+
+
+def test_save_converts_any_numeric_dtype_as_before(tmp_path):
+    store = EmbeddingStore(3, {
+        "f32": np.array([0.1, -2.5, 1e-20], dtype=np.float32),
+        "i64": np.array([1, -2, 3]),
+        "obj": np.array([0.1, 2, "1.5"], dtype=object),
+    })
+    path = tmp_path / "out.vec"
+    save_vec_file(store, path)
+    assert path.read_bytes() == reference_vec_text(store).encode("utf-8")
 
 
 def test_save_is_deterministic(tmp_path):
@@ -357,6 +486,35 @@ def test_coverage_warnings_empty_when_covered(toy_manifest, toy_store):
              **{"2005": np.zeros(4) + 0.1, "english": np.zeros(4) + 0.2}),
     )
     assert coverage_warnings(toy_manifest, patched) == []
+
+
+def reference_coverage_warnings(manifest, store):
+    """Coverage as first defined: a resource warns when the number of its
+    tokens that enter its mean vector is zero."""
+    warnings, seen = [], set()
+    for entity in manifest.entities:
+        for t in entity.triples:
+            for r in (t.prop, t.val):
+                if (r.kind, r.raw) in seen:
+                    continue
+                seen.add((r.kind, r.raw))
+                covered = sum(tok in store.vectors for tok in resource_tokens(r))
+                if covered == 0:
+                    warnings.append(
+                        f"all tokens unknown for {r.kind.value} "
+                        f"{r.raw!r} (textual form {textual_form(r)!r})"
+                    )
+    return warnings
+
+
+def test_coverage_warnings_match_mean_vector_definition(toy_manifest, toy_store):
+    words = sorted(toy_store.vectors)
+    thinned = EmbeddingStore(
+        toy_store.dim, {w: toy_store.vectors[w] for i, w in enumerate(words) if i % 5}
+    )
+    warnings = coverage_warnings(toy_manifest, thinned)
+    assert len(warnings) > len(coverage_warnings(toy_manifest, toy_store))
+    assert warnings == reference_coverage_warnings(toy_manifest, thinned)
 
 
 def test_coverage_deduplicates_resources(toy_manifest):
