@@ -249,8 +249,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     for tid in selected:
         t = desc.triples[tid]
         weights = sorted(
-            ((ctx, w) for (cand, ctx), w in scored.attention.items() if cand == tid),
-            key=lambda item: (-item[1], item[0]),
+            scored.attention.row(tid).items(), key=lambda item: (-item[1], item[0])
         )
         top_ctx = ", ".join(f"{ctx}:{w:.3f}" for ctx, w in weights[:3])
         print(

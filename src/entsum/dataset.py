@@ -375,11 +375,19 @@ def load_entity(
 ) -> EntityDescription:
     """One entity from its description file and its ``(k, annotator,
     gold_file)`` summaries, kept in that order within each k; every gold
-    statement must occur in the description."""
-    parsed = parse_description(read_text(desc_file), iri)
+    statement must occur in the description.  A malformed statement, or a
+    description that never mentions the entity, is a ``DataError`` naming
+    the file."""
+    try:
+        parsed = parse_description(read_text(desc_file), iri)
+    except (MalformedLine, EmptyDescription) as exc:
+        raise DataError(f"{desc_file}: {exc}") from exc
     gold: dict[int, list[GoldSummary]] = {}
     for k, annotator, gold_file in golds:
-        ids = _match_gold_statements(parsed, read_text(gold_file), iri, str(gold_file))
+        try:
+            ids = _match_gold_statements(parsed, read_text(gold_file), iri, str(gold_file))
+        except MalformedLine as exc:
+            raise DataError(f"{gold_file}: {exc}") from exc
         gold.setdefault(k, []).append(GoldSummary(annotator, ids))
     frozen = {k: tuple(gold[k]) for k in sorted(gold)}
     return EntityDescription(Resource(NodeKind.IRI, iri), parsed.triples, frozen)

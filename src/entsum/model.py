@@ -27,9 +27,10 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+from collections.abc import ItemsView, Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,12 +96,68 @@ class ModelConfig:
         )
 
 
+class AttentionView(Mapping):
+    """Read-only ``(candidate_id, context_id) -> weight`` view over the n x n
+    attention matrix, whose rows and columns follow ``ids``.
+
+    It holds the matrix, not n² Python tuples.  Keys iterate as
+    ``itertools.product(ids, ids)`` and each weight is the Python float of
+    its matrix entry, so it equals the dict ``dict(zip(product(ids, ids),
+    A.ravel().tolist()))``.  A key that is not a pair of ids is a
+    ``KeyError``.
+    """
+
+    __slots__ = ("_ids", "_A", "_index")
+
+    def __init__(self, ids: Sequence[int], A: np.ndarray):
+        self._ids = tuple(ids)
+        self._A = A.view()
+        self._A.flags.writeable = False
+        self._index = {tid: i for i, tid in enumerate(self._ids)}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n weights, read-only; row i is candidate ``ids[i]``."""
+        return self._A
+
+    def __getitem__(self, key) -> float:
+        if type(key) is not tuple or len(key) != 2:
+            raise KeyError(key)
+        try:
+            return float(self._A[self._index[key[0]], self._index[key[1]]])
+        except (KeyError, TypeError):  # an unknown or unhashable id
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return itertools.product(self._ids, self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids) ** 2
+
+    def items(self) -> ItemsView:
+        return _AttentionItems(self)
+
+    def row(self, candidate_id: int) -> dict[int, float]:
+        """The weights one candidate put on each context id."""
+        return dict(zip(self._ids, self._A[self._index[candidate_id]].tolist()))
+
+
+class _AttentionItems(ItemsView):
+    """Iterates as one zip over the keys and the matrix's floats, not one
+    lookup per key."""
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(iter(view), view.matrix.ravel().tolist())
+
+
 @dataclass(frozen=True)
 class ScoredDescription:
     """Scores per triple id plus the attention weights behind them.
 
     ``attention[(candidate_id, context_id)]`` is the weight the candidate
     put on the context triple; weights over all context ids sum to one.
+    ``score_description`` fills it with an ``AttentionView``.
     """
 
     entity: Resource
@@ -202,8 +259,9 @@ class TripleScorer:
         scores, (_, _, A, *_) = self._forward(X)
         if not np.isfinite(scores).all():
             raise NumericError(f"{entity.raw}: non-finite triple score")
-        attention = dict(zip(itertools.product(ids, ids), A.ravel().tolist()))
-        return ScoredDescription(entity, dict(zip(ids, scores.tolist())), attention)
+        return ScoredDescription(
+            entity, dict(zip(ids, scores.tolist())), AttentionView(ids, A)
+        )
 
     def score_entity(
         self, desc: EntityDescription, store: EmbeddingStore

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .dataset import DatasetManifest, EntityDescription, FoldSpec, supervision_l
 from .embeddings import EmbeddingStore
 from .errors import NoGoldForK, NonFiniteLoss, NumericError
 from .evaluation import EvalReport, f1_against_golds, make_report, oracle_summary
-from .model import ModelConfig, TripleScorer, encode_description, select_summary
+from .model import ModelConfig, TripleScorer, TripleVector, encode_description, select_summary
 from .nn import AdamState, adam_step, mse_loss
 
 
@@ -52,6 +52,17 @@ class TrainResult:
     val_history: list[float]
 
 
+# each entity's encoded description, keyed by IRI
+Encodings = Mapping[str, list[tuple[int, TripleVector]]]
+
+
+def encode_entities(
+    manifest: DatasetManifest, iris: Iterable[str], store: EmbeddingStore
+) -> Encodings:
+    """The description of each entity in ``iris`` encoded once."""
+    return {iri: encode_description(manifest.entity(iri), store) for iri in dict.fromkeys(iris)}
+
+
 @dataclass
 class _PreparedEntity:
     desc: EntityDescription
@@ -62,7 +73,7 @@ class _PreparedEntity:
 def _prepare(
     manifest: DatasetManifest,
     iris: Sequence[str],
-    store: EmbeddingStore,
+    encoded: Encodings,
     cfg: TrainConfig,
     with_targets: bool,
 ) -> list[_PreparedEntity]:
@@ -71,7 +82,7 @@ def _prepare(
         desc = manifest.entity(iri)
         if cfg.k not in desc.gold:
             raise NoGoldForK(cfg.k)
-        vectors = encode_description(desc, store)
+        vectors = encoded[iri]
         targets = {}
         if with_targets:
             targets = {t.id: supervision_label(desc, t, cfg.k) for t in desc.triples}
@@ -109,16 +120,21 @@ def train_fold(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     store: EmbeddingStore,
+    encoded: Encodings | None = None,
 ) -> TrainResult:
     """Train on the fold's training entities, early-stop on its validation
-    entities, and return the best-epoch snapshot.
+    entities, and return the best-epoch snapshot.  ``encoded`` holds the
+    descriptions already encoded (see ``encode_entities``); without it the
+    fold's entities are encoded here.
 
     With an empty validation list there is nothing to stop on and the final
     epoch's parameters are returned.
     """
-    train_set = _prepare(manifest, fold.train, store, train_cfg, with_targets=True)
+    if encoded is None:
+        encoded = encode_entities(manifest, (*fold.train, *fold.valid), store)
+    train_set = _prepare(manifest, fold.train, encoded, train_cfg, with_targets=True)
     valid_set = _prepare(
-        manifest, fold.valid, store, train_cfg,
+        manifest, fold.valid, encoded, train_cfg,
         with_targets=train_cfg.early_stop_metric is EarlyStopMetric.VAL_LOSS,
     )
 
@@ -185,20 +201,24 @@ def evaluate_fold(
     k: int,
     store: EmbeddingStore,
     chosen_epoch: int,
+    encoded: Encodings | None = None,
 ) -> EvalReport:
+    if encoded is None:
+        encoded = encode_entities(manifest, fold.test, store)
     per_entity: dict[str, float] = {}
     for iri in fold.test:
         desc = manifest.entity(iri)
         if k not in desc.gold:
             raise NoGoldForK(k)
-        scored = model.score_description(desc.entity, encode_description(desc, store))
+        scored = model.score_description(desc.entity, encoded[iri])
         summary = select_summary(scored, k)
         per_entity[iri] = f1_against_golds(summary, desc.gold[k])
     return make_report(per_entity, fold.index, chosen_epoch)
 
 
 TrainFn = Callable[
-    [DatasetManifest, FoldSpec, ModelConfig, TrainConfig, EmbeddingStore], TrainResult
+    [DatasetManifest, FoldSpec, ModelConfig, TrainConfig, EmbeddingStore, Encodings],
+    TrainResult,
 ]
 
 
@@ -210,17 +230,20 @@ def cross_validate(
     train_fn: TrainFn = train_fold,
 ) -> CrossValReport:
     """Train one model per fold, in fold order, and evaluate it on that
-    fold's test set."""
+    fold's test set.  Each entity is encoded once and shared by all folds."""
+    encoded = encode_entities(
+        manifest, (iri for f in manifest.folds for iri in (*f.train, *f.valid, *f.test)), store
+    )
     reports, results = [], []
     for fold in manifest.folds:
         # the manifest loader guarantees this; re-check before evaluating
         leaked = set(fold.test) & set(fold.train)
         if leaked:
             raise AssertionError(f"fold {fold.index} trains on test entity {leaked}")
-        result = train_fn(manifest, fold, model_cfg, train_cfg, store)
+        result = train_fn(manifest, fold, model_cfg, train_cfg, store, encoded)
         results.append(result)
         reports.append(evaluate_fold(
-            result.model, manifest, fold, train_cfg.k, store, result.chosen_epoch
+            result.model, manifest, fold, train_cfg.k, store, result.chosen_epoch, encoded
         ))
     per_entity = [
         (report.fold_index, iri, f1)

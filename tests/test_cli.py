@@ -116,6 +116,46 @@ def test_missing_description_file_names_path(capsys, tmp_path):
     assert "absent.nt" in err
 
 
+@pytest.mark.parametrize("which, bad_line, reason", [
+    ("description", f'<{ARIA}> <http://toy.example/voc/nick> "x\\uD800" .',
+     "unicode escape \\uD800 is not a character"),
+    ("gold", "<broken", "bad IRI at column 1"),
+    ("esbm-description", '<http://ex.org/dbpedia/e1> <http://ex.org/voc/p1> "x',
+     "bad literal at column 51"),
+    ("esbm-gold", "<http://ex.org/dbpedia/e1> <http://ex.org/voc/p1>",
+     "statement ended early"),
+])
+def test_malformed_statement_names_its_file(capsys, tmp_path, which, bad_line, reason):
+    toy = tmp_path / "toymusic"
+    shutil.copytree(TOYMUSIC, toy)
+    esbm = tmp_path / "esbm"
+    build_esbm_tree(esbm)
+    path, source = {
+        "description": (toy / "aria_desc.nt", ["--manifest", str(toy / "manifest.json")]),
+        "gold": (toy / "aria_gold_top2_0.nt", ["--manifest", str(toy / "manifest.json")]),
+        "esbm-description": (esbm / "dbpedia" / "1" / "1_desc.nt", ["--esbm", str(esbm)]),
+        "esbm-gold": (esbm / "dbpedia" / "1" / "1_gold_top5_1.nt", ["--esbm", str(esbm)]),
+    }[which]
+    line_no = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    rc, out, err = invoke(capsys, "ingest", *source)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {path}: malformed statement on line {line_no}: {reason}\n"
+
+
+def test_description_without_the_entity_names_its_file(capsys, tmp_path):
+    toy = tmp_path / "toymusic"
+    shutil.copytree(TOYMUSIC, toy)
+    path = toy / "aria_desc.nt"
+    path.write_text('<http://toy.example/other> <http://toy.example/voc/p> "x" .\n',
+                    encoding="utf-8")
+    rc, _, err = invoke(capsys, "ingest", "--manifest", str(toy / "manifest.json"))
+    assert rc == 2
+    assert err == f"error: {path}: no statement mentions <{ARIA}>\n"
+
+
 def test_broken_fold_names_its_index(capsys, tmp_path):
     path = patched_manifest(
         tmp_path,
@@ -467,6 +507,33 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):
     else:
         assert rc == 0
         assert stdout.splitlines()[-1] == expected
+
+
+def test_evaluate_compare_degenerate_variance_is_a_data_error(capsys, tmp_path):
+    from entsum.dataset import load_manifest
+    from entsum.evaluation import f1_against_golds, oracle_summary
+
+    manifest = load_manifest(MANIFEST)
+    rows = []
+    for fold in manifest.folds:
+        for iri in fold.test:
+            desc = manifest.entity(iri)
+            f1 = f1_against_golds(oracle_summary(desc, 2), desc.gold[2])
+            # for F1 in [1/4, 1] both subtractions are exact, so every
+            # paired difference is exactly 1/8
+            assert 0.25 <= f1 <= 1.0 and f1 - (f1 - 0.125) == 0.125
+            rows.append(f"{fold.index}\t{iri}\t{f1 - 0.125!r}")
+    compare = tmp_path / "shifted.tsv"
+    compare.write_text("\n".join([TSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    rc, stdout, err = invoke(
+        capsys, "evaluate", "--manifest", MANIFEST, "--k", "2",
+        "--oracle", "--compare", str(compare),
+    )
+    assert rc == 2
+    assert stdout.splitlines()[1] == (
+        f"paired 2 shared entities; left out 0 of this run and 0 of {compare}"
+    )
+    assert err == "error: all 2 differences equal 0.125; t statistic undefined\n"
 
 
 TSV_HEADER = "fold\tentity\tf1"

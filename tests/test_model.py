@@ -1,6 +1,7 @@
 """Triple encoding, the three-MLP scorer, summary selection, checkpoints."""
 
 import base64
+import itertools
 import json
 import struct
 
@@ -11,6 +12,7 @@ from entsum.dataset import NodeKind, Resource, Triple
 from entsum.embeddings import EmbeddingStore
 from entsum.errors import CorruptCheckpoint, MissingFile, ShapeMismatch, VersionMismatch
 from entsum.model import (
+    AttentionView,
     ModelConfig,
     TripleScorer,
     encode_description,
@@ -234,6 +236,69 @@ def test_three_triple_straight_line_recomputation():
             assert abs(scored.scores[tid] - expected) < 1e-12
             for (ctx_id, _), w in zip(vectors, weights):
                 assert abs(scored.attention[(tid, ctx_id)] - w) < 1e-12
+
+
+def reference_attention(ids, A):
+    """The attention mapping as a plain dict, as ``score_description`` built
+    it before it returned a view over the matrix."""
+    return dict(zip(itertools.product(ids, ids), A.ravel().tolist()))
+
+
+def test_attention_view_matches_reference_dict():
+    model = TripleScorer.create(small_config(seed=3))
+    rng = np.random.default_rng(41)
+    for trial in range(200):
+        n = int(rng.integers(1, 41))
+        if trial % 2:
+            ids = sorted(rng.choice(10 * n, size=n, replace=False).tolist())
+        else:
+            ids = list(range(n))
+        vectors = [(tid, v) for tid, (_, v) in zip(ids, random_vectors(rng, n, 12))]
+        perm = list(vectors)
+        rng.shuffle(perm)
+        view = model.score_description(ENT, perm).attention
+        assert isinstance(view, AttentionView)
+        ref = reference_attention(ids, model._forward(np.array([v for _, v in vectors]))[1][2])
+        assert view == ref and ref == view
+        assert len(view) == len(ref) == n * n
+        assert list(view) == list(ref)
+        assert list(view.items()) == list(ref.items())
+        assert list(view.values()) == list(ref.values())
+        assert all(type(w) is float for w in view.values())
+        assert {k: view[k] for k in ref} == ref
+        assert view.row(ids[-1]) == {ctx: ref[(ids[-1], ctx)] for ctx in ids}
+        # a gap between ids if there is one, else the id after the last
+        unknown = next(i for i in range(ids[0], ids[-1] + 2) if i not in ids)
+        pairs = [(-1, ids[0]), (n, ids[0]), (ids[0], n), (unknown, ids[0]), (ids[0], unknown)]
+        not_pairs = [ids[0], [ids[0], ids[0]], (ids[0],), (ids[0], ids[0], ids[0]),
+                     "ab", None, ([ids[0]], ids[0])]
+        # with gaps between the ids, n itself may be an id
+        for key in [p for p in pairs if p not in ref] + not_pairs:
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+            assert view.get(key) is None
+
+
+def test_attention_view_is_read_only():
+    A = softmax(np.arange(9.0).reshape(3, 3))
+    view = AttentionView([2, 5, 7], A)
+    before = reference_attention([2, 5, 7], A)
+    with pytest.raises(TypeError):
+        view[(2, 2)] = 1.0
+    with pytest.raises(TypeError):
+        del view[(2, 2)]
+    with pytest.raises(ValueError):
+        view.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        view.matrix.ravel()[0] = 1.0
+    with pytest.raises(AttributeError):
+        view.matrix = np.zeros((3, 3))
+    with pytest.raises(AttributeError):
+        view.extra = 1
+    row = view.row(5)
+    row[5] = 9.0
+    assert view == before
 
 
 def test_score_entity_matches_encode_then_score(toy_manifest, toy_store):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entsum import training
 from entsum.dataset import DatasetManifest, FoldSpec
 from entsum.errors import NoGoldForK, NonFiniteLoss
 from entsum.evaluation import f1_against_golds
@@ -217,7 +218,7 @@ class ConstantScorer:
         return ScoredDescription(entity, {tid: 0.0 for tid, _ in vectors})
 
 
-def constant_train_fn(manifest, fold, model_cfg, train_cfg, store):
+def constant_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded):
     return TrainResult(ConstantScorer(), chosen_epoch=0, val_history=[])
 
 
@@ -241,15 +242,42 @@ def test_constant_scores_select_lowest_ids(toy_manifest, toy_store):
 def test_stub_train_fn_sees_each_fold_once(toy_manifest, toy_store):
     calls = []
 
-    def spy_train_fn(manifest, fold, model_cfg, train_cfg, store):
+    def spy_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded):
         calls.append(fold.index)
-        return constant_train_fn(manifest, fold, model_cfg, train_cfg, store)
+        return constant_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded)
 
     cross_validate(
         toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
         train_fn=spy_train_fn,
     )
     assert calls == [0, 1]
+
+
+@pytest.mark.parametrize("metric", list(EarlyStopMetric))
+def test_cross_validate_encodes_each_entity_once(toy_manifest, toy_store, monkeypatch, metric):
+    calls = []
+
+    def counting_encode(desc, store):
+        calls.append(desc.entity.raw)
+        return encode_description(desc, store)
+
+    monkeypatch.setattr(training, "encode_description", counting_encode)
+    cfg = TrainConfig(k=2, max_epochs=3, early_stop_metric=metric)
+    cv = cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store)
+    assert sorted(calls) == sorted([ARIA, BLUE])
+
+    # a standalone fold encodes for itself and reaches the same results
+    calls.clear()
+    for fold, report, result in zip(toy_manifest.folds, cv.reports, cv.results):
+        alone = train_fold(toy_manifest, fold, TOY_MODEL, cfg, toy_store)
+        assert alone.chosen_epoch == result.chosen_epoch
+        assert alone.val_history == result.val_history
+        for a, b in zip(alone.model.parameters(), result.model.parameters()):
+            assert np.array_equal(a, b)
+        assert evaluate_fold(
+            alone.model, toy_manifest, fold, 2, toy_store, alone.chosen_epoch
+        ) == report
+    assert len(calls) == sum(len({*f.train, *f.valid, *f.test}) for f in toy_manifest.folds)
 
 
 # --------------------------------------------------------------------------
