@@ -15,6 +15,7 @@ same inputs and seed reproduces its output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -60,6 +61,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1, as ``--k`` and ``--max-epochs`` need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _learning_rate(text: str) -> float:
+    """A finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 def _add_manifest_args(p: argparse.ArgumentParser):
     p.add_argument("--manifest", type=Path, help="JSON manifest path")
     p.add_argument("--esbm", type=Path, help="root of an ESBM-style benchmark tree")
@@ -87,17 +110,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="cross-validate and write checkpoints and reports")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path, required=True)
-    p.add_argument("--k", type=int, default=5, help="summary size budget (5 or 10 on the benchmark)")
+    p.add_argument(
+        "--k", type=_count, default=5, help="summary size budget (5 or 10 on the benchmark)"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--max-epochs", type=_count, default=50)
+    p.add_argument("--lr", type=_learning_rate, default=0.01)
     p.add_argument("--early-stop", choices=["f1", "loss"], default="f1")
 
     p = sub.add_parser("evaluate", help="re-evaluate saved checkpoints or the oracle baseline")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_count, default=5)
     p.add_argument("--checkpoints", type=Path, help="directory with fold<i>.ckpt files")
     p.add_argument("--oracle", action="store_true", help="evaluate the gold-frequency baseline")
     p.add_argument("--out", type=Path, help="output directory for reports")
@@ -109,7 +134,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summarize", help="print the top-k triples of one entity")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path, required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_count, default=5)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--entity", required=True, help="IRI of the entity to summarize")
     return parser

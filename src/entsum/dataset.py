@@ -306,35 +306,51 @@ def _to_resource(term: _Term, labels: Mapping[tuple[NodeKind, str], str]) -> Res
 class ParsedDescription:
     """Candidate triples plus the statement-identity index used for gold
     matching: each statement's terms map to the earliest triple id that
-    carries them, since duplicated description statements share them."""
+    carries them, since duplicated description statements share them.
+    ``line_ids`` maps the exact text of each statement line to the same id,
+    or to None when the statement does not mention the entity, so a gold
+    line that repeats a description line needs no second parse."""
 
     triples: tuple[Triple, ...]
     first_id: Mapping[tuple[_Term, _Term, _Term], int]
+    line_ids: Mapping[str, int | None]
 
 
 def parse_description(text: str, entity_iri: str) -> ParsedDescription:
     statements = parse_statements(text)
     labels = _collect_labels(statements)
 
+    # one Resource per distinct term; Resource is frozen, so sharing is safe
+    resources: dict[_Term, Resource] = {}
+
+    def resource(term: _Term) -> Resource:
+        r = resources.get(term)
+        if r is None:
+            r = resources[term] = _to_resource(term, labels)
+        return r
+
     triples: list[Triple] = []
     first_id: dict[tuple[_Term, _Term, _Term], int] = {}
+    line_ids: dict[str, int | None] = {}
+    lines = text.splitlines()
     for st in statements:
         subject_is_entity = st.subject.kind is NodeKind.IRI and st.subject.value == entity_iri
         object_is_entity = st.object.kind is NodeKind.IRI and st.object.value == entity_iri
         if not (subject_is_entity or object_is_entity):
+            line_ids[lines[st.line_no - 1]] = None
             continue
-        subject = _to_resource(st.subject, labels)
-        predicate = _to_resource(st.predicate, labels)
-        obj = _to_resource(st.object, labels)
+        subject = resource(st.subject)
+        predicate = resource(st.predicate)
+        obj = resource(st.object)
         # a self-referential statement keeps the object side as its value
         val = obj if subject_is_entity else subject
         tid = len(triples)
         triples.append(Triple(tid, subject, predicate, obj, val))
-        first_id.setdefault(st.key(), tid)
+        line_ids[lines[st.line_no - 1]] = first_id.setdefault(st.key(), tid)
 
     if not triples:
         raise EmptyDescription(f"no statement mentions <{entity_iri}>")
-    return ParsedDescription(tuple(triples), first_id)
+    return ParsedDescription(tuple(triples), first_id, line_ids)
 
 
 # --------------------------------------------------------------------------
@@ -358,16 +374,27 @@ def read_text(path: str | Path) -> str:
 def _match_gold_statements(
     parsed: ParsedDescription, gold_text: str, entity_iri: str, source: str
 ) -> frozenset[int]:
-    ids = set()
-    for st in parse_statements(gold_text):
-        tid = parsed.first_id.get(st.key())
-        if tid is None:
+    """The triple ids of a gold file's statements.  A line whose text is a
+    description line takes that line's id; the other lines are parsed in
+    full, keeping their line numbers, before any line is matched, so a
+    malformed line is reported ahead of an unmatched one."""
+    lines = gold_text.splitlines()
+    ids: dict[int, int | None] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if line in parsed.line_ids:
+            ids[line_no] = parsed.line_ids[line]
+            lines[line_no - 1] = ""
+    for st in parse_statements("\n".join(lines)):
+        ids[st.line_no] = parsed.first_id.get(st.key())
+    found = set()
+    for line_no in sorted(ids):
+        if ids[line_no] is None:
             raise GoldNotSubset(
-                f"{source}: statement on line {st.line_no} does not occur in the "
+                f"{source}: statement on line {line_no} does not occur in the "
                 f"description of <{entity_iri}>"
             )
-        ids.add(tid)
-    return frozenset(ids)
+        found.add(ids[line_no])
+    return frozenset(found)
 
 
 def load_entity(

@@ -162,31 +162,33 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
             fh.write(f"{word} {' '.join(map(repr, values))}\n")
 
 
+def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:
+    """Each distinct textual form of a candidate triple's property or value,
+    mapped to the first resource that has it, in manifest order."""
+    forms: dict[str, Resource] = {}
+    for entity in manifest.entities:
+        for t in entity.triples:
+            forms.setdefault(textual_form(t.prop), t.prop)
+            forms.setdefault(textual_form(t.val), t.val)
+    return forms
+
+
 def manifest_vocabulary(manifest: DatasetManifest) -> set[str]:
     """Every token the scorer could ask the store for: property and value
     tokens of every candidate triple."""
     vocab: set[str] = set()
-    for entity in manifest.entities:
-        for t in entity.triples:
-            vocab.update(resource_tokens(t.prop))
-            vocab.update(resource_tokens(t.val))
+    for form in _distinct_forms(manifest):
+        vocab.update(tokenize(form))
     return vocab
 
 
 def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[str]:
-    """Resources that embed to the zero vector under the given store."""
+    """Textual forms that embed to the zero vector under the given store,
+    one warning per distinct form, naming the first resource that has it."""
     warnings = []
-    seen: set[tuple[NodeKind, str]] = set()
-    for entity in manifest.entities:
-        for t in entity.triples:
-            for r in (t.prop, t.val):
-                key = (r.kind, r.raw)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if not any(tok in store for tok in resource_tokens(r)):
-                    warnings.append(
-                        f"all tokens unknown for {r.kind.value} "
-                        f"{r.raw!r} (textual form {textual_form(r)!r})"
-                    )
+    for form, r in _distinct_forms(manifest).items():
+        if not any(tok in store for tok in tokenize(form)):
+            warnings.append(
+                f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {form!r})"
+            )
     return warnings

@@ -173,7 +173,17 @@ def encode_triple(t: Triple, store: EmbeddingStore) -> TripleVector:
 def encode_description(
     desc: EntityDescription, store: EmbeddingStore
 ) -> list[tuple[int, TripleVector]]:
-    return [(t.id, encode_triple(t, store)) for t in desc.triples]
+    """``encode_triple`` of every triple, embedding each distinct resource
+    once."""
+    embedded: dict[Resource, np.ndarray] = {}
+
+    def embed(r: Resource) -> np.ndarray:
+        vec = embedded.get(r)
+        if vec is None:
+            vec = embedded[r] = embed_resource(r, store)
+        return vec
+
+    return [(t.id, np.concatenate([embed(t.prop), embed(t.val)])) for t in desc.triples]
 
 
 class TripleScorer:

@@ -250,6 +250,41 @@ def test_bad_collection_choice(capsys, tmp_path):
     assert err.startswith("usage error:")
 
 
+def required_args(command, tmp_path):
+    return {
+        "train": ["--vectors", VEC, "--out", str(tmp_path / "o")],
+        "evaluate": ["--oracle", "--out", str(tmp_path / "o")],
+        "summarize": ["--vectors", VEC, "--checkpoint", str(tmp_path / "c"), "--entity", ARIA],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--k", "0"),
+    ("evaluate", "--k", "0"),
+    ("summarize", "--k", "-1"),
+    ("train", "--k", "two"),
+    ("train", "--max-epochs", "0"),
+    ("train", "--max-epochs", "-3"),
+    ("train", "--lr", "-1"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--lr", "-inf"),
+    ("train", "--lr", "fast"),
+])
+def test_bad_numeric_argument_is_a_usage_error(capsys, tmp_path, command, flag, value):
+    # the manifest does not exist: a run that got as far as loading data
+    # would exit 2, so exit 1 shows the value was refused before that
+    missing = str(tmp_path / "absent.json")
+    rc, stdout, err = invoke(
+        capsys, command, "--manifest", missing, *required_args(command, tmp_path), flag, value
+    )
+    assert rc == 1
+    assert err.startswith("usage error:") and flag in err, err
+    assert "Traceback" not in err and stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------------------
 # filter-vectors
 # --------------------------------------------------------------------------

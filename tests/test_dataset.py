@@ -13,7 +13,9 @@ from entsum.dataset import (
     NodeKind,
     Resource,
     Triple,
+    _collect_labels,
     _match_gold_statements,
+    _to_resource,
     load_manifest,
     parse_description,
     parse_statements,
@@ -273,6 +275,165 @@ def test_gold_statement_missing_from_description_raises():
     parsed = desc_of(f'<{E}> <http://ex.org/p> "x" .')
     with pytest.raises(GoldNotSubset):
         _match_gold_statements(parsed, f'<{E}> <http://ex.org/p> "other" .', E, "gold")
+
+
+# --------------------------------------------------------------------------
+# differential test of gold matching against the statement-by-statement form
+# --------------------------------------------------------------------------
+
+def reference_parse_description(text: str, entity_iri: str):
+    """``parse_description`` as it was before gold lines were matched by
+    their text: the triples and the statement-identity index."""
+    statements = parse_statements(text)
+    labels = _collect_labels(statements)
+
+    triples: list[Triple] = []
+    first_id = {}
+    for st in statements:
+        subject_is_entity = st.subject.kind is NodeKind.IRI and st.subject.value == entity_iri
+        object_is_entity = st.object.kind is NodeKind.IRI and st.object.value == entity_iri
+        if not (subject_is_entity or object_is_entity):
+            continue
+        subject = _to_resource(st.subject, labels)
+        predicate = _to_resource(st.predicate, labels)
+        obj = _to_resource(st.object, labels)
+        # a self-referential statement keeps the object side as its value
+        val = obj if subject_is_entity else subject
+        tid = len(triples)
+        triples.append(Triple(tid, subject, predicate, obj, val))
+        first_id.setdefault(st.key(), tid)
+
+    if not triples:
+        raise EmptyDescription(f"no statement mentions <{entity_iri}>")
+    return tuple(triples), first_id
+
+
+def reference_match_gold(first_id, gold_text: str, entity_iri: str, source: str):
+    """``_match_gold_statements`` as it was: parse every gold line, then
+    look each statement's terms up in the description."""
+    ids = set()
+    for st in parse_statements(gold_text):
+        tid = first_id.get(st.key())
+        if tid is None:
+            raise GoldNotSubset(
+                f"{source}: statement on line {st.line_no} does not occur in the "
+                f"description of <{entity_iri}>"
+            )
+        ids.add(tid)
+    return frozenset(ids)
+
+
+OTHER = "http://ex.org/other"
+PROPS = ["http://ex.org/p", "http://ex.org/q", "http://www.w3.org/2000/01/rdf-schema#label"]
+# statements as term texts; a literal is (plain, escaped) spellings of one value
+SUBJECTS = [f"<{E}>", f"<{OTHER}>", "_:b1"]
+OBJECTS = [f"<{E}>", f"<{OTHER}>", "_:b1", ('"aA"', '"a\\u0041"'), ('"x y"', '"x\\u0020y"'),
+           ('"1"@en', '"\\u0031"@en'), ('"z"^^<http://ex.org/t>', '"\\u007A"^^<http://ex.org/t>')]
+MALFORMED = ["<broken", f'<{E}> <http://ex.org/p> "x', f"<{E}> <http://ex.org/p>",
+             f'<{E}> <http://ex.org/p> "x" . extra', f'"lit" <http://ex.org/p> <{E}> .']
+BREAKS = ["\n", "\n", "\n", "\r\n", "\x0c", "\x85"]
+
+
+def random_statement(rng: random.Random) -> tuple[str, str, object]:
+    return rng.choice(SUBJECTS), rng.choice(PROPS), rng.choice(OBJECTS)
+
+
+def render(rng: random.Random, statement) -> str:
+    """One spelling of a statement: separators of spaces and tabs, optional
+    leading and trailing blanks, a plain or escaped literal."""
+    subject, prop, obj = statement
+    if isinstance(obj, tuple):
+        obj = rng.choice(obj)
+    gaps = [rng.choice([" ", " ", "  ", "\t", " \t"]) for _ in range(3)]
+    lead, trail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\t "])
+    return f"{lead}{subject}{gaps[0]}<{prop}>{gaps[1]}{obj}{gaps[2]}.{trail}"
+
+
+def join_lines(rng: random.Random, lines: list[str]) -> str:
+    return "".join(line + rng.choice(BREAKS) for line in lines)
+
+
+def random_description(rng: random.Random) -> tuple[str, list, list[str]]:
+    statements = [random_statement(rng) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.9:  # mostly not empty
+        statements.append((f"<{E}>", PROPS[0], rng.choice(OBJECTS)))
+    lines = [render(rng, st) for st in statements]
+    lines += [lines[rng.randrange(len(lines))] for _ in range(rng.randint(0, 2))]
+    lines += ["", "# a comment", "   "][: rng.randint(0, 3)]
+    if rng.random() < 0.05:
+        lines.append(rng.choice(MALFORMED))
+    rng.shuffle(lines)
+    return join_lines(rng, lines), statements, lines
+
+
+def random_gold(rng: random.Random, statements, desc_lines: list[str]) -> str:
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.5:
+            lines.append(rng.choice(desc_lines))              # verbatim copy
+        elif roll < 0.75:
+            lines.append(render(rng, rng.choice(statements)))  # equal by terms
+        elif roll < 0.85:
+            lines.append(render(rng, random_statement(rng)))   # maybe absent
+        elif roll < 0.95:
+            lines.append(rng.choice(["", "# note", "\t"]))
+        else:
+            lines.append(rng.choice(MALFORMED))
+    if lines and rng.random() < 0.3:
+        lines.append(rng.choice(lines))
+    return join_lines(rng, lines)
+
+
+def outcome(fn, *args):
+    """A result, or the exception's type, message and line number."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def test_gold_matching_matches_reference_on_random_files():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(2000):
+        text, statements, desc_lines = random_description(rng)
+        expected = outcome(reference_parse_description, text, E)
+        got = outcome(parse_description, text, E)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected, text
+            kinds.add(expected[0])
+            continue
+        triples, first_id = expected
+        assert got.triples == triples and got.first_id == first_id, text
+        for _ in range(4):
+            gold = random_gold(rng, statements, desc_lines)
+            want = outcome(reference_match_gold, first_id, gold, E, "g.nt")
+            assert outcome(_match_gold_statements, got, gold, E, "g.nt") == want, (text, gold)
+            kinds.add(want if isinstance(want, frozenset) else want[0])
+    # every kind of outcome was reached: gold ids, a malformed line, an
+    # unmatched gold statement and a description without the entity
+    assert {MalformedLine, GoldNotSubset, EmptyDescription} <= kinds
+    assert sum(isinstance(k, frozenset) and len(k) > 1 for k in kinds) > 10
+
+
+@pytest.mark.parametrize("gold, error, message", [
+    # line 1 is unknown and line 2 malformed: the whole file parses first
+    (f'<{E}> <http://ex.org/p> "other" .\n<broken\n', MalformedLine,
+     "malformed statement on line 2: bad IRI at column 1"),
+    # a verbatim description line that does not mention the entity
+    (f'\n<{OTHER}> <http://ex.org/p> "x" .\n', GoldNotSubset,
+     f"g.nt: statement on line 2 does not occur in the description of <{E}>"),
+    # a verbatim line after a \x85 break, then an unknown one
+    (f'<{E}> <http://ex.org/p> "aA" .\x85<{E}> <http://ex.org/q> "aA" .', GoldNotSubset,
+     f"g.nt: statement on line 2 does not occur in the description of <{E}>"),
+])
+def test_gold_matching_matches_reference_on_fixed_files(gold, error, message):
+    text = f'<{E}> <http://ex.org/p> "a\\u0041" .\n<{OTHER}> <http://ex.org/p> "x" .'
+    _, first_id = reference_parse_description(text, E)
+    want = outcome(reference_match_gold, first_id, gold, E, "g.nt")
+    assert want[:2] == (error, message)
+    assert outcome(_match_gold_statements, parse_description(text, E), gold, E, "g.nt") == want
 
 
 # --------------------------------------------------------------------------

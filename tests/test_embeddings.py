@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from entsum.dataset import NodeKind, Resource
+from entsum.dataset import (
+    DatasetManifest,
+    EntityDescription,
+    NodeKind,
+    Resource,
+    parse_description,
+)
 from entsum.embeddings import (
     EmbeddingStore,
     coverage_warnings,
@@ -489,15 +495,16 @@ def test_coverage_warnings_empty_when_covered(toy_manifest, toy_store):
 
 
 def reference_coverage_warnings(manifest, store):
-    """Coverage as first defined: a resource warns when the number of its
-    tokens that enter its mean vector is zero."""
+    """Coverage by definition: a textual form warns when the number of its
+    tokens that enter the mean vector is zero, once per distinct form, naming
+    the first property or value that has it."""
     warnings, seen = [], set()
     for entity in manifest.entities:
         for t in entity.triples:
             for r in (t.prop, t.val):
-                if (r.kind, r.raw) in seen:
+                if textual_form(r) in seen:
                     continue
-                seen.add((r.kind, r.raw))
+                seen.add(textual_form(r))
                 covered = sum(tok in store.vectors for tok in resource_tokens(r))
                 if covered == 0:
                     warnings.append(
@@ -518,10 +525,33 @@ def test_coverage_warnings_match_mean_vector_definition(toy_manifest, toy_store)
 
 
 def test_coverage_deduplicates_resources(toy_manifest):
-    # empty store: every distinct resource warns exactly once
+    # empty store: every distinct textual form warns exactly once
     empty = EmbeddingStore(4, {})
     warnings = coverage_warnings(toy_manifest, empty)
     assert len(warnings) == len(set(warnings))
     mentioned = [w for w in warnings if "Harbor_City" in w]
     # Harbor_City appears as the value of two different triples
     assert len(mentioned) == 1
+
+
+def test_coverage_checks_an_iri_again_where_it_has_no_label():
+    # <Zqxj> is labelled in A's description, so there it embeds from
+    # "alice smith"; B's description has no label, so there it embeds from
+    # "Zqxj", which the store lacks, and B's triple gets the zero vector
+    zqxj = "http://ex.org/Zqxj"
+    a, b = "http://ex.org/A", "http://ex.org/B"
+    label = "http://www.w3.org/2000/01/rdf-schema#label"
+    entities = [
+        EntityDescription(Resource(NodeKind.IRI, iri), parse_description(text, iri).triples)
+        for iri, text in [
+            (a, f'<{a}> <http://ex.org/knows> <{zqxj}> .\n<{zqxj}> <{label}> "alice smith" .'),
+            (b, f"<{b}> <http://ex.org/knows> <{zqxj}> ."),
+        ]
+    ]
+    manifest = DatasetManifest("two", tuple(entities), ())
+    store = make_store(2, knows=[1.0, 0.0], alice=[0.0, 1.0], smith=[1.0, 1.0])
+    assert embed_resource(entities[1].triples[0].val, store).tolist() == [0.0, 0.0]
+    assert coverage_warnings(manifest, store) == [
+        f"all tokens unknown for iri {zqxj!r} (textual form 'Zqxj')"
+    ]
+    assert coverage_warnings(manifest, store) == reference_coverage_warnings(manifest, store)

@@ -3,12 +3,13 @@
 import base64
 import itertools
 import json
+import random
 import struct
 
 import numpy as np
 import pytest
 
-from entsum.dataset import NodeKind, Resource, Triple
+from entsum.dataset import EntityDescription, NodeKind, Resource, Triple, parse_description
 from entsum.embeddings import EmbeddingStore
 from entsum.errors import CorruptCheckpoint, MissingFile, ShapeMismatch, VersionMismatch
 from entsum.model import (
@@ -75,6 +76,43 @@ def test_encode_description_orders_by_id(toy_manifest, toy_store):
     pairs = encode_description(desc, toy_store)
     assert [tid for tid, _ in pairs] == [t.id for t in desc.triples]
     assert all(vec.shape == (2 * toy_store.dim,) for _, vec in pairs)
+
+
+def generated_description(rng: random.Random, iri: str, n: int) -> EntityDescription:
+    """n statements over few properties and values, so that most of them
+    repeat, some values labelled and some statements pointing at the entity."""
+    label = "http://www.w3.org/2000/01/rdf-schema#label"
+    words = ["alpha", "beta", "gamma", "delta", "omega", "zeta"]
+    lines = []
+    for _ in range(n):
+        prop = f"<http://ex.org/voc/{rng.choice(words)}{rng.choice(words).title()}>"
+        if rng.random() < 0.5:
+            value = f'"{rng.choice(words)} {rng.randint(1, 9)}"'
+        else:
+            value = f"<http://ex.org/v/{rng.choice(words)}_{rng.randint(1, 6)}>"
+        lines.append(f"<{iri}> {prop} {value} ." if rng.random() < 0.8 or value[0] == '"'
+                     else f"{value} {prop} <{iri}> .")
+    for j in range(1, 4):
+        lines.append(f'<http://ex.org/v/alpha_{j}> <{label}> "{rng.choice(words)} label" .')
+    rng.shuffle(lines)
+    return EntityDescription(Resource(NodeKind.IRI, iri),
+                             parse_description("\n".join(lines), iri).triples)
+
+
+def test_encode_description_is_bit_identical_to_encode_triple(toy_manifest, toy_store):
+    rng = random.Random(17)
+    generated = [generated_description(rng, f"http://ex.org/e{i}", 150) for i in range(4)]
+    known = {w: np.random.default_rng(i).normal(size=5)
+             for i, w in enumerate(["alpha", "gamma", "omega", "label", "3", "7"])}
+    for descs, store in [(toy_manifest.entities, toy_store),
+                         (generated, EmbeddingStore(5, known))]:
+        for desc in descs:
+            pairs = encode_description(desc, store)
+            for (_, vec), t in zip(pairs, desc.triples, strict=True):
+                assert vec.tobytes() == encode_triple(t, store).tobytes()
+    # the generated descriptions repeat their resources, which is what the
+    # per-description memo of embeddings shares
+    assert all(len({t.prop for t in d.triples}) < len(d.triples) / 2 for d in generated)
 
 
 # --------------------------------------------------------------------------
