@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic import atomic_writer
 from .dataset import DatasetManifest, NodeKind, Resource
-from .errors import DimMismatch, ParseError
+from .errors import DataError, DimMismatch, ParseError
 
 
 def textual_form(r: Resource) -> str:
@@ -148,18 +148,60 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     return EmbeddingStore(dim, vectors)
 
 
+# components formatted per block by save_vec_file: enough for a block of a
+# 4-decimal file to repeat most of its values, few enough that a save adds
+# about 2 MB to the peak memory
+SAVE_BLOCK = 32768
+
+
+def _component_texts(block: np.ndarray) -> list:
+    """Per row of a float64 block, the ``repr`` of each component in order.
+
+    Each distinct bit pattern is formatted once (``0.0`` and ``-0.0`` are
+    told apart), unless most of the block's values are distinct: there the
+    gather costs more than the ``repr`` calls it saves.
+    """
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    if 2 * bits.size > block.size:
+        return [map(repr, row) for row in block.tolist()]
+    distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return distinct[inverse.reshape(block.shape)].tolist()
+
+
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     """Write a store in the text format ``load_vec_file`` reads.
 
-    Components are converted to float64 and serialized with ``repr`` so a
-    round trip reproduces the exact doubles; words are sorted for byte-stable
-    output.
+    Words are sorted for byte-stable output.  Components are converted to
+    float64 and written as their ``repr``, so a round trip reproduces the
+    exact doubles.  Rows are formatted in blocks of about ``SAVE_BLOCK``
+    components, and each distinct value in a block is formatted once; the
+    bytes are the same as formatting every component.
+
+    A store the loader would reject raises ``DataError`` naming the word
+    before anything is written: a word that is empty or holds a space or a
+    line break, a vector whose shape is not ``(dim,)`` or that has a
+    non-finite component, or vectors of no components at all.
     """
+    words = sorted(store.vectors)
+    for word in words:
+        vec = np.asarray(store.vectors[word], dtype=np.float64)
+        if not word or " " in word or "\n" in word:
+            problem = "the word is empty or holds a space or line break"
+        elif vec.shape != (store.dim,) or not store.dim:
+            problem = f"vector of shape {vec.shape} in a store of dim {store.dim}"
+        elif not np.isfinite(vec).all():
+            problem = "non-finite vector component"
+        else:
+            continue
+        raise DataError(f"cannot save {word!r}: {problem}")
+    per_block = max(1, SAVE_BLOCK // max(store.dim, 1))
     with atomic_writer(path) as fh:
-        fh.write(f"{len(store.vectors)} {store.dim}\n")
-        for word in sorted(store.vectors):
-            values = np.asarray(store.vectors[word], dtype=np.float64).tolist()
-            fh.write(f"{word} {' '.join(map(repr, values))}\n")
+        fh.write(f"{len(words)} {store.dim}\n")
+        for start in range(0, len(words), per_block):
+            chunk = words[start:start + per_block]
+            block = np.stack([np.asarray(store.vectors[w], dtype=np.float64) for w in chunk])
+            for word, texts in zip(chunk, _component_texts(block)):
+                fh.write(f"{word} {' '.join(texts)}\n")
 
 
 def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entsum import cli
-from entsum.errors import DegenerateVariance
+from entsum.errors import DegenerateVariance, ShapeMismatch
 from entsum.evaluation import (
     format_significance,
     paired_ttest,
@@ -467,6 +467,25 @@ def test_train_nonfinite_loss(capsys, tmp_path):
         )
     assert rc == 3
     assert err.startswith("numeric error:")
+
+
+@pytest.mark.parametrize("command", ["train", "summarize"])
+def test_internal_shape_mismatch_is_a_numeric_error(capsys, tmp_path, monkeypatch, train_dir,
+                                                    command):
+    def mismatch(*args):
+        raise ShapeMismatch("cosine over shapes (3, 4) and (3, 5)")
+
+    monkeypatch.setattr(cli, "cross_validate", mismatch)
+    monkeypatch.setattr(TripleScorer, "score_entity", mismatch)
+    args = {
+        "train": ["train", "--out", str(tmp_path / "o")],
+        "summarize": ["summarize", "--checkpoint", str(train_dir / "fold0.ckpt"),
+                      "--entity", ARIA],
+    }[command]
+    rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", VEC, "--k", "2")
+    assert rc == 3
+    assert stdout == ""
+    assert err == "numeric error: cosine over shapes (3, 4) and (3, 5)\n"  # no traceback
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from entsum import embeddings
 from entsum.dataset import (
     DatasetManifest,
     EntityDescription,
@@ -23,7 +24,7 @@ from entsum.embeddings import (
     textual_form,
     tokenize,
 )
-from entsum.errors import DimMismatch, ParseError
+from entsum.errors import DataError, DimMismatch, ParseError
 
 from conftest import TOYMUSIC
 
@@ -454,6 +455,78 @@ def test_save_is_deterministic(tmp_path):
     save_vec_file(store, p1)
     save_vec_file(store, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+SAVE_POOL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, 1e300, -1e300,
+             1.0, -3.0, 42.0, 2.0 ** 53, 0.1, 1 / 3, -0.0123, 1.7976931348623157e308]
+SAVE_POOL_F32 = [0.0, -0.0, 1e-45, -1e-40, 1.0, -3.0, 0.1, 3.4e38, -2.5]
+
+
+def random_save_row(rng, dim, fresh):
+    """One vector of ``dim`` components as float64, float32, int64 or object
+    values; float64 components come from ``SAVE_POOL``, or with probability
+    ``fresh`` are new full-precision values."""
+    kind = rng.choice(["f64", "f64", "f32", "i64", "obj"])
+    if kind == "f32":
+        return np.array(rng.choice(SAVE_POOL_F32, dim), dtype=np.float32)
+    if kind == "i64":
+        return rng.choice([0, -7, 3, 2 ** 53 + 1, -(2 ** 62)], dim)
+    row = rng.choice(SAVE_POOL, dim)
+    new = rng.random(dim) < fresh
+    row[new] = rng.normal(size=new.sum()) * 10.0 ** rng.integers(-300, 300, new.sum())
+    if kind == "obj":  # Python floats, ints and numeric strings
+        values = row.tolist()
+        values[0::3] = [repr(v) for v in values[0::3]]
+        values[1::3] = [int(v) if v.is_integer() else v for v in values[1::3]]
+        return np.array(values, dtype=object)
+    return row
+
+
+@pytest.mark.parametrize("dim, save_block", [(3, 20), (5, 5), (256, None)])
+def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
+    # the bytes of formatting every component, at word counts around the
+    # block size, with values repeated within and across blocks and not at all
+    if save_block is not None:
+        monkeypatch.setattr(embeddings, "SAVE_BLOCK", save_block)
+    block = max(1, embeddings.SAVE_BLOCK // dim)
+    rng = np.random.default_rng([20261018, dim])
+    path = tmp_path / "out.vec"
+    for n_words in sorted({0, 1, block - 1, block, block + 1, 2 * block + 1}):
+        words = [f"w{i:04d}" for i in range(n_words)]
+        for fresh in (0.0, 0.6):
+            vectors = {w: random_save_row(rng, dim, fresh) for w in rng.permutation(words)}
+            for b in range(block, n_words, block):  # one bit pattern on both sides
+                shared = rng.choice([-0.0, 5e-324, 1e300])
+                for w in words[b - 1:b + 1]:
+                    vectors[w] = np.asarray(vectors[w], dtype=np.float64).copy()
+                    vectors[w][rng.integers(dim)] = shared
+            store = EmbeddingStore(dim, vectors)
+            save_vec_file(store, path)
+            assert path.read_bytes() == reference_vec_text(store).encode("utf-8")
+    distinct = EmbeddingStore(dim, {w: rng.normal(size=dim) * 10.0 ** rng.integers(-300, 300, dim)
+                                    for w in words})
+    save_vec_file(distinct, path)
+    assert path.read_bytes() == reference_vec_text(distinct).encode("utf-8")
+
+
+@pytest.mark.parametrize("store, word", [
+    (EmbeddingStore(3, {"a": [1.0, 2.0], "b": [np.nan, 1.0, 2.0]}), "a"),
+    (EmbeddingStore(3, {"a": [1.0, 2.0, 3.0], "b": [np.nan, 1.0, 2.0]}), "b"),
+    (EmbeddingStore(2, {"a": [1.0, 2.0], "b": np.array([1.0, np.inf])}), "b"),
+    (EmbeddingStore(1, {"f32": np.array([-np.inf], dtype=np.float32)}), "f32"),
+    (EmbeddingStore(2, {"a": np.ones((1, 2))}), "a"),
+    (EmbeddingStore(1, {"a": np.float64(1.0)}), "a"),
+    (EmbeddingStore(0, {"a": np.zeros(0)}), "a"),
+    (EmbeddingStore(1, {"": [1.0]}), ""),
+    (EmbeddingStore(1, {"a b": [1.0]}), "a b"),
+    (EmbeddingStore(1, {"a": [1.0], "a\nb": [1.0]}), "a\nb"),
+], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
+        "empty-word", "space", "line-break"])
+def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
+    with pytest.raises(DataError) as err:
+        save_vec_file(store, tmp_path / "out.vec")
+    assert repr(word) in str(err.value)
+    assert list(tmp_path.iterdir()) == []  # no target and no temporary file
 
 
 # --------------------------------------------------------------------------
