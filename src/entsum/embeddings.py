@@ -150,20 +150,17 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
 
 # components formatted per block by save_vec_file: enough for a block of a
 # 4-decimal file to repeat most of its values, few enough that a save adds
-# about 2 MB to the peak memory
-SAVE_BLOCK = 32768
+# under 2 MB to the peak memory
+SAVE_BLOCK = 16384
 
 
 def _component_texts(block: np.ndarray) -> list:
     """Per row of a float64 block, the ``repr`` of each component in order.
 
-    Each distinct bit pattern is formatted once (``0.0`` and ``-0.0`` are
-    told apart), unless most of the block's values are distinct: there the
-    gather costs more than the ``repr`` calls it saves.
+    Each distinct bit pattern is formatted once, so ``0.0`` and ``-0.0``
+    are told apart.
     """
     bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    if 2 * bits.size > block.size:
-        return [map(repr, row) for row in block.tolist()]
     distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return distinct[inverse.reshape(block.shape)].tolist()
 
@@ -177,17 +174,14 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     components, and each distinct value in a block is formatted once; the
     bytes are the same as formatting every component.
 
-    A store the loader would reject raises ``DataError`` naming the word
-    before anything is written: a word that is empty or holds a space or a
-    line break, a vector whose shape is not ``(dim,)`` or that has a
-    non-finite component, or vectors of no components at all.
+    A vector whose shape is not ``(dim,)``, that has a non-finite
+    component, or that has no components at all raises ``DataError`` naming
+    its word before anything is written.
     """
     words = sorted(store.vectors)
     for word in words:
         vec = np.asarray(store.vectors[word], dtype=np.float64)
-        if not word or " " in word or "\n" in word:
-            problem = "the word is empty or holds a space or line break"
-        elif vec.shape != (store.dim,) or not store.dim:
+        if vec.shape != (store.dim,) or not store.dim:
             problem = f"vector of shape {vec.shape} in a store of dim {store.dim}"
         elif not np.isfinite(vec).all():
             problem = "non-finite vector component"

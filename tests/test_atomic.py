@@ -21,8 +21,9 @@ def _previous_file(tmp_path, name):
 
 
 def test_interrupted_vec_save_keeps_previous_file(tmp_path):
-    # the second vector cannot be converted to float64
-    store = EmbeddingStore(1, {"a": np.array([1.0]), "b": np.array(["x"], dtype=object)})
+    # the second vector cannot be serialised, after the header and the
+    # first word have been written
+    store = EmbeddingStore(1, {"a": np.array([1.0]), "b\ud800": np.array([1.0])})
     path = _previous_file(tmp_path, "store.vec")
     with pytest.raises(ValueError):
         save_vec_file(store, path)

@@ -517,11 +517,7 @@ def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
     (EmbeddingStore(2, {"a": np.ones((1, 2))}), "a"),
     (EmbeddingStore(1, {"a": np.float64(1.0)}), "a"),
     (EmbeddingStore(0, {"a": np.zeros(0)}), "a"),
-    (EmbeddingStore(1, {"": [1.0]}), ""),
-    (EmbeddingStore(1, {"a b": [1.0]}), "a b"),
-    (EmbeddingStore(1, {"a": [1.0], "a\nb": [1.0]}), "a\nb"),
-], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
-        "empty-word", "space", "line-break"])
+], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim"])
 def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     with pytest.raises(DataError) as err:
         save_vec_file(store, tmp_path / "out.vec")
