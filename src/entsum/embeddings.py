@@ -9,6 +9,7 @@ the zero vector.  Case is folded to lowercase on both sides for coverage.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +93,55 @@ def embed_resource(r: Resource, store: EmbeddingStore) -> np.ndarray:
     return acc
 
 
+# kept lines parsed per np.loadtxt call by load_vec_file
+PARSE_BLOCK = 256
+# ASCII separators that numpy's reader strips from around a number, as
+# Unicode whitespace, and that ``float`` refuses
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_line(line_no: int, rest: str, dim: int) -> np.ndarray:
+    """The components of one kept line, each parsed by ``float``."""
+    try:
+        vec = np.fromiter(map(float, rest.split(" ")), dtype=np.float64, count=dim)
+    except ValueError:
+        raise ParseError(line_no, "non-numeric vector component")
+    if not np.isfinite(vec).all():
+        raise ParseError(line_no, "non-finite vector component")
+    return vec
+
+
+def _parse_block(block: list, dim: int, vectors: dict[str, np.ndarray]) -> None:
+    """Parse queued ``(line_no, word, rest)`` lines into ``vectors``.
+
+    numpy's text reader parses each field with the same C function as
+    ``float``, so a block it accepts gets ``float``'s values.  A block it
+    refuses (``1_0``, non-ASCII digits), warns about, or reads into another
+    shape is parsed line by line with ``float``, which also finds its first
+    bad line.  So is a block with one of ``_NUMPY_ONLY_SPACE``, the only
+    characters numpy reads where ``float`` does not.
+    """
+    rests = [rest for _, _, rest in block]
+    rows = None
+    if not any(c in rest for rest in rests for c in _NUMPY_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # max_rows lets numpy allocate the rows once instead of growing them
+                rows = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None,
+                                  ndmin=2, max_rows=len(rests))
+        except (ValueError, Warning):
+            pass
+    if rows is None or rows.shape != (len(block), dim):
+        for line_no, word, rest in block:
+            vectors[word] = _parse_line(line_no, rest, dim)
+        return
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ParseError(block[int(finite.argmin())][0], "non-finite vector component")
+    vectors.update(zip((word for _, word, _ in block), rows))
+
+
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
     """Read a text-format vector file: optional ``count dim`` header, then
     ``word v1 ... v_dim`` per line.  A loaded vector must be finite.
@@ -101,10 +151,14 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     frequency-ordered files keeps the most frequent casing.  ``vocab``
     restricts loading to the given (lowercase) words.  Every line's field
     count is checked, but only the lines that are kept have their components
-    parsed, each as a Python ``float``.
+    parsed.  Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's
+    text reader; every value is the one ``float`` gives, and a component
+    only ``float`` reads, such as ``1_0`` (10.0), still loads.  Errors are
+    reported for the first bad line of the file.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
+    pending: list[tuple[int, str, str]] = []
     dim: int | None = None
     with path.open("r", encoding="utf-8", errors="replace", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -125,24 +179,26 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
                 else:
                     dim = int(rest)
                     continue
-            if not n_values:
-                raise ParseError(line_no, "no vector components")
-            if dim is None:
+            if dim is None and n_values:
                 dim = n_values
-            elif n_values != dim:
+            if not n_values or n_values != dim:
+                if pending:  # an earlier kept line's error is reported first
+                    _parse_block(pending, dim, vectors)
+                if not n_values:
+                    raise ParseError(line_no, "no vector components")
                 raise DimMismatch(line_no, dim, n_values)
             word = word.lower()
             if vocab is not None and word not in vocab:
                 continue
             if word in vectors:
                 continue
-            try:
-                vec = np.fromiter(map(float, rest.split(" ")), dtype=np.float64, count=n_values)
-            except ValueError:
-                raise ParseError(line_no, "non-numeric vector component")
-            if not np.isfinite(vec).all():
-                raise ParseError(line_no, "non-finite vector component")
-            vectors[word] = vec
+            vectors[word] = None  # queued: later casings of the word are dropped
+            pending.append((line_no, word, rest))
+            if len(pending) >= PARSE_BLOCK:
+                _parse_block(pending, dim, vectors)
+                pending = []
+    if pending:
+        _parse_block(pending, dim, vectors)
     if dim is None:
         raise ParseError(1, "empty vector file")
     return EmbeddingStore(dim, vectors)
@@ -165,6 +221,20 @@ def _component_texts(block: np.ndarray) -> list:
     return distinct[inverse.reshape(block.shape)].tolist()
 
 
+def _unsavable(vec, dim: int) -> str | None:
+    """Why ``save_vec_file`` cannot write a vector the loader would read
+    back, or None."""
+    try:
+        vec = np.asarray(vec, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"component not convertible to float64 ({exc})"
+    if vec.shape != (dim,) or not dim:
+        return f"vector of shape {vec.shape} in a store of dim {dim}"
+    if not np.isfinite(vec).all():
+        return "non-finite vector component"
+    return None
+
+
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     """Write a store in the text format ``load_vec_file`` reads.
 
@@ -174,20 +244,16 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     components, and each distinct value in a block is formatted once; the
     bytes are the same as formatting every component.
 
-    A vector whose shape is not ``(dim,)``, that has a non-finite
-    component, or that has no components at all raises ``DataError`` naming
-    its word before anything is written.
+    A vector with a component that does not convert to float64, whose shape
+    is not ``(dim,)``, that has a non-finite component, or that has no
+    components at all raises ``DataError`` naming its word before anything
+    is written.
     """
     words = sorted(store.vectors)
     for word in words:
-        vec = np.asarray(store.vectors[word], dtype=np.float64)
-        if vec.shape != (store.dim,) or not store.dim:
-            problem = f"vector of shape {vec.shape} in a store of dim {store.dim}"
-        elif not np.isfinite(vec).all():
-            problem = "non-finite vector component"
-        else:
-            continue
-        raise DataError(f"cannot save {word!r}: {problem}")
+        problem = _unsavable(store.vectors[word], store.dim)
+        if problem is not None:
+            raise DataError(f"cannot save {word!r}: {problem}")
     per_block = max(1, SAVE_BLOCK // max(store.dim, 1))
     with atomic_writer(path) as fh:
         fh.write(f"{len(words)} {store.dim}\n")

@@ -1,6 +1,8 @@
 """Textual forms, tokenization, vector files, mean-of-word embeddings."""
 
 import random
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +217,38 @@ def test_non_numeric_component_rejected(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_separator_numpy_strips_and_float_refuses_is_non_numeric(tmp_path, sep):
+    # numpy's reader would read "4\x1c" as 4.0; float refuses it
+    path = write_vec(tmp_path, f"2 2\ncat 1.0 2.0\ndog 3.0 4{sep}\n")
+    with pytest.raises(ParseError) as err:
+        load_vec_file(path)
+    assert "line 3" in str(err.value)
+    assert "non-numeric" in str(err.value)
+
+
+def test_loader_lets_no_numpy_warning_escape(tmp_path):
+    # numpy's reader takes a lone "\r" for an empty line and warns that the
+    # block has no data; float refuses the component
+    path = write_vec(tmp_path, "2 1\ncat \r\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as err:
+            load_vec_file(path)
+    assert caught == []
+    assert "line 2" in str(err.value)
+    assert "non-numeric" in str(err.value)
+
+
+def test_block_read_into_another_shape_goes_through_float(tmp_path, monkeypatch):
+    # without max_rows numpy drops a row it reads as empty and says nothing;
+    # a block of the wrong shape must not shift vectors between words
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:])
+    store = load_vec_file(write_vec(tmp_path, "cat 1.0 2.0\ndog 3.0 4.0\n"))
+    assert {w: v.tolist() for w, v in store.vectors.items()} == {"cat": [1.0, 2.0], "dog": [3.0, 4.0]}
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
 def test_non_finite_component_rejected(tmp_path, bad):
     path = write_vec(tmp_path, f"2 2\ncat 1.0 2.0\ndog 3.0 {bad}\n")
@@ -341,7 +375,7 @@ def reference_vec_text(store):
 
 VEC_WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "eel", "naïve", "NAÏVE", "x_y", "1998"]
 VEC_GOOD = ["1.0", "-0.5", "0.1", "2", "-0.0", "1e-400", "3.25e2", "+7", "1_0", ".5"]
-VEC_ODD = ["nan", "inf", "-inf", "1e999", "oops", "1__0", "0x10", "\t2", "3\t", "\ufffd", "١٢"]
+VEC_ODD = ["nan", "inf", "-inf", "1e999", "oops", "1__0", "0x10", "\t2", "3\t", "\ufffd", "١٢", "5\x1f"]
 VEC_NEAR_HEADERS = ["2 3", "1_0 3", "+2 3", "2 3 4", "2 x", "2", " 2  3 ", "2 3.0", "0 0", "2\t3"]
 
 
@@ -379,23 +413,43 @@ def load_outcome(loader, path, vocab):
         store = loader(path, vocab)
     except (ParseError, DimMismatch) as exc:
         return ("error", type(exc), exc.line_no, str(exc)), None
-    items = [(w, v.dtype, v.shape, v.tobytes()) for w, v in store.vectors.items()]
+    items = [(w, v.dtype, v.shape, v.flags.c_contiguous, v.tobytes())
+             for w, v in store.vectors.items()]
     return ("store", store.dim, items), store
 
 
-def test_loader_matches_reference_on_random_files(tmp_path):
+def long_vec_text(rng, parse_block):
+    """A 300-d file whose kept lines fill more than two blocks of
+    ``parse_block``: a header, 4-decimal components, a ``1_0`` component
+    and a CRLF line in the second block, a CRLF line in the third, and a
+    recased word that repeats one of the first block."""
+    n = 2 * parse_block + 17
+    values = np.round(rng.normal(size=(n, 300)), 4).astype(str)
+    values[parse_block + 5, 123] = "1_0"
+    lines = [f"w{i} " + " ".join(row) for i, row in enumerate(values)]
+    lines[parse_block + 1] = "W3" + lines[parse_block + 1][len(f"w{parse_block + 1}"):]
+    ends = ["\n"] * n
+    ends[parse_block + 9] = ends[2 * parse_block + 3] = "\r\n"
+    return f"{n} 300\n" + "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
     # the same store bit for bit, or the same error type, line and message,
-    # with and without a vocabulary; saved stores give the old bytes
+    # with and without a vocabulary and at several parse block sizes; saved
+    # stores give the old bytes
     rng = random.Random(20240518)
     path, out = tmp_path / "fuzz.vec", tmp_path / "out.vec"
+    block_sizes = (embeddings.PARSE_BLOCK, 1, 2, 3)
     seen = set()
     for _ in range(2000):
         path.write_bytes(random_vec_text(rng).encode("utf-8"))
         folded = sorted({w.lower() for w in VEC_WORDS})
         for vocab in (None, set(rng.sample(folded, rng.randint(0, len(folded))))):
             expected, _ = load_outcome(reference_load_vec_file, path, vocab)
-            got, store = load_outcome(load_vec_file, path, vocab)
-            assert got == expected, path.read_text(encoding="utf-8")
+            for parse_block in block_sizes:
+                monkeypatch.setattr(embeddings, "PARSE_BLOCK", parse_block)
+                got, store = load_outcome(load_vec_file, path, vocab)
+                assert got == expected, (parse_block, path.read_text(encoding="utf-8"))
             seen.add("store" if store is not None else got[3].split(": ", 1)[1])
             if store is not None:
                 save_vec_file(store, out)
@@ -406,6 +460,62 @@ def test_loader_matches_reference_on_random_files(tmp_path):
         "non-numeric vector component", "non-finite vector component",
     }
     assert any(s.startswith("expected") for s in seen)  # DimMismatch
+    # a realistic file of several blocks, with lines numpy refuses or reads
+    # differently from a plain line
+    long_rng = np.random.default_rng(20261018)
+    for parse_block in block_sizes:
+        monkeypatch.setattr(embeddings, "PARSE_BLOCK", parse_block)
+        path.write_bytes(long_vec_text(long_rng, parse_block).encode("utf-8"))
+        for vocab in ({f"w{i}" for i in range(2 * parse_block + 17) if i % 3 != 1}, None):
+            expected, _ = load_outcome(reference_load_vec_file, path, vocab)
+            got, store = load_outcome(load_vec_file, path, vocab)
+            assert got == expected and len(store) > parse_block
+        assert store.vectors[f"w{parse_block + 5}"][123] == 10.0  # "1_0", full load
+
+
+NUMERIC_PIECES = list("0123456789.eE+-_,#x") + [
+    "\t", "\r", "\x0b", "\x0c", "\x00", "\x1c", "\x1f", "\xa0", "\x85", "\u3000", "\ufeff",
+    "١", "٢", "０", "inf", "nan", "infinity", "0x", "1e308", "00000000000000000001",
+]
+
+
+def random_numeric_field(rng):
+    """A field that is often a number: a full-precision or long-digit
+    value, or a few pieces from ``NUMERIC_PIECES``."""
+    r = rng.random()
+    if r < 0.2:
+        return repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 308))
+    if r < 0.3:
+        return rng.choice(["", "-"]) + "0." + "".join(rng.choice("0123456789") for _ in range(40))
+    return "".join(rng.choice(NUMERIC_PIECES) for _ in range(rng.randint(1, 6)))
+
+
+def test_numpy_reader_accepts_only_what_float_reads_the_same():
+    # the premise of the block parser: whatever np.loadtxt reads as a field,
+    # float reads to the same bits, except the separators the loader keeps
+    # from numpy (each ASCII character is tried around a digit)
+    rng = random.Random(20261018)
+    fields = VEC_GOOD + VEC_ODD + [f for c in map(chr, range(128))
+                                   for f in (c + "3", "3" + c, "3" + c + "5", "3." + c)]
+    fields += [random_numeric_field(rng) for _ in range(4000)]
+    accepted = 0
+    for field in fields:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt([field], dtype=np.float64, delimiter=" ", comments=None,
+                                  ndmin=2, max_rows=1)
+        except (ValueError, Warning):
+            continue
+        if rows.shape != (1, 1) or any(c in field for c in embeddings._NUMPY_ONLY_SPACE):
+            continue
+        try:
+            value = float(field)
+        except ValueError:
+            pytest.fail(f"np.loadtxt reads {field!r}, float refuses it")
+        assert rows[0, 0].tobytes() == struct.pack("=d", value), field
+        accepted += 1
+    assert accepted > 1000
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +627,10 @@ def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
     (EmbeddingStore(2, {"a": np.ones((1, 2))}), "a"),
     (EmbeddingStore(1, {"a": np.float64(1.0)}), "a"),
     (EmbeddingStore(0, {"a": np.zeros(0)}), "a"),
-], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim"])
+    (EmbeddingStore(1, {"big": np.array([10 ** 400], dtype=object)}), "big"),
+    (EmbeddingStore(1, {"a": [1.0], "x": np.array(["x"], dtype=object)}), "x"),
+], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
+        "overflow", "string"])
 def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     with pytest.raises(DataError) as err:
         save_vec_file(store, tmp_path / "out.vec")
