@@ -142,6 +142,68 @@ def _parse_block(block: list, dim: int, vectors: dict[str, np.ndarray]) -> None:
     vectors.update(zip((word for _, word, _ in block), rows))
 
 
+# bytes read per block by load_vec_file's line scan; a line longer than
+# one read is joined, never split.  Smaller reads give numpy too few lines
+# per call; larger ones cost memory, 8 bytes per byte while spaces are
+# counted, for no speed
+SCAN_BLOCK = 65536
+
+
+def _line_blocks(fh):
+    """``(buf, size)`` for each block of whole lines of a binary file:
+    ``buf[:size]`` holds them, each ending in ``\\n``."""
+    pieces = []
+    while data := fh.read(SCAN_BLOCK):
+        pieces.append(data)
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            buf = b"".join(pieces)
+            size = len(buf) - len(data) + cut
+            yield buf, size
+            pieces = [buf[size:]]
+    tail = b"".join(pieces)
+    if tail:
+        yield tail + b"\n", len(tail) + 1
+
+
+def _scan_lines(fh):
+    """``(line_no, word, n_values, rest)`` for each line of a binary vector
+    file that holds more than spaces, after stripping its spaces and
+    collapsing their runs.  ``word`` is decoded; ``rest``, the bytes after
+    the first space, is not.
+
+    numpy counts the spaces of a block's lines and flags the irregular ones:
+    a space at the start or the end, or two in a row.  A regular line's
+    fields are its spaces plus one, so only its word is decoded here.  An
+    irregular line is decoded, stripped and collapsed first.  Splitting on
+    bytes is exact: ``\\n`` and spaces never occur inside a multi-byte
+    UTF-8 sequence, and decoding with ``errors="replace"`` never folds an
+    ASCII byte into a replacement character.
+    """
+    line_no = 0
+    for buf, size in _line_blocks(fh):
+        a = np.frombuffer(buf, dtype=np.uint8, count=size)
+        ends = np.flatnonzero(a == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        sp = a == 32
+        n_spaces = np.add.reduceat(sp, starts, dtype=np.intp)
+        # ends - 1 of an empty first line is -1, the block's last newline
+        irregular = sp[starts] | sp[ends - 1]
+        irregular[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
+        for s, e, n, odd in zip(starts.tolist(), ends.tolist(), n_spaces.tolist(),
+                                irregular.tolist()):
+            line_no += 1
+            line = buf
+            if odd:
+                text = " ".join(p for p in buf[s:e].decode("utf-8", "replace").split(" ") if p)
+                line = text.encode("utf-8")
+                s, e, n = 0, len(line), text.count(" ")
+            if s == e:
+                continue
+            i = line.find(b" ", s, e) if n else e
+            yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e]
+
+
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
     """Read a text-format vector file: optional ``count dim`` header, then
     ``word v1 ... v_dim`` per line.  A loaded vector must be finite.
@@ -149,35 +211,30 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     Fields are separated by spaces; a run of spaces counts as one.  Words are
     lowercased; the first occurrence of a folded word wins, which for
     frequency-ordered files keeps the most frequent casing.  ``vocab``
-    restricts loading to the given (lowercase) words.  Every line's field
-    count is checked, but only the lines that are kept have their components
-    parsed.  Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's
-    text reader; every value is the one ``float`` gives, and a component
-    only ``float`` reads, such as ``1_0`` (10.0), still loads.  Errors are
-    reported for the first bad line of the file.
+    restricts loading to the given (lowercase) words.  The file is read as
+    UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n`` ends a
+    line.  It is scanned as bytes, in blocks of ``SCAN_BLOCK``: every line's
+    field count is checked, but only words and the lines that are kept are
+    decoded, and only kept lines have their components parsed.  Kept lines
+    are parsed in blocks of ``PARSE_BLOCK`` by numpy's text reader; every
+    value is the one ``float`` gives, and a component only ``float`` reads,
+    such as ``1_0`` (10.0), still loads.  Errors are reported for the first
+    bad line of the file.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     pending: list[tuple[int, str, str]] = []
     dim: int | None = None
-    with path.open("r", encoding="utf-8", errors="replace", newline="\n") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").strip(" ")
-            if "  " in line:
-                line = " ".join(p for p in line.split(" ") if p)
-            if not line:
-                continue
-            # fields are now separated by single spaces, so they can be
-            # counted without splitting the lines that are not kept
-            word, _, rest = line.partition(" ")
-            n_values = rest.count(" ") + 1 if rest else 0
+    with path.open("rb") as fh:
+        for line_no, word, n_values, rest in _scan_lines(fh):
             if line_no == 1 and n_values == 1:
                 try:
-                    int(word), int(rest)
+                    int(word)
+                    header_dim = int(rest.decode("utf-8", "replace"))
                 except ValueError:
                     pass
                 else:
-                    dim = int(rest)
+                    dim = header_dim
                     continue
             if dim is None and n_values:
                 dim = n_values
@@ -193,7 +250,7 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
             if word in vectors:
                 continue
             vectors[word] = None  # queued: later casings of the word are dropped
-            pending.append((line_no, word, rest))
+            pending.append((line_no, word, rest.decode("utf-8", "replace")))
             if len(pending) >= PARSE_BLOCK:
                 _parse_block(pending, dim, vectors)
                 pending = []
@@ -221,9 +278,15 @@ def _component_texts(block: np.ndarray) -> list:
     return distinct[inverse.reshape(block.shape)].tolist()
 
 
-def _unsavable(vec, dim: int) -> str | None:
-    """Why ``save_vec_file`` cannot write a vector the loader would read
-    back, or None."""
+def _unsavable(word: str, vec, dim: int) -> str | None:
+    """Why ``save_vec_file`` cannot write a word and vector the loader
+    would read back, or None."""
+    if not word or " " in word or "\n" in word:
+        return "a word must be non-empty and hold no space or newline"
+    try:
+        word.encode("utf-8")
+    except UnicodeEncodeError:
+        return "word not encodable as UTF-8"
     try:
         vec = np.asarray(vec, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -244,14 +307,15 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     components, and each distinct value in a block is formatted once; the
     bytes are the same as formatting every component.
 
-    A vector with a component that does not convert to float64, whose shape
-    is not ``(dim,)``, that has a non-finite component, or that has no
-    components at all raises ``DataError`` naming its word before anything
-    is written.
+    A word that is empty, holds a space or a newline, or does not encode as
+    UTF-8, and a vector with a component that does not convert to float64,
+    whose shape is not ``(dim,)``, that has a non-finite component, or that
+    has no components at all raise ``DataError`` naming the word before
+    anything is written.
     """
     words = sorted(store.vectors)
     for word in words:
-        problem = _unsavable(store.vectors[word], store.dim)
+        problem = _unsavable(word, store.vectors[word], store.dim)
         if problem is not None:
             raise DataError(f"cannot save {word!r}: {problem}")
     per_block = max(1, SAVE_BLOCK // max(store.dim, 1))

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .atomic import atomic_writer
 from .dataset import EntityDescription, GoldSummary, read_text
@@ -117,6 +116,10 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> SignificanceResult:
             f"all {n} differences equal {mean}; t statistic undefined"
         )
     t = mean / (sd / np.sqrt(n))
+    # imported here: scipy.stats more than triples the memory of every
+    # command, and only the --compare t-test needs it
+    from scipy import stats
+
     p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))
     return SignificanceResult(float(t), p, n)
 

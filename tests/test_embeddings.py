@@ -376,7 +376,8 @@ def reference_vec_text(store):
 VEC_WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "eel", "naïve", "NAÏVE", "x_y", "1998"]
 VEC_GOOD = ["1.0", "-0.5", "0.1", "2", "-0.0", "1e-400", "3.25e2", "+7", "1_0", ".5"]
 VEC_ODD = ["nan", "inf", "-inf", "1e999", "oops", "1__0", "0x10", "\t2", "3\t", "\ufffd", "١٢", "5\x1f"]
-VEC_NEAR_HEADERS = ["2 3", "1_0 3", "+2 3", "2 3 4", "2 x", "2", " 2  3 ", "2 3.0", "0 0", "2\t3"]
+VEC_NEAR_HEADERS = ["2 3", "1_0 3", "+2 3", "2 3 4", "2 x", "2", " 2  3 ", "2 3.0", "0 0", "2\t3",
+                    "2 ٣"]
 
 
 def random_vec_text(rng):
@@ -408,6 +409,21 @@ def random_vec_text(rng):
     return "".join(line + ending for line in lines)
 
 
+# inserted into a file as bytes: invalid UTF-8, a BOM, the Kelvin sign
+# (which lowercases to "k"), U+0085, U+2028, NUL and a CRLF ending
+VEC_BYTES = [b"\xff", b"\xe2\x82", b"\xef\xbb\xbf", "\u212a".encode(), "\u0085".encode(),
+             "\u2028".encode(), b"\x00", b"\r\n"]
+
+
+def mutate_bytes(rng, data):
+    """``data`` with a few of ``VEC_BYTES`` inserted at random offsets, which
+    may fall inside a multi-byte character."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(data))
+        data = data[:i] + rng.choice(VEC_BYTES) + data[i:]
+    return data
+
+
 def load_outcome(loader, path, vocab):
     try:
         store = loader(path, vocab)
@@ -435,21 +451,24 @@ def long_vec_text(rng, parse_block):
 
 def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
     # the same store bit for bit, or the same error type, line and message,
-    # with and without a vocabulary and at several parse block sizes; saved
-    # stores give the old bytes
+    # with and without a vocabulary and at several parse block and scan
+    # read sizes, the small reads splitting lines; a third of the files
+    # carry bytes inserted by mutate_bytes; saved stores give the old bytes
     rng = random.Random(20240518)
     path, out = tmp_path / "fuzz.vec", tmp_path / "out.vec"
-    block_sizes = (embeddings.PARSE_BLOCK, 1, 2, 3)
+    block_sizes = list(zip((embeddings.PARSE_BLOCK, 1, 2, 3), (embeddings.SCAN_BLOCK, 1, 3, 7)))
     seen = set()
     for _ in range(2000):
-        path.write_bytes(random_vec_text(rng).encode("utf-8"))
+        data = random_vec_text(rng).encode("utf-8")
+        path.write_bytes(mutate_bytes(rng, data) if rng.random() < 1 / 3 else data)
         folded = sorted({w.lower() for w in VEC_WORDS})
         for vocab in (None, set(rng.sample(folded, rng.randint(0, len(folded))))):
             expected, _ = load_outcome(reference_load_vec_file, path, vocab)
-            for parse_block in block_sizes:
+            for parse_block, scan_block in block_sizes:
                 monkeypatch.setattr(embeddings, "PARSE_BLOCK", parse_block)
+                monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
                 got, store = load_outcome(load_vec_file, path, vocab)
-                assert got == expected, (parse_block, path.read_text(encoding="utf-8"))
+                assert got == expected, (parse_block, scan_block, path.read_bytes())
             seen.add("store" if store is not None else got[3].split(": ", 1)[1])
             if store is not None:
                 save_vec_file(store, out)
@@ -463,8 +482,9 @@ def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
     # a realistic file of several blocks, with lines numpy refuses or reads
     # differently from a plain line
     long_rng = np.random.default_rng(20261018)
-    for parse_block in block_sizes:
+    for parse_block, scan_block in block_sizes:
         monkeypatch.setattr(embeddings, "PARSE_BLOCK", parse_block)
+        monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
         path.write_bytes(long_vec_text(long_rng, parse_block).encode("utf-8"))
         for vocab in ({f"w{i}" for i in range(2 * parse_block + 17) if i % 3 != 1}, None):
             expected, _ = load_outcome(reference_load_vec_file, path, vocab)
@@ -629,8 +649,12 @@ def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
     (EmbeddingStore(0, {"a": np.zeros(0)}), "a"),
     (EmbeddingStore(1, {"big": np.array([10 ** 400], dtype=object)}), "big"),
     (EmbeddingStore(1, {"a": [1.0], "x": np.array(["x"], dtype=object)}), "x"),
+    (EmbeddingStore(1, {"a": [1.0], "b\ud800": [1.0]}), "b\ud800"),
+    (EmbeddingStore(1, {"": [1.0], "a": [1.0]}), ""),
+    (EmbeddingStore(1, {"a": [1.0], "b c": [1.0]}), "b c"),
+    (EmbeddingStore(1, {"a": [1.0], "b\nc": [1.0]}), "b\nc"),
 ], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
-        "overflow", "string"])
+        "overflow", "string", "surrogate-word", "empty-word", "space-word", "newline-word"])
 def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     with pytest.raises(DataError) as err:
         save_vec_file(store, tmp_path / "out.vec")

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import entsum
 from entsum.dataset import GoldSummary
 from entsum.errors import (
     DegenerateVariance,
@@ -205,6 +210,17 @@ def test_ttest_matches_scipy_reference():
         ref = stats.ttest_rel(a, b)
         assert abs(ours.t_statistic - float(ref.statistic)) < 1e-10
         assert abs(ours.p_value - float(ref.pvalue)) < 1e-10
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # only paired_ttest needs scipy.stats, which costs every command tens of
+    # megabytes and most of a second when it is imported with the package
+    src = str(Path(entsum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import entsum, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_format_significance():
