@@ -172,13 +172,13 @@ def _scan_lines(fh):
     collapsing their runs.  ``word`` is decoded; ``rest``, the bytes after
     the first space, is not.
 
-    numpy counts the spaces of a block's lines and flags the irregular ones:
-    a space at the start or the end, or two in a row.  A regular line's
-    fields are its spaces plus one, so only its word is decoded here.  An
-    irregular line is decoded, stripped and collapsed first.  Splitting on
-    bytes is exact: ``\\n`` and spaces never occur inside a multi-byte
-    UTF-8 sequence, and decoding with ``errors="replace"`` never folds an
-    ASCII byte into a replacement character.
+    numpy counts the spaces of a block's lines and strips one space from
+    either end.  A line with no two spaces in a row then has its fields
+    separated by single spaces, so only its word is decoded here; one with
+    two in a row is collapsed first.  Splitting on bytes is exact: ``\\n``
+    and spaces never occur inside a multi-byte UTF-8 sequence, and decoding
+    with ``errors="replace"`` never folds an ASCII byte into a replacement
+    character.
     """
     line_no = 0
     for buf, size in _line_blocks(fh):
@@ -186,19 +186,20 @@ def _scan_lines(fh):
         ends = np.flatnonzero(a == 10)
         starts = np.concatenate(([0], ends[:-1] + 1))
         sp = a == 32
-        n_spaces = np.add.reduceat(sp, starts, dtype=np.intp)
-        # ends - 1 of an empty first line is -1, the block's last newline
-        irregular = sp[starts] | sp[ends - 1]
-        irregular[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
-        for s, e, n, odd in zip(starts.tolist(), ends.tolist(), n_spaces.tolist(),
-                                irregular.tolist()):
+        doubled = np.zeros(len(ends), dtype=bool)
+        doubled[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
+        # ends - 1 of an empty first line is -1, the block's last newline;
+        # a line of one space is left with its start past its end
+        lead, trail = sp[starts], sp[ends - 1]
+        n_spaces = np.add.reduceat(sp, starts, dtype=np.intp) - lead - trail
+        for s, e, n, odd in zip((starts + lead).tolist(), (ends - trail).tolist(),
+                                n_spaces.tolist(), doubled.tolist()):
             line_no += 1
             line = buf
             if odd:
-                text = " ".join(p for p in buf[s:e].decode("utf-8", "replace").split(" ") if p)
-                line = text.encode("utf-8")
-                s, e, n = 0, len(line), text.count(" ")
-            if s == e:
+                line = b" ".join(p for p in buf[s:e].split(b" ") if p)
+                s, e, n = 0, len(line), line.count(b" ")
+            if s >= e:
                 continue
             i = line.find(b" ", s, e) if n else e
             yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e]

@@ -272,7 +272,7 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_blank_lines_skipped(tmp_path):
-    path = write_vec(tmp_path, "cat 1.0 2.0\n\ndog 3.0 4.0\n")
+    path = write_vec(tmp_path, "cat 1.0 2.0\n\n \n  \ndog 3.0 4.0\n")
     store = load_vec_file(path)
     assert len(store) == 2
 
@@ -392,7 +392,7 @@ def random_vec_text(rng):
     for _ in range(rng.randint(0, 8)):
         r = rng.random()
         if r < noise / 4:
-            lines.append(rng.choice(["", "   ", "\r", " \r", "\t"]))
+            lines.append(rng.choice(["", " ", "   ", "\r", " \r", "\t"]))
             continue
         n = dim + rng.choice([-1, 1, -dim]) if r < noise / 2 else dim
         fields = [rng.choice(VEC_WORDS)]
@@ -437,14 +437,15 @@ def load_outcome(loader, path, vocab):
 def long_vec_text(rng, parse_block):
     """A 300-d file whose kept lines fill more than two blocks of
     ``parse_block``: a header, 4-decimal components, a ``1_0`` component
-    and a CRLF line in the second block, a CRLF line in the third, and a
-    recased word that repeats one of the first block."""
+    and a CRLF line in the second block, a CRLF line in the third, a
+    recased word that repeats one of the first block, and every other LF
+    line ending in a space, as fastText writes them."""
     n = 2 * parse_block + 17
     values = np.round(rng.normal(size=(n, 300)), 4).astype(str)
     values[parse_block + 5, 123] = "1_0"
     lines = [f"w{i} " + " ".join(row) for i, row in enumerate(values)]
     lines[parse_block + 1] = "W3" + lines[parse_block + 1][len(f"w{parse_block + 1}"):]
-    ends = ["\n"] * n
+    ends = [" \n", "\n"] * (n // 2) + ["\n"]
     ends[parse_block + 9] = ends[2 * parse_block + 3] = "\r\n"
     return f"{n} 300\n" + "".join(line + end for line, end in zip(lines, ends))
 
