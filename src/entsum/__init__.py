@@ -7,102 +7,4 @@ and evaluation follow a per-entity cross-validation protocol with ground
 truth summaries from multiple annotators.
 """
 
-from .dataset import (
-    DatasetManifest,
-    EntityDescription,
-    FoldSpec,
-    GoldSummary,
-    NodeKind,
-    Resource,
-    Triple,
-    load_manifest,
-    parse_description,
-    supervision_label,
-)
-from .embeddings import (
-    EmbeddingStore,
-    embed_resource,
-    load_vec_file,
-    manifest_vocabulary,
-    resource_tokens,
-    save_vec_file,
-    textual_form,
-    tokenize,
-)
-from .errors import DataError, EntsumError, NumericError
-from .esbm import load_esbm
-from .evaluation import (
-    EvalReport,
-    SignificanceResult,
-    f1_against_golds,
-    oracle_summary,
-    paired_ttest,
-)
-from .model import (
-    ModelConfig,
-    ScoredDescription,
-    TripleScorer,
-    encode_description,
-    encode_triple,
-    load_checkpoint,
-    save_checkpoint,
-    select_summary,
-)
-from .training import (
-    CrossValReport,
-    EarlyStopMetric,
-    TrainConfig,
-    TrainResult,
-    cross_validate,
-    evaluate_fold,
-    oracle_reports,
-    train_fold,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CrossValReport",
-    "DataError",
-    "DatasetManifest",
-    "EarlyStopMetric",
-    "EmbeddingStore",
-    "EntityDescription",
-    "EntsumError",
-    "EvalReport",
-    "FoldSpec",
-    "GoldSummary",
-    "ModelConfig",
-    "NodeKind",
-    "NumericError",
-    "Resource",
-    "ScoredDescription",
-    "SignificanceResult",
-    "TrainConfig",
-    "TrainResult",
-    "Triple",
-    "TripleScorer",
-    "cross_validate",
-    "embed_resource",
-    "encode_description",
-    "encode_triple",
-    "evaluate_fold",
-    "f1_against_golds",
-    "load_checkpoint",
-    "load_esbm",
-    "load_manifest",
-    "load_vec_file",
-    "manifest_vocabulary",
-    "oracle_reports",
-    "oracle_summary",
-    "paired_ttest",
-    "parse_description",
-    "resource_tokens",
-    "save_checkpoint",
-    "save_vec_file",
-    "select_summary",
-    "supervision_label",
-    "textual_form",
-    "tokenize",
-    "train_fold",
-]
+from .embeddings import load_vec_file, manifest_vocabulary

@@ -284,6 +284,8 @@ def _unsavable(word: str, vec, dim: int) -> str | None:
     would read back, or None."""
     if not word or " " in word or "\n" in word:
         return "a word must be non-empty and hold no space or newline"
+    if word.lower() != word:
+        return "the loader lowercases words, so a word must be lowercase"
     try:
         word.encode("utf-8")
     except UnicodeEncodeError:
@@ -308,11 +310,12 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     components, and each distinct value in a block is formatted once; the
     bytes are the same as formatting every component.
 
-    A word that is empty, holds a space or a newline, or does not encode as
-    UTF-8, and a vector with a component that does not convert to float64,
-    whose shape is not ``(dim,)``, that has a non-finite component, or that
-    has no components at all raise ``DataError`` naming the word before
-    anything is written.
+    A word that is empty, holds a space or a newline, is not lowercase
+    (``word.lower() != word``, which the loader would fold into another
+    word), or does not encode as UTF-8, and a vector with a component that
+    does not convert to float64, whose shape is not ``(dim,)``, that has a
+    non-finite component, or that has no components at all raise
+    ``DataError`` naming the word before anything is written.
     """
     words = sorted(store.vectors)
     for word in words:

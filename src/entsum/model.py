@@ -17,9 +17,10 @@ the input.
 
 ``ModelConfig`` is the only description of the architecture: every layer's
 shape follows from the embedding width and the hidden sizes, the encoders end
-in ReLU and the scoring head in one linear unit.  A checkpoint therefore
-stores the config, a meta mapping, and all parameters as one flat
-little-endian float64 blob.
+in ReLU and the scoring head in one linear unit.  Every weight matrix and bias
+is a view into one float64 vector, ``TripleScorer.flat``, in ``parameters()``
+order.  A checkpoint therefore stores the config, a meta mapping, and
+``flat`` as little-endian float64 bytes.
 """
 
 from __future__ import annotations
@@ -187,7 +188,12 @@ def encode_description(
 
 
 class TripleScorer:
-    """The three-MLP scorer: candidate encoder, context encoder, scoring head."""
+    """The three-MLP scorer: candidate encoder, context encoder, scoring head.
+
+    The MLPs' parameters are copied into ``flat``, and each layer's ``W`` and
+    ``b`` become views of their slice of it, so writing ``flat`` sets every
+    parameter and writing a parameter in place changes ``flat``.
+    """
 
     def __init__(self, config: ModelConfig, candidate_mlp: Mlp, context_mlp: Mlp,
                  scoring_mlp: Mlp):
@@ -195,6 +201,13 @@ class TripleScorer:
         self.candidate_mlp = candidate_mlp
         self.context_mlp = context_mlp
         self.scoring_mlp = scoring_mlp
+        self.flat = np.concatenate([p.ravel() for p in self.parameters()])
+        offset = 0
+        for layer in (*candidate_mlp.layers, *context_mlp.layers, *scoring_mlp.layers):
+            layer.W = self.flat[offset:offset + layer.W.size].reshape(layer.W.shape)
+            offset += layer.W.size
+            layer.b = self.flat[offset:offset + layer.b.size]
+            offset += layer.b.size
 
     @classmethod
     def create(cls, config: ModelConfig) -> "TripleScorer":
@@ -215,18 +228,6 @@ class TripleScorer:
             + self.context_mlp.parameters()
             + self.scoring_mlp.parameters()
         )
-
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def set_parameters(self, values: Sequence[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(params) != len(values):
-            raise ShapeMismatch("parameter list length mismatch")
-        for p, v in zip(params, values):
-            if p.shape != v.shape:
-                raise ShapeMismatch(f"parameter shape {v.shape} != {p.shape}")
-            p[...] = v
 
     # -- forward ----------------------------------------------------------
 
@@ -320,9 +321,9 @@ def save_checkpoint(
     model: TripleScorer, path: str | Path, meta: Mapping[str, object] | None = None
 ) -> None:
     """JSON of the config, the meta mapping and every parameter as one blob:
-    ``parameters()`` raveled and concatenated as little-endian float64,
-    base64-encoded.  Equal models give byte-equal files."""
-    flat = np.concatenate([p.ravel() for p in model.parameters()]).astype("<f8")
+    ``model.flat`` as little-endian float64, base64-encoded.  Equal models
+    give byte-equal files."""
+    flat = model.flat.astype("<f8")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -370,9 +371,6 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     if not np.isfinite(values).all():
         raise CorruptCheckpoint(f"{path}: non-finite parameter")
     model = TripleScorer.create(config)
-    offset = 0
-    for p in model.parameters():
-        p[...] = values[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    model.flat[...] = values
     meta = doc.get("meta", {})
     return model, meta if isinstance(meta, dict) else {}

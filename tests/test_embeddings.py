@@ -663,6 +663,18 @@ def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     assert list(tmp_path.iterdir()) == []  # no target and no temporary file
 
 
+def test_save_refuses_a_word_the_loader_would_lowercase(tmp_path):
+    # "Cat" and "cat" would load back as one word, "Dog" as "dog", and the
+    # header would still say three words
+    store = EmbeddingStore(1, {"Cat": [1.0], "cat": [2.0], "Dog": [3.0]})
+    path = tmp_path / "out.vec"
+    with pytest.raises(DataError, match="lowercase") as err:
+        save_vec_file(store, path)
+    assert repr("Cat") in str(err.value)
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 # --------------------------------------------------------------------------
 # vocabulary and coverage
 # --------------------------------------------------------------------------

@@ -22,7 +22,16 @@ from entsum.model import (
     save_checkpoint,
     select_summary,
 )
-from entsum.nn import Activation, cosine, grad_check, mse_loss, softmax
+from entsum.nn import (
+    Activation,
+    AdamState,
+    Mlp,
+    adam_step,
+    cosine,
+    grad_check,
+    mse_loss,
+    softmax,
+)
 
 from conftest import random_vectors, small_config
 
@@ -160,15 +169,34 @@ def test_create_architecture():
     assert model.scoring_mlp.layers[-1].activation is Activation.LINEAR
 
 
-def test_set_parameters_round_trip():
+def assert_parameters_are_views_of_flat(model):
+    params = model.parameters()
+    assert model.flat.size == model.config.parameter_count
+    assert all(np.shares_memory(p, model.flat) for p in params)
+    before = model.flat.copy()
+    grads = [np.ones_like(p) for p in params]
+    adam_step(params, grads, AdamState.create(params, lr=0.01))
+    assert not np.array_equal(model.flat, before)
+    assert np.array_equal(model.flat, np.concatenate([p.ravel() for p in params]))
+
+
+def test_parameters_are_views_of_flat(tmp_path):
     model = TripleScorer.create(small_config(seed=1))
-    other = TripleScorer.create(small_config(seed=2))
-    snapshot = model.copy_parameters()
-    other.set_parameters(snapshot)
-    for p, q in zip(model.parameters(), other.parameters()):
-        assert np.array_equal(p, q)
-    with pytest.raises(ShapeMismatch):
-        model.set_parameters(snapshot[:-1])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert_parameters_are_views_of_flat(model)
+    loaded, _ = load_checkpoint(path)
+    assert_parameters_are_views_of_flat(loaded)
+
+
+def test_flat_keeps_the_initial_draw():
+    # building the vector copies what the generator drew, in the same order
+    config = small_config(seed=2)
+    rng = np.random.default_rng(config.seed)
+    drawn = [Mlp.create(dims, act, rng).parameters() for dims, act in
+             zip(config.mlp_dims(), (Activation.RELU, Activation.RELU, Activation.LINEAR))]
+    model = TripleScorer.create(config)
+    assert np.array_equal(model.flat, np.concatenate([p.ravel() for ps in drawn for p in ps]))
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +544,15 @@ def test_checkpoint_stores_config_and_one_blob(tmp_path):
     assert doc["version"] == 2
     flat = np.frombuffer(base64.b64decode(doc["parameters"]), dtype="<f8")
     assert flat.size == model.config.parameter_count
-    assert np.array_equal(flat, np.concatenate([p.ravel() for p in model.parameters()]))
+    # the documented layout: candidate, context, scoring MLP; per layer W
+    # (out x in, row-major) then b
+    layout = [
+        part
+        for mlp in (model.candidate_mlp, model.context_mlp, model.scoring_mlp)
+        for layer in mlp.layers
+        for part in (layer.W.ravel(), layer.b)
+    ]
+    assert np.array_equal(flat, np.concatenate(layout))
     loaded, _ = load_checkpoint(path)
     for p, q in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p, q)
