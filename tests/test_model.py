@@ -25,7 +25,6 @@ from entsum.model import (
 from entsum.nn import (
     Activation,
     AdamState,
-    Mlp,
     adam_step,
     cosine,
     grad_check,
@@ -187,16 +186,6 @@ def test_parameters_are_views_of_flat(tmp_path):
     assert_parameters_are_views_of_flat(model)
     loaded, _ = load_checkpoint(path)
     assert_parameters_are_views_of_flat(loaded)
-
-
-def test_flat_keeps_the_initial_draw():
-    # building the vector copies what the generator drew, in the same order
-    config = small_config(seed=2)
-    rng = np.random.default_rng(config.seed)
-    drawn = [Mlp.create(dims, act, rng).parameters() for dims, act in
-             zip(config.mlp_dims(), (Activation.RELU, Activation.RELU, Activation.LINEAR))]
-    model = TripleScorer.create(config)
-    assert np.array_equal(model.flat, np.concatenate([p.ravel() for ps in drawn for p in ps]))
 
 
 # --------------------------------------------------------------------------
