@@ -18,7 +18,7 @@ from typing import Iterator, TextIO
 def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     """A UTF-8 text handle whose content replaces ``path`` when the block
     exits cleanly; on an exception the temporary file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was.  Binary content goes through ``fh.buffer``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fh = tmp.open("w", encoding="utf-8", newline="\n")  # on failure there is nothing to remove

@@ -239,8 +239,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         store = _load_store(args, manifest)
         reports = []
         for fold in manifest.folds:
-            model, meta = _load_scorer(args.checkpoints / f"fold{fold.index}.ckpt", store, args.k)
-            chosen = int(meta.get("chosen_epoch", 0))
+            path = args.checkpoints / f"fold{fold.index}.ckpt"
+            model, meta = _load_scorer(path, store, args.k)
+            try:
+                chosen = int(meta.get("chosen_epoch", 0))
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(
+                    f"{path}: chosen_epoch {meta['chosen_epoch']!r} is not an integer"
+                ) from None
             reports.append(evaluate_fold(model, manifest, fold, args.k, store, chosen))
     if args.out is not None:
         _write_reports(args.out, manifest.name, args.k, reports)

@@ -357,18 +357,30 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
 # input files to a manifest
 # --------------------------------------------------------------------------
 
-def read_text(path: str | Path) -> str:
-    """The content of an input text file, which must be UTF-8.  A missing
-    file raises ``MissingFile``; any other failure to read or decode it
-    raises a ``DataError`` naming the path."""
+def read_bytes(path: str | Path) -> bytes:
+    """The content of an input file.  A missing file raises ``MissingFile``;
+    any other failure to read it raises a ``DataError`` naming the path."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise MissingFile(path) from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def decode_text(data: bytes, path: str | Path) -> str:
+    """``data`` read from ``path`` as strict UTF-8; bytes that are not UTF-8
+    raise a ``DataError`` naming the path and the offending byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The content of an input text file, which must be UTF-8: ``read_bytes``
+    then ``decode_text``."""
+    return decode_text(read_bytes(path), path)
 
 
 def _match_gold_statements(

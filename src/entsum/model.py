@@ -19,13 +19,12 @@ the input.
 shape follows from the embedding width and the hidden sizes, the encoders end
 in ReLU and the scoring head in one linear unit.  Every weight matrix and bias
 is a view into one float64 vector, ``TripleScorer.flat``, in ``parameters()``
-order.  A checkpoint therefore stores the config, a meta mapping, and
-``flat`` as little-endian float64 bytes.
+order.  A checkpoint is therefore one JSON header line holding the config
+and a meta mapping, followed by ``flat`` as raw little-endian float64 bytes.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 from collections.abc import ItemsView, Mapping
@@ -36,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .atomic import atomic_writer
-from .dataset import EntityDescription, Resource, Triple, read_text
+from .dataset import EntityDescription, Resource, Triple, decode_text, read_bytes
 from .embeddings import EmbeddingStore, embed_resource
 from .errors import CorruptCheckpoint, NumericError, ShapeMismatch, VersionMismatch
 from .nn import (
@@ -53,7 +52,7 @@ from .nn import (
 TripleVector = np.ndarray
 
 CHECKPOINT_FORMAT = "entsum-scorer"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be non-empty positive dims, got {dims}")
         if not isinstance(self.embed_dim, int) or self.embed_dim < 1:
             raise ValueError("embed_dim must be a positive integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
     @property
     def triple_dim(self) -> int:
@@ -320,29 +321,40 @@ def select_summary(scored: ScoredDescription, k: int) -> list[int]:
 def save_checkpoint(
     model: TripleScorer, path: str | Path, meta: Mapping[str, object] | None = None
 ) -> None:
-    """JSON of the config, the meta mapping and every parameter as one blob:
-    ``model.flat`` as little-endian float64, base64-encoded.  Equal models
-    give byte-equal files."""
-    flat = model.flat.astype("<f8")
-    doc = {
+    """Write a header line, then every parameter as raw bytes.
+
+    The header is compact sorted-key JSON of ``format``, ``version``,
+    ``config`` and ``meta``, ended by a newline.  Exactly
+    ``8 * config.parameter_count`` bytes follow: ``model.flat`` as
+    little-endian float64.  Equal models give byte-equal files."""
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "meta": dict(meta or {}),
-        "parameters": base64.b64encode(flat.tobytes()).decode("ascii"),
     }
     with atomic_writer(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.buffer.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        fh.buffer.write(model.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     """Rebuild a scorer from ``save_checkpoint`` output; returns the model and
-    the stored meta mapping.  The blob's length is checked against the
-    config before any parameter array is allocated."""
+    the stored meta mapping.
+
+    The header is the bytes before the first newline, read as strict UTF-8
+    JSON.  Its format marker, version and config are checked in that order,
+    then the length of the bytes after it against the config, before any
+    parameter array is allocated, and last that every value is finite.  A
+    version 1 or 2 file, which is one JSON line, is refused by version."""
+    data = read_bytes(path)
+    cut = data.find(b"\n")
+    if cut < 0:
+        raise CorruptCheckpoint(f"{path}: no header line")
     try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorruptCheckpoint(f"{path}: not valid JSON ({exc})") from exc
+        doc = json.loads(decode_text(data[:cut], path))
+    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
+        raise CorruptCheckpoint(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: not a scorer checkpoint")
     version = doc.get("version")
@@ -359,15 +371,15 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
             scoring_hidden=tuple(cfg_doc["scoring_hidden"]),
             seed=int(cfg_doc["seed"]),
         )
-        blob = base64.b64decode(doc["parameters"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    if len(blob) != 8 * config.parameter_count:
+    size = len(data) - cut - 1
+    if size != 8 * config.parameter_count:
         raise CorruptCheckpoint(
-            f"{path}: {len(blob)} parameter bytes, the config needs "
+            f"{path}: {size} parameter bytes, the config needs "
             f"{8 * config.parameter_count}"
         )
-    values = np.frombuffer(blob, dtype="<f8")
+    values = np.frombuffer(data, dtype="<f8", offset=cut + 1)
     if not np.isfinite(values).all():
         raise CorruptCheckpoint(f"{path}: non-finite parameter")
     model = TripleScorer.create(config)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in process through cli.main."""
 
+import base64
 import json
 import shutil
 
@@ -667,6 +668,21 @@ def test_nonfinite_vector_file_is_a_data_error(capsys, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("chosen", ["x", [1], float("inf")])
+def test_evaluate_rejects_a_chosen_epoch_that_is_not_an_integer(capsys, tmp_path, chosen):
+    # each used to end in a ValueError, TypeError or OverflowError traceback
+    model = TripleScorer.create(ModelConfig(embed_dim=4))
+    for fold in (0, 1):
+        save_checkpoint(model, tmp_path / f"fold{fold}.ckpt", meta={"k": 2, "chosen_epoch": chosen})
+    rc, stdout, err = invoke(
+        capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
+        "--k", "2", "--checkpoints", str(tmp_path),
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "fold0.ckpt: chosen_epoch" in err
+
+
 def test_evaluate_missing_checkpoint(capsys, tmp_path):
     rc, _, err = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
@@ -728,13 +744,15 @@ def test_non_utf8_input_is_a_data_error(capsys, tmp_path, which):
         "checkpoint": (ckpt, ["summarize", *manifest, "--vectors", VEC, "--k", "2",
                               "--checkpoint", str(ckpt), "--entity", ARIA]),
     }[which]
-    size = path.stat().st_size
-    with path.open("ab") as fh:
-        fh.write(b"\xff\n")
+    data = path.read_bytes()
+    # a text file gets the bad byte at its end; a checkpoint, whose text is
+    # its first line, at the end of that line
+    at = data.index(b"\n") if which == "checkpoint" else len(data)
+    path.write_bytes(data[:at] + b"\xff\n" + data[at:])
     rc, _, err = invoke(capsys, *args)
     assert rc == 2
     assert err.startswith("error:")
-    assert str(path) in err and "not UTF-8" in err and f"byte {size}" in err
+    assert str(path) in err and "not UTF-8" in err and f"byte {at}" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train", "filter-vectors", "manifest-dir"])
@@ -814,8 +832,8 @@ def test_summarize_mismatched_checkpoint(overfit_dir, capsys, tmp_path):
 def test_summarize_rejects_version_1_checkpoint(overfit_dir, capsys, tmp_path):
     # version 1 stored every layer's shape, activation and weights as JSON
     model, _ = load_checkpoint(overfit_dir / "fold0.ckpt")
-    doc = json.loads((overfit_dir / "fold0.ckpt").read_text(encoding="utf-8"))
-    del doc["parameters"]
+    header = (overfit_dir / "fold0.ckpt").read_bytes().split(b"\n", 1)[0]
+    doc = json.loads(header.decode("utf-8"))
     doc["version"] = 1
     doc["mlps"] = {
         name: [{"activation": layer.activation.value, "shape": list(layer.W.shape),
@@ -824,7 +842,8 @@ def test_summarize_rejects_version_1_checkpoint(overfit_dir, capsys, tmp_path):
         for name in ("candidate", "context", "scoring")
     }
     ckpt = tmp_path / "v1.ckpt"
-    ckpt.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
     rc, stdout, err = invoke(
         capsys, "summarize", "--manifest", MANIFEST, "--vectors", VEC,
         "--k", "2", "--checkpoint", str(ckpt), "--entity", ARIA,
@@ -832,6 +851,23 @@ def test_summarize_rejects_version_1_checkpoint(overfit_dir, capsys, tmp_path):
     assert rc == 2
     assert stdout == ""
     assert "checkpoint version 1" in err
+
+
+def test_summarize_rejects_version_2_checkpoint(overfit_dir, capsys, tmp_path):
+    # version 2 was one JSON line holding the flat parameters as base64
+    header, blob = (overfit_dir / "fold0.ckpt").read_bytes().split(b"\n", 1)
+    doc = json.loads(header.decode("utf-8"))
+    doc.update(version=2, parameters=base64.b64encode(blob).decode("ascii"))
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
+    rc, stdout, err = invoke(
+        capsys, "summarize", "--manifest", MANIFEST, "--vectors", VEC,
+        "--k", "2", "--checkpoint", str(ckpt), "--entity", ARIA,
+    )
+    assert rc == 2
+    assert stdout == ""
+    assert "checkpoint version 2" in err
 
 
 def test_summarize_rejects_surrogate_escape(overfit_dir, capsys, tmp_path):

@@ -11,7 +11,13 @@ import pytest
 
 from entsum.dataset import EntityDescription, NodeKind, Resource, Triple, parse_description
 from entsum.embeddings import EmbeddingStore
-from entsum.errors import CorruptCheckpoint, MissingFile, ShapeMismatch, VersionMismatch
+from entsum.errors import (
+    CorruptCheckpoint,
+    DataError,
+    MissingFile,
+    ShapeMismatch,
+    VersionMismatch,
+)
 from entsum.model import (
     AttentionView,
     ModelConfig,
@@ -486,14 +492,30 @@ def test_checkpoint_default_meta_is_empty(tmp_path):
     assert meta == {}
 
 
+def split_checkpoint(path):
+    """The parsed header line and the raw parameter bytes after it."""
+    header, _, blob = path.read_bytes().partition(b"\n")
+    return json.loads(header.decode("utf-8")), blob
+
+
+def write_checkpoint(path, doc, blob):
+    path.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + blob)
+    return path
+
+
 def corrupt(tmp_path, mutate):
     model = TripleScorer.create(small_config())
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc, blob = split_checkpoint(path)
     mutate(doc)
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
+    return write_checkpoint(path, doc, blob)
+
+
+def saved_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(TripleScorer.create(small_config()), path)
+    return path, path.read_bytes()
 
 
 def test_load_missing_file(tmp_path):
@@ -502,11 +524,28 @@ def test_load_missing_file(tmp_path):
 
 
 def test_load_truncated_json(tmp_path):
-    model = TripleScorer.create(small_config())
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    path.write_text(path.read_text(encoding="utf-8")[:100], encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint):
+    # cut off inside the header or just before its newline: no newline is left
+    path, data = saved_bytes(tmp_path)
+    for end in (100, data.index(b"\n")):
+        path.write_bytes(data[:end])
+        with pytest.raises(CorruptCheckpoint, match="no header line"):
+            load_checkpoint(path)
+
+
+def test_load_header_cut_short(tmp_path):
+    # a header cut off mid-way but still ended by a newline, blob intact
+    path, data = saved_bytes(tmp_path)
+    cut = data.index(b"\n")
+    path.write_bytes(data[:cut // 2] + data[cut:])
+    with pytest.raises(CorruptCheckpoint, match="header is not valid JSON"):
+        load_checkpoint(path)
+
+
+def test_load_header_not_utf8(tmp_path):
+    path, data = saved_bytes(tmp_path)
+    at = data.index(b"entsum-scorer")
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(DataError, match=f"not UTF-8 text .* at byte {at}"):
         load_checkpoint(path)
 
 
@@ -524,15 +563,30 @@ def test_load_unsupported_version(tmp_path):
             load_checkpoint(path)
 
 
+def test_load_version_2_file(tmp_path):
+    # version 2: one JSON line whose "parameters" held base64 of the flat vector
+    model = TripleScorer.create(small_config(seed=3))
+    path = tmp_path / "v2.ckpt"
+    save_checkpoint(model, path, meta={"k": 2})
+    doc, blob = split_checkpoint(path)
+    doc.update(version=2, parameters=base64.b64encode(blob).decode("ascii"))
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(VersionMismatch, match="checkpoint version 2"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_stores_config_and_one_blob(tmp_path):
     model = TripleScorer.create(small_config(seed=5))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, meta={"k": 2})
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert sorted(doc) == ["config", "format", "meta", "parameters", "version"]
-    assert doc["version"] == 2
-    flat = np.frombuffer(base64.b64decode(doc["parameters"]), dtype="<f8")
-    assert flat.size == model.config.parameter_count
+    doc, blob = split_checkpoint(path)
+    assert sorted(doc) == ["config", "format", "meta", "version"]
+    assert doc["version"] == 3
+    assert len(blob) == 8 * model.config.parameter_count
+    # the header line is compact sorted-key JSON
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert path.read_bytes() == header + b"\n" + blob
     # the documented layout: candidate, context, scoring MLP; per layer W
     # (out x in, row-major) then b
     layout = [
@@ -541,43 +595,41 @@ def test_checkpoint_stores_config_and_one_blob(tmp_path):
         for layer in mlp.layers
         for part in (layer.W.ravel(), layer.b)
     ]
-    assert np.array_equal(flat, np.concatenate(layout))
+    assert blob == np.concatenate(layout).astype("<f8").tobytes()
     loaded, _ = load_checkpoint(path)
     for p, q in zip(model.parameters(), loaded.parameters()):
         assert np.array_equal(p, q)
 
 
 def test_load_missing_section(tmp_path):
-    path = corrupt(tmp_path, lambda doc: doc.pop("parameters"))
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(path)
+    for key in ("config", "format", "version"):
+        path = corrupt(tmp_path, lambda doc: doc.pop(key))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+    for key in ("embed_dim", "candidate_hidden", "seed"):
+        path = corrupt(tmp_path, lambda doc: doc["config"].pop(key))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
 
 
-def _with_blob(edit):
-    def mutate(doc):
-        blob = base64.b64decode(doc["parameters"])
-        doc["parameters"] = base64.b64encode(edit(blob)).decode("ascii")
-    return mutate
+def _with_blob(tmp_path, edit):
+    path, data = saved_bytes(tmp_path)
+    cut = data.index(b"\n") + 1
+    path.write_bytes(data[:cut] + edit(data[cut:]))
+    return path
 
 
 def test_load_weight_count_mismatch(tmp_path):
     for edit in (lambda b: b[:-8], lambda b: b + b"\0" * 8, lambda b: b[:-3]):
         with pytest.raises(CorruptCheckpoint, match="parameter bytes"):
-            load_checkpoint(corrupt(tmp_path, _with_blob(edit)))
-
-
-@pytest.mark.parametrize("text", ["not base64!", "AAA", "AAAAAAAA\nAAAAAAAA", "\u00e9"])
-def test_load_blob_not_base64(tmp_path, text):
-    path = corrupt(tmp_path, lambda doc: doc.update(parameters=text))
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(path)
+            load_checkpoint(_with_blob(tmp_path, edit))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_non_finite_parameter(tmp_path, bad):
     edit = lambda blob: struct.pack("<d", bad) + blob[8:]
     with pytest.raises(CorruptCheckpoint, match="non-finite"):
-        load_checkpoint(corrupt(tmp_path, _with_blob(edit)))
+        load_checkpoint(_with_blob(tmp_path, edit))
 
 
 def test_load_architecture_config_disagreement(tmp_path):
@@ -593,6 +645,25 @@ def test_load_architecture_config_disagreement(tmp_path):
             load_checkpoint(path)
     path = corrupt(tmp_path, lambda doc: doc["config"].update(context_hidden=[8.0, 8.0]))
     with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("seed", ["-1", "Infinity", "-Infinity", "NaN"])
+def test_load_seed_the_generator_cannot_take(tmp_path, seed):
+    # -1 used to escape as numpy's ValueError and +-Infinity as OverflowError
+    path, data = saved_bytes(tmp_path)
+    path.write_bytes(data.replace(b'"seed":0', b'"seed":' + seed.encode(), 1))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"[" * 100_000, b'{"version":' + b"9" * 5000 + b"}"],
+                         ids=["deep-nesting", "long-integer"])
+def test_load_header_json_limits(tmp_path, header):
+    # deep nesting and an integer longer than Python will convert
+    path, data = saved_bytes(tmp_path)
+    path.write_bytes(header + data[data.index(b"\n"):])
+    with pytest.raises(CorruptCheckpoint, match="header is not valid JSON"):
         load_checkpoint(path)
 
 
