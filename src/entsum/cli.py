@@ -7,7 +7,7 @@ writes checkpoints plus reports, ``evaluate`` re-scores saved checkpoints
 
 Exit codes: 0 success, 1 usage error, 2 data error (also an input that
 cannot be read or an output that cannot be written), 3 numeric failure
-(also a non-finite score).
+(also a non-finite score).  Each failure prints one line on stderr.
 All randomness funnels through ``--seed``; rerunning a command with the
 same inputs and seed reproduces its output files byte for byte.
 """
@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import evaluation
 from .dataset import DatasetManifest, load_manifest
@@ -61,15 +62,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text: str) -> int:
-    """An integer of at least 1, as ``--k`` and ``--max-epochs`` need."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """A parser of integers of at least ``minimum``: 1 for ``--k`` and
+    ``--max-epochs``, 0 for ``--seed``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _learning_rate(text: str) -> float:
@@ -111,18 +117,18 @@ def build_parser() -> _Parser:
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path, required=True)
     p.add_argument(
-        "--k", type=_count, default=5, help="summary size budget (5 or 10 on the benchmark)"
+        "--k", type=_at_least(1), default=5, help="summary size budget (5 or 10 on the benchmark)"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--max-epochs", type=_count, default=50)
+    p.add_argument("--max-epochs", type=_at_least(1), default=50)
     p.add_argument("--lr", type=_learning_rate, default=0.01)
     p.add_argument("--early-stop", choices=["f1", "loss"], default="f1")
 
     p = sub.add_parser("evaluate", help="re-evaluate saved checkpoints or the oracle baseline")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path)
-    p.add_argument("--k", type=_count, default=5)
+    p.add_argument("--k", type=_at_least(1), default=5)
     p.add_argument("--checkpoints", type=Path, help="directory with fold<i>.ckpt files")
     p.add_argument("--oracle", action="store_true", help="evaluate the gold-frequency baseline")
     p.add_argument("--out", type=Path, help="output directory for reports")
@@ -134,7 +140,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summarize", help="print the top-k triples of one entity")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path, required=True)
-    p.add_argument("--k", type=_count, default=5)
+    p.add_argument("--k", type=_at_least(1), default=5)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--entity", required=True, help="IRI of the entity to summarize")
     return parser

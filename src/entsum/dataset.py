@@ -24,18 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    DataError,
-    EmptyDescription,
-    GoldNotSubset,
-    GoldTooLarge,
-    InvalidFold,
-    InvalidManifest,
-    MalformedLine,
-    MissingFile,
-    NoGoldForK,
-    UnknownEntity,
-)
+from .errors import DataError, MalformedLine, MissingFile
 
 RDFS_LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
 
@@ -113,13 +102,13 @@ class EntityDescription:
         for k, summaries in self.gold.items():
             for g in summaries:
                 if len(g.triple_ids) > k:
-                    raise GoldTooLarge(
+                    raise DataError(
                         f"{self.entity.raw}: summary by {g.annotator} has "
                         f"{len(g.triple_ids)} triples for k={k}"
                     )
                 unknown = [i for i in g.triple_ids if not (0 <= i < n)]
                 if unknown:
-                    raise GoldNotSubset(
+                    raise DataError(
                         f"{self.entity.raw}: summary by {g.annotator} references "
                         f"unknown triple ids {sorted(unknown)}"
                     )
@@ -143,7 +132,7 @@ class DatasetManifest:
         for e in self.entities:
             if e.entity.raw == iri:
                 return e
-        raise UnknownEntity(iri)
+        raise DataError(f"no entity with IRI {iri}")
 
     @property
     def triple_count(self) -> int:
@@ -349,7 +338,7 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
         line_ids[lines[st.line_no - 1]] = first_id.setdefault(st.key(), tid)
 
     if not triples:
-        raise EmptyDescription(f"no statement mentions <{entity_iri}>")
+        raise DataError(f"no statement mentions <{entity_iri}>")
     return ParsedDescription(tuple(triples), first_id, line_ids)
 
 
@@ -401,7 +390,7 @@ def _match_gold_statements(
     found = set()
     for line_no in sorted(ids):
         if ids[line_no] is None:
-            raise GoldNotSubset(
+            raise DataError(
                 f"{source}: statement on line {line_no} does not occur in the "
                 f"description of <{entity_iri}>"
             )
@@ -417,9 +406,10 @@ def load_entity(
     statement must occur in the description.  A malformed statement, or a
     description that never mentions the entity, is a ``DataError`` naming
     the file."""
+    text = read_text(desc_file)
     try:
-        parsed = parse_description(read_text(desc_file), iri)
-    except (MalformedLine, EmptyDescription) as exc:
+        parsed = parse_description(text, iri)
+    except DataError as exc:
         raise DataError(f"{desc_file}: {exc}") from exc
     gold: dict[int, list[GoldSummary]] = {}
     for k, annotator, gold_file in golds:
@@ -444,20 +434,22 @@ def validate_folds(folds: Iterable[FoldSpec], entity_iris: Iterable[str]) -> Non
     for fold in folds:
         for name, part in (("train", fold.train), ("valid", fold.valid), ("test", fold.test)):
             if len(set(part)) != len(part):
-                raise InvalidFold(fold.index, f"duplicate entity in {name} list")
+                raise DataError(f"fold {fold.index}: duplicate entity in {name} list")
             unknown = [iri for iri in part if iri not in known]
             if unknown:
-                raise InvalidFold(fold.index, f"unknown entity in {name} list: {unknown[0]}")
+                raise DataError(f"fold {fold.index}: unknown entity in {name} list: {unknown[0]}")
         if not fold.train:
-            raise InvalidFold(fold.index, "empty train list")
+            raise DataError(f"fold {fold.index}: empty train list")
         if not fold.test:
-            raise InvalidFold(fold.index, "empty test list")
+            raise DataError(f"fold {fold.index}: empty test list")
         leaked = set(fold.test) & (set(fold.train) | set(fold.valid))
         if leaked:
-            raise InvalidFold(fold.index, f"test entity also in train/valid: {sorted(leaked)[0]}")
+            raise DataError(
+                f"fold {fold.index}: test entity also in train/valid: {sorted(leaked)[0]}"
+            )
         uncovered = known - set(fold.train) - set(fold.valid) - set(fold.test)
         if uncovered:
-            raise InvalidFold(fold.index, f"entity not assigned: {sorted(uncovered)[0]}")
+            raise DataError(f"fold {fold.index}: entity not assigned: {sorted(uncovered)[0]}")
 
 
 def build_manifest(
@@ -472,7 +464,7 @@ def build_manifest(
     iris = [e.entity.raw for e in entities]
     repeated = sorted(iri for iri, count in Counter(iris).items() if count > 1)
     if repeated:
-        raise InvalidManifest(f"{source}: duplicate entity iri {repeated[0]}")
+        raise DataError(f"{source}: duplicate entity iri {repeated[0]}")
     validate_folds(folds, iris)
     return DatasetManifest(name, tuple(entities), tuple(folds))
 
@@ -484,7 +476,7 @@ _ABSENT = object()
 def _check(value, kind: type, context: str):
     """``value`` when it has the JSON type ``kind``; ``true`` is no integer."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InvalidManifest(f"{context} must be {_JSON_TYPES[kind]}")
+        raise DataError(f"{context} must be {_JSON_TYPES[kind]}")
     return value
 
 
@@ -492,7 +484,7 @@ def _field(mapping: Mapping, key: str, context: str, kind: type = object, defaul
     """``mapping[key]`` of JSON type ``kind``, or ``default`` when absent."""
     value = mapping.get(key, default)
     if value is _ABSENT:
-        raise InvalidManifest(f"{context}: missing field {key!r}")
+        raise DataError(f"{context}: missing field {key!r}")
     return _check(value, kind, f"{context}: field {key!r}")
 
 
@@ -509,9 +501,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise InvalidManifest(f"{path}: not valid JSON ({exc})") from exc
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise InvalidManifest(f"{path}: top-level value must be an object")
+        raise DataError(f"{path}: top-level value must be an object")
 
     base = path.parent
     name = _field(doc, "name", str(path))
@@ -527,12 +519,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             try:
                 k = int(k_str)
             except ValueError:
-                raise InvalidManifest(f"{iri}: gold key {k_str!r} is not an integer")
+                raise DataError(f"{iri}: gold key {k_str!r} is not an integer")
             if k < 1:
-                raise InvalidManifest(f"{iri}: gold key {k} must be positive")
+                raise DataError(f"{iri}: gold key {k} must be positive")
             _check(summaries, list, f"{iri}: gold k={k}")
             if not summaries:
-                raise InvalidManifest(f"{iri}: empty gold list for k={k}")
+                raise DataError(f"{iri}: empty gold list for k={k}")
             for g in summaries:
                 context = f"{iri} gold k={k}"
                 _check(g, dict, f"{context}: every entry")
@@ -552,15 +544,3 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         ))
     return build_manifest(str(name), entities, folds, path)
 
-
-# --------------------------------------------------------------------------
-# supervision targets
-# --------------------------------------------------------------------------
-
-def supervision_label(desc: EntityDescription, t: Triple, k: int) -> float:
-    """Regression target for one triple under size budget k: the fraction of
-    ground-truth summaries that contain it."""
-    if k not in desc.gold:
-        raise NoGoldForK(k)
-    summaries = desc.gold[k]
-    return sum(1 for g in summaries if t.id in g.triple_ids) / len(summaries)

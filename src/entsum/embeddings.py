@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_writer
 from .dataset import DatasetManifest, NodeKind, Resource
-from .errors import DataError, DimMismatch, ParseError
+from .errors import DataError, ParseError
 
 
 def textual_form(r: Resource) -> str:
@@ -244,7 +244,7 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
                     _parse_block(pending, dim, vectors)
                 if not n_values:
                     raise ParseError(line_no, "no vector components")
-                raise DimMismatch(line_no, dim, n_values)
+                raise ParseError(line_no, f"expected {dim} vector components, got {n_values}")
             word = word.lower()
             if vocab is not None and word not in vocab:
                 continue

@@ -1,21 +1,31 @@
-"""Exception hierarchy shared by all entsum modules.
+"""The five exceptions entsum raises on purpose, and who catches each.
 
-Two broad families matter for the CLI exit codes: ``DataError`` (bad or
-inconsistent input, exit code 2) and ``NumericError`` (shape or numeric
-failures during computation, exit code 3).
+``DataError`` is bad or inconsistent input; ``cli.main`` reports it with exit
+code 2.  ``NumericError`` is a shape mismatch between arrays, a non-finite
+loss or a non-finite score; ``cli.main`` reports it with exit code 3, and
+``training.train_fold`` rewraps one raised while validating with the fold
+and epoch.  The other three are ``DataError``s that carry more:
+
+* ``MissingFile``: ``esbm`` catches it to try a split file's other name.
+* ``MalformedLine``: ``dataset.load_entity`` catches it to name the gold
+  file; it keeps the statement's ``line_no``.
+* ``ParseError``: an unreadable line of a vector file or a per-entity TSV;
+  it keeps the ``line_no``.
 """
 
 
-class EntsumError(Exception):
+class DataError(Exception):
     pass
 
 
-class DataError(EntsumError):
+class NumericError(Exception):
     pass
 
 
-class NumericError(EntsumError):
-    pass
+class MissingFile(DataError):
+    def __init__(self, path):
+        self.path = str(path)
+        super().__init__(f"missing file: {self.path}")
 
 
 class MalformedLine(DataError):
@@ -27,54 +37,6 @@ class MalformedLine(DataError):
         super().__init__(msg)
 
 
-class EmptyDescription(DataError):
-    pass
-
-
-class MissingFile(DataError):
-    def __init__(self, path):
-        self.path = str(path)
-        super().__init__(f"missing file: {self.path}")
-
-
-class InvalidManifest(DataError):
-    pass
-
-
-class UnknownEntity(DataError):
-    def __init__(self, iri: str):
-        self.iri = iri
-        super().__init__(f"no entity with IRI {iri}")
-
-
-class InvalidFold(DataError):
-    def __init__(self, index: int, reason: str):
-        self.index = index
-        super().__init__(f"fold {index}: {reason}")
-
-
-class GoldNotSubset(DataError):
-    pass
-
-
-class GoldTooLarge(DataError):
-    pass
-
-
-class NoGoldForK(DataError):
-    def __init__(self, k: int):
-        self.k = k
-        super().__init__(f"no ground-truth summaries for k={k}")
-
-
-class DimMismatch(DataError):
-    def __init__(self, line_no: int, expected: int, got: int):
-        self.line_no = line_no
-        super().__init__(
-            f"line {line_no}: expected {expected} vector components, got {got}"
-        )
-
-
 class ParseError(DataError):
     def __init__(self, line_no: int, reason: str = ""):
         self.line_no = line_no
@@ -82,31 +44,3 @@ class ParseError(DataError):
         if reason:
             msg += f": {reason}"
         super().__init__(msg)
-
-
-class ShapeMismatch(NumericError):
-    pass
-
-
-class NonFiniteLoss(NumericError):
-    pass
-
-
-class VersionMismatch(DataError):
-    pass
-
-
-class CorruptCheckpoint(DataError):
-    pass
-
-
-class EmptySummary(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class DegenerateVariance(DataError):
-    pass

@@ -26,7 +26,7 @@ from .dataset import (
     load_entity,
     read_text,
 )
-from .errors import InvalidManifest, MissingFile
+from .errors import DataError, MissingFile
 
 COLLECTIONS = ("dbpedia", "lmdb")
 PARTS = ("train", "valid", "test")
@@ -48,7 +48,7 @@ def _read_elist(root: Path) -> dict[str, str]:
             continue  # header or comment line
         mapping[eid] = iri
     if not mapping:
-        raise InvalidManifest(f"{path}: no entity id / IRI pairs found")
+        raise DataError(f"{path}: no entity id / IRI pairs found")
     return mapping
 
 
@@ -89,13 +89,11 @@ def _load_splits(root: Path, collection: str, elist: dict[str, str]) -> list[Fol
             eids = _read_split_file(fold_dir, part)
             missing = [e for e in eids if e not in elist]
             if missing:
-                raise InvalidManifest(
-                    f"{fold_dir}: split references unknown entity id {missing[0]}"
-                )
+                raise DataError(f"{fold_dir}: split references unknown entity id {missing[0]}")
             parts[part] = tuple(elist[e] for e in eids)
         folds.append(FoldSpec(index, parts["train"], parts["valid"], parts["test"]))
     if not folds:
-        raise InvalidManifest(f"{split_root}: no Fold0..Fold4 directories")
+        raise DataError(f"{split_root}: no Fold0..Fold4 directories")
     return folds
 
 
@@ -127,16 +125,16 @@ def load_esbm(root: str | Path, collection: str = "all") -> DatasetManifest:
         eids = sorted((d.name for d in coll_dir.iterdir() if d.is_dir() and d.name.isdigit()),
                       key=int)
         if not eids:
-            raise InvalidManifest(f"{coll_dir}: no entity directories")
+            raise DataError(f"{coll_dir}: no entity directories")
         for eid in eids:
             if eid not in elist:
-                raise InvalidManifest(f"{coll_dir / eid}: entity id missing from elist.txt")
+                raise DataError(f"{coll_dir / eid}: entity id missing from elist.txt")
             entities.append(_load_entity(coll_dir / eid, eid, elist[eid]))
 
     splits = {coll: _load_splits(root, coll, elist) for coll in wanted}
     fold_counts = {coll: len(f) for coll, f in splits.items()}
     if len(set(fold_counts.values())) != 1:
-        raise InvalidManifest(f"fold count differs between collections: {fold_counts}")
+        raise DataError(f"fold count differs between collections: {fold_counts}")
 
     folds = []
     for index, per_coll in enumerate(zip(*splits.values())):

@@ -18,21 +18,14 @@ import numpy as np
 
 from .atomic import atomic_writer
 from .dataset import EntityDescription, GoldSummary, read_text
-from .errors import (
-    DataError,
-    DegenerateVariance,
-    EmptySummary,
-    LengthMismatch,
-    NoGoldForK,
-    ParseError,
-)
+from .errors import DataError, ParseError
 
 
 def f1_against_golds(summary: Iterable[int], golds: Sequence[GoldSummary]) -> float:
     """Mean F1 of one machine summary against every gold summary."""
     selected = set(summary)
     if not selected:
-        raise EmptySummary("cannot evaluate an empty summary")
+        raise DataError("cannot evaluate an empty summary")
     if not golds:
         raise ValueError("need at least one gold summary")
     total = 0.0
@@ -51,7 +44,7 @@ def f1_against_golds(summary: Iterable[int], golds: Sequence[GoldSummary]) -> fl
 def gold_membership_counts(desc: EntityDescription, k: int) -> dict[int, int]:
     """How many gold summaries of slot k contain each triple id."""
     if k not in desc.gold:
-        raise NoGoldForK(k)
+        raise DataError(f"no ground-truth summaries for k={k}")
     counts = {t.id: 0 for t in desc.triples}
     for gold in desc.gold[k]:
         for tid in gold.triple_ids:
@@ -102,19 +95,17 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> SignificanceResult:
     finite statistic and raises.
     """
     if len(a) != len(b):
-        raise LengthMismatch(f"sample sizes differ: {len(a)} vs {len(b)}")
+        raise DataError(f"sample sizes differ: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
-        raise LengthMismatch(f"need at least 2 pairs, got {n}")
+        raise DataError(f"need at least 2 pairs, got {n}")
     diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     mean = float(np.mean(diffs))
     sd = float(np.std(diffs, ddof=1))
     if sd == 0.0:
         if mean == 0.0:
             return SignificanceResult(0.0, 1.0, n)
-        raise DegenerateVariance(
-            f"all {n} differences equal {mean}; t statistic undefined"
-        )
+        raise DataError(f"all {n} differences equal {mean}; t statistic undefined")
     t = mean / (sd / np.sqrt(n))
     # imported here: scipy.stats more than triples the memory of every
     # command, and only the --compare t-test needs it

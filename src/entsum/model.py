@@ -37,12 +37,15 @@ import numpy as np
 from .atomic import atomic_writer
 from .dataset import EntityDescription, Resource, Triple, decode_text, read_bytes
 from .embeddings import EmbeddingStore, embed_resource
-from .errors import CorruptCheckpoint, NumericError, ShapeMismatch, VersionMismatch
+from .errors import DataError, NumericError
 from .nn import (
+    IGNORE_FLOAT_ERRORS,
     Activation,
+    DenseLayer,
     Mlp,
     cosine,
     cosine_backward,
+    glorot_uniform,
     mse_loss,
     softmax,
     softmax_backward,
@@ -191,37 +194,39 @@ def encode_description(
 class TripleScorer:
     """The three-MLP scorer: candidate encoder, context encoder, scoring head.
 
-    The MLPs' parameters are copied into ``flat``, and each layer's ``W`` and
-    ``b`` become views of their slice of it, so writing ``flat`` sets every
-    parameter and writing a parameter in place changes ``flat``.
+    Each layer's ``W`` and ``b`` is a view of its slice of ``flat``, in
+    ``parameters()`` order, so writing ``flat`` sets every parameter and
+    writing a parameter in place changes ``flat``.
     """
 
-    def __init__(self, config: ModelConfig, candidate_mlp: Mlp, context_mlp: Mlp,
-                 scoring_mlp: Mlp):
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        """Carve the layers of ``config`` out of ``flat``, a writable float64
+        vector of ``config.parameter_count`` values, without copying it."""
         self.config = config
-        self.candidate_mlp = candidate_mlp
-        self.context_mlp = context_mlp
-        self.scoring_mlp = scoring_mlp
-        self.flat = np.concatenate([p.ravel() for p in self.parameters()])
-        offset = 0
-        for layer in (*candidate_mlp.layers, *context_mlp.layers, *scoring_mlp.layers):
-            layer.W = self.flat[offset:offset + layer.W.size].reshape(layer.W.shape)
-            offset += layer.W.size
-            layer.b = self.flat[offset:offset + layer.b.size]
-            offset += layer.b.size
+        self.flat = flat
+        mlps, offset = [], 0
+        for dims in config.mlp_dims():
+            layers = []
+            for d_in, d_out in zip(dims, dims[1:]):
+                W = flat[offset:offset + d_out * d_in].reshape(d_out, d_in)
+                offset += W.size
+                layers.append(DenseLayer(W, flat[offset:offset + d_out], Activation.RELU))
+                offset += d_out
+            mlps.append(Mlp(layers))
+        self.candidate_mlp, self.context_mlp, self.scoring_mlp = mlps
+        # the encoders end in ReLU, the scoring head in one linear unit
+        self.scoring_mlp.layers[-1].activation = Activation.LINEAR
 
     @classmethod
     def create(cls, config: ModelConfig) -> "TripleScorer":
-        """Seeded initialization; the three MLPs draw from one generator in a
-        fixed order, so equal seeds give bit-identical parameters."""
+        """Seeded initialization: every weight matrix, in ``parameters()``
+        order, is a Glorot-uniform draw from one generator and every bias is
+        zero, so equal seeds give bit-identical parameters."""
+        model = cls(config, np.zeros(config.parameter_count))
         rng = np.random.default_rng(config.seed)
-        candidate, context, scoring = config.mlp_dims()
-        return cls(
-            config,
-            Mlp.create(candidate, Activation.RELU, rng),
-            Mlp.create(context, Activation.RELU, rng),
-            Mlp.create(scoring, Activation.LINEAR, rng),
-        )
+        for W in model.parameters()[::2]:  # W and b alternate
+            W[...] = glorot_uniform(rng, *W.shape)
+        return model
 
     def parameters(self) -> list[np.ndarray]:
         return (
@@ -237,15 +242,15 @@ class TripleScorer:
     ) -> tuple[list[int], np.ndarray]:
         """Triple ids in ascending order and the n x 2d matrix of their vectors."""
         if not vectors:
-            raise ShapeMismatch("cannot score an empty description")
+            raise NumericError("cannot score an empty description")
         pairs = sorted(vectors, key=lambda pair: pair[0])
         ids = [tid for tid, _ in pairs]
         if len(set(ids)) != len(ids):
-            raise ShapeMismatch("duplicate triple id in description vectors")
+            raise NumericError("duplicate triple id in description vectors")
         dim = self.config.triple_dim
         for tid, vec in pairs:
             if np.shape(vec) != (dim,):
-                raise ShapeMismatch(
+                raise NumericError(
                     f"triple {tid}: vector length {np.shape(vec)} does not match "
                     f"2*embed_dim = {dim}"
                 )
@@ -262,6 +267,7 @@ class TripleScorer:
         out, score_cache = self.scoring_mlp.forward(np.hstack([C, A @ G]))
         return out[:, 0], (C, G, A, cand_cache, ctx_cache, score_cache)
 
+    @np.errstate(**IGNORE_FLOAT_ERRORS)
     def score_description(
         self, entity: Resource, vectors: Sequence[tuple[int, TripleVector]]
     ) -> ScoredDescription:
@@ -282,6 +288,7 @@ class TripleScorer:
 
     # -- training ---------------------------------------------------------
 
+    @np.errstate(**IGNORE_FLOAT_ERRORS)
     def loss_and_gradients(
         self,
         vectors: Sequence[tuple[int, TripleVector]],
@@ -292,7 +299,7 @@ class TripleScorer:
         ids, X = self._sorted_vectors(vectors)
         missing = [tid for tid in ids if tid not in targets]
         if missing:
-            raise ShapeMismatch(f"no supervision target for triple ids {missing}")
+            raise NumericError(f"no supervision target for triple ids {missing}")
         scores, (C, G, A, cand_cache, ctx_cache, score_cache) = self._forward(X)
         target_vec = np.array([targets[tid] for tid in ids], dtype=np.float64)
         loss, dscores = mse_loss(scores, target_vec)
@@ -350,16 +357,16 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     data = read_bytes(path)
     cut = data.find(b"\n")
     if cut < 0:
-        raise CorruptCheckpoint(f"{path}: no header line")
+        raise DataError(f"{path}: no header line")
     try:
         doc = json.loads(decode_text(data[:cut], path))
     except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
-        raise CorruptCheckpoint(f"{path}: header is not valid JSON ({exc})") from exc
+        raise DataError(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CorruptCheckpoint(f"{path}: not a scorer checkpoint")
+        raise DataError(f"{path}: not a scorer checkpoint")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
+        raise DataError(
             f"{path}: checkpoint version {version!r}, supported {CHECKPOINT_VERSION}"
         )
     try:
@@ -372,17 +379,16 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
             seed=int(cfg_doc["seed"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     size = len(data) - cut - 1
     if size != 8 * config.parameter_count:
-        raise CorruptCheckpoint(
+        raise DataError(
             f"{path}: {size} parameter bytes, the config needs "
             f"{8 * config.parameter_count}"
         )
     values = np.frombuffer(data, dtype="<f8", offset=cut + 1)
     if not np.isfinite(values).all():
-        raise CorruptCheckpoint(f"{path}: non-finite parameter")
-    model = TripleScorer.create(config)
-    model.flat[...] = values
+        raise DataError(f"{path}: non-finite parameter")
+    model = TripleScorer(config, values.astype(np.float64))
     meta = doc.get("meta", {})
     return model, meta if isinstance(meta, dict) else {}

@@ -16,9 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NumericError
 
 ZERO_NORM_EPS = 1e-12
+
+# for ``np.errstate`` around the scorer and the training loop: overflow and
+# NaN are left to the explicit finiteness checks, which name what failed, and
+# numpy prints no warning of its own
+IGNORE_FLOAT_ERRORS = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class Activation(Enum):
@@ -31,12 +36,6 @@ class DenseLayer:
     W: np.ndarray  # [out, in]
     b: np.ndarray  # [out]
     activation: Activation
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.b.ndim != 1 or self.W.shape[0] != self.b.shape[0]:
-            raise ShapeMismatch(
-                f"inconsistent layer shapes W{self.W.shape} b{self.b.shape}"
-            )
 
     @property
     def in_dim(self) -> int:
@@ -56,38 +55,6 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 class Mlp:
     layers: list[DenseLayer]
 
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeMismatch(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
-
-    @classmethod
-    def create(
-        cls,
-        dims: Sequence[int],
-        final_activation: Activation,
-        rng: np.random.Generator,
-    ) -> "Mlp":
-        """Build ``len(dims) - 1`` layers; hidden layers ReLU, last as given.
-
-        Weights are Glorot-uniform from the supplied generator, biases zero.
-        """
-        if len(dims) < 2:
-            raise ShapeMismatch("an MLP needs at least one layer")
-        layers = []
-        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            last = i == len(dims) - 2
-            layers.append(
-                DenseLayer(
-                    W=glorot_uniform(rng, d_out, d_in),
-                    b=np.zeros(d_out, dtype=np.float64),
-                    activation=final_activation if last else Activation.RELU,
-                )
-            )
-        return cls(layers)
-
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
@@ -104,7 +71,7 @@ class Mlp:
         single vector runs as a batch of one.  The cache feeds ``backward``."""
         X = np.asarray(x, dtype=np.float64)
         if X.ndim not in (1, 2) or X.shape[-1] != self.in_dim:
-            raise ShapeMismatch(
+            raise NumericError(
                 f"input of shape {X.shape} does not match first layer "
                 f"input dim {self.in_dim}"
             )
@@ -124,7 +91,7 @@ class Mlp:
         single = dY.ndim == 1
         G = np.atleast_2d(dY)
         if G.shape != (cache[0][0].shape[0], self.out_dim):
-            raise ShapeMismatch(
+            raise NumericError(
                 f"upstream gradient shape {dY.shape} does not match output "
                 f"dim {self.out_dim} over the cached batch"
             )
@@ -155,7 +122,7 @@ def _unit_rows(U: np.ndarray, V: np.ndarray) -> list[tuple[np.ndarray, np.ndarra
     under the zero-norm guard becomes zero."""
     U, V = np.asarray(U, dtype=np.float64), np.asarray(V, dtype=np.float64)
     if U.ndim != V.ndim or U.ndim not in (1, 2) or U.shape[-1] != V.shape[-1]:
-        raise ShapeMismatch(f"cosine over shapes {U.shape} and {V.shape}")
+        raise NumericError(f"cosine over shapes {U.shape} and {V.shape}")
     out = []
     for X in (np.atleast_2d(U), np.atleast_2d(V)):
         norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -181,7 +148,7 @@ def cosine_backward(
     (Uh, nu), (Vh, nv) = _unit_rows(U, V)
     dS = np.asarray(dS, dtype=np.float64)
     if dS.shape != (len(Uh), len(Vh)):
-        raise ShapeMismatch(f"upstream gradient shape {dS.shape} does not match "
+        raise NumericError(f"upstream gradient shape {dS.shape} does not match "
                             f"{len(Uh)} x {len(Vh)} cosines")
     grads = []
     for Xh, norms, dXh in ((Uh, nu, dS @ Vh), (Vh, nv, dS.T @ Uh)):
@@ -196,25 +163,25 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 1 or pred.shape[0] < 1:
-        raise ShapeMismatch(f"mse over shapes {pred.shape} and {target.shape}")
+        raise NumericError(f"mse over shapes {pred.shape} and {target.shape}")
     diff = pred - target
     n = pred.shape[0]
     loss = float(np.dot(diff, diff) / n)
     return loss, (2.0 / n) * diff
 
 
+# Adam's decay rates and epsilon: the optimizer's canonical defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam accumulators for a fixed parameter list.
-
-    Only the learning rate comes from configuration; the decay rates and
-    epsilon are the optimizer's canonical defaults.
-    """
+    """Adam accumulators for a fixed parameter list; only the learning rate
+    comes from configuration."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -233,22 +200,22 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction."""
     if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("parameter, gradient and state lists differ in length")
+        raise NumericError("parameter, gradient and state lists differ in length")
     for p, g, m in zip(params, grads, state.m):
         if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeMismatch(f"misaligned shapes {p.shape} vs {g.shape}")
+            raise NumericError(f"misaligned shapes {p.shape} vs {g.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def grad_check(

@@ -17,12 +17,18 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DatasetManifest, EntityDescription, FoldSpec, supervision_label
+from .dataset import DatasetManifest, EntityDescription, FoldSpec
 from .embeddings import EmbeddingStore
-from .errors import NoGoldForK, NonFiniteLoss, NumericError
-from .evaluation import EvalReport, f1_against_golds, make_report, oracle_summary
+from .errors import DataError, NumericError
+from .evaluation import (
+    EvalReport,
+    f1_against_golds,
+    gold_membership_counts,
+    make_report,
+    oracle_summary,
+)
 from .model import ModelConfig, TripleScorer, TripleVector, encode_description, select_summary
-from .nn import AdamState, adam_step, mse_loss
+from .nn import IGNORE_FLOAT_ERRORS, AdamState, adam_step, mse_loss
 
 
 class EarlyStopMetric(Enum):
@@ -77,16 +83,18 @@ def _prepare(
     cfg: TrainConfig,
     with_targets: bool,
 ) -> list[_PreparedEntity]:
+    """Each entity with its encoding and, ``with_targets``, its regression
+    targets: per triple, the fraction of the k-slot gold summaries that
+    contain it.  An entity without golds for k is a ``DataError``."""
     prepared = []
     for iri in iris:
         desc = manifest.entity(iri)
-        if cfg.k not in desc.gold:
-            raise NoGoldForK(cfg.k)
-        vectors = encoded[iri]
+        counts = gold_membership_counts(desc, cfg.k)
         targets = {}
         if with_targets:
-            targets = {t.id: supervision_label(desc, t, cfg.k) for t in desc.triples}
-        prepared.append(_PreparedEntity(desc, vectors, targets))
+            golds = len(desc.gold[cfg.k])
+            targets = {tid: count / golds for tid, count in counts.items()}
+        prepared.append(_PreparedEntity(desc, encoded[iri], targets))
     return prepared
 
 
@@ -114,6 +122,7 @@ def _validation_metric(
     return total / len(prepared)
 
 
+@np.errstate(**IGNORE_FLOAT_ERRORS)
 def train_fold(
     manifest: DatasetManifest,
     fold: FoldSpec,
@@ -156,7 +165,7 @@ def train_fold(
             ent = train_set[idx]
             loss, grads = model.loss_and_gradients(ent.vectors, ent.targets)
             if not math.isfinite(loss):
-                raise NonFiniteLoss(
+                raise NumericError(
                     f"fold {fold.index}, epoch {epoch}, entity "
                     f"{ent.desc.entity.raw}: loss={loss}"
                 )
@@ -166,7 +175,7 @@ def train_fold(
             try:
                 metric = _validation_metric(model, valid_set, train_cfg)
             except NumericError as exc:  # only a diverged model's scores fail here
-                raise NonFiniteLoss(f"fold {fold.index}, epoch {epoch}, validation: {exc}") from exc
+                raise NumericError(f"fold {fold.index}, epoch {epoch}, validation: {exc}") from exc
             history.append(metric)
             improved = metric > best_metric if maximize else metric < best_metric
             if improved:
@@ -211,7 +220,7 @@ def evaluate_fold(
     for iri in fold.test:
         desc = manifest.entity(iri)
         if k not in desc.gold:
-            raise NoGoldForK(k)
+            raise DataError(f"no ground-truth summaries for k={k}")
         scored = model.score_description(desc.entity, encoded[iri])
         summary = select_summary(scored, k)
         per_entity[iri] = f1_against_golds(summary, desc.gold[k])

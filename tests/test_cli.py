@@ -2,13 +2,17 @@
 
 import base64
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entsum import cli
-from entsum.errors import DegenerateVariance, ShapeMismatch
+from entsum.errors import DataError, NumericError
 from entsum.evaluation import (
     format_significance,
     paired_ttest,
@@ -272,6 +276,7 @@ def required_args(command, tmp_path):
     ("train", "--lr", "inf"),
     ("train", "--lr", "-inf"),
     ("train", "--lr", "fast"),
+    ("train", "--seed", "-1"),
 ])
 def test_bad_numeric_argument_is_a_usage_error(capsys, tmp_path, command, flag, value):
     # the manifest does not exist: a run that got as far as loading data
@@ -474,7 +479,7 @@ def test_train_nonfinite_loss(capsys, tmp_path):
 def test_internal_shape_mismatch_is_a_numeric_error(capsys, tmp_path, monkeypatch, train_dir,
                                                     command):
     def mismatch(*args):
-        raise ShapeMismatch("cosine over shapes (3, 4) and (3, 5)")
+        raise NumericError("cosine over shapes (3, 4) and (3, 5)")
 
     monkeypatch.setattr(cli, "cross_validate", mismatch)
     monkeypatch.setattr(TripleScorer, "score_entity", mismatch)
@@ -546,7 +551,7 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):
         expected = format_significance(paired_ttest(
             [oracle_f1[i] for i in shared], [model_f1[i] for i in shared]
         ))
-    except DegenerateVariance:
+    except DataError:  # all differences equal: no t statistic
         expected = None
 
     rc, stdout, err = invoke(
@@ -692,17 +697,20 @@ def test_evaluate_missing_checkpoint(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the input
-def test_nonfinite_scores_are_a_numeric_error(capsys, tmp_path):
-    # parameters of +-1e300 are finite, so the checkpoints load, but every
-    # score overflows to nan
+def save_overflowing_checkpoints(directory):
+    """fold0.ckpt and fold1.ckpt with parameters of +-1e300: finite, so they
+    load, but every score overflows to nan."""
     model = TripleScorer.create(ModelConfig(
         embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8), scoring_hidden=(8, 8),
     ))
     for p in model.parameters():
         p[...] = np.where(p >= 0, 1e300, -1e300)
     for fold in (0, 1):
-        save_checkpoint(model, tmp_path / f"fold{fold}.ckpt", meta={"k": 2, "chosen_epoch": 1})
+        save_checkpoint(model, directory / f"fold{fold}.ckpt", meta={"k": 2, "chosen_epoch": 1})
+
+
+def test_nonfinite_scores_are_a_numeric_error(capsys, tmp_path):
+    save_overflowing_checkpoints(tmp_path)
     for entity, args in [
         (ARIA, ["summarize", "--checkpoint", str(tmp_path / "fold0.ckpt"), "--entity", ARIA]),
         (BLUE, ["evaluate", "--checkpoints", str(tmp_path)]),  # fold 0 tests Blue River
@@ -714,6 +722,22 @@ def test_nonfinite_scores_are_a_numeric_error(capsys, tmp_path):
         assert stdout == ""
         assert err.startswith("numeric error:")
         assert entity in err and "non-finite" in err
+
+
+def test_numeric_error_prints_one_line(tmp_path):
+    # in a process of its own, where numpy's warnings would reach stderr
+    save_overflowing_checkpoints(tmp_path)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "entsum.cli", "summarize", "--manifest", MANIFEST,
+         "--vectors", VEC, "--k", "2", "--checkpoint", str(tmp_path / "fold0.ckpt"),
+         "--entity", ARIA],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == f"numeric error: {ARIA}: non-finite triple score\n"
 
 
 # --------------------------------------------------------------------------

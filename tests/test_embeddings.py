@@ -26,7 +26,7 @@ from entsum.embeddings import (
     textual_form,
     tokenize,
 )
-from entsum.errors import DataError, DimMismatch, ParseError
+from entsum.errors import DataError, ParseError
 
 from conftest import TOYMUSIC
 
@@ -199,14 +199,14 @@ def test_case_folded_first_occurrence_wins(tmp_path):
 
 def test_dim_mismatch_reports_line(tmp_path):
     path = write_vec(tmp_path, "cat 1.0 2.0\ndog 3.0\n")
-    with pytest.raises(DimMismatch) as err:
+    with pytest.raises(ParseError, match="expected 2 vector components, got 1") as err:
         load_vec_file(path)
     assert "line 2" in str(err.value)
 
 
 def test_header_dim_binds_later_lines(tmp_path):
     path = write_vec(tmp_path, "1 3\ncat 1.0 2.0\n")
-    with pytest.raises(DimMismatch):
+    with pytest.raises(ParseError, match="line 2: expected 3 vector components, got 2"):
         load_vec_file(path)
 
 
@@ -346,7 +346,7 @@ def reference_load_vec_file(path, vocab=None):
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
-                raise DimMismatch(line_no, dim, len(values))
+                raise ParseError(line_no, f"expected {dim} vector components, got {len(values)}")
             word = word.lower()
             if vocab is not None and word not in vocab:
                 continue
@@ -427,7 +427,7 @@ def mutate_bytes(rng, data):
 def load_outcome(loader, path, vocab):
     try:
         store = loader(path, vocab)
-    except (ParseError, DimMismatch) as exc:
+    except ParseError as exc:
         return ("error", type(exc), exc.line_no, str(exc)), None
     items = [(w, v.dtype, v.shape, v.flags.c_contiguous, v.tobytes())
              for w, v in store.vectors.items()]
@@ -479,7 +479,7 @@ def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
         "store", "empty vector file", "no vector components",
         "non-numeric vector component", "non-finite vector component",
     }
-    assert any(s.startswith("expected") for s in seen)  # DimMismatch
+    assert any(s.startswith("expected") for s in seen)  # a line of the wrong width
     # a realistic file of several blocks, with lines numpy refuses or reads
     # differently from a plain line
     long_rng = np.random.default_rng(20261018)

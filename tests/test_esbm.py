@@ -2,7 +2,7 @@
 
 import pytest
 
-from entsum.errors import InvalidManifest, MissingFile
+from entsum.errors import DataError, MissingFile
 from entsum.esbm import load_esbm
 
 from conftest import build_esbm_tree
@@ -132,9 +132,8 @@ def test_split_with_unknown_entity_id(tmp_path):
     build_esbm_tree(tmp_path, counts={"dbpedia": 5})
     test_file = tmp_path / "dbpedia_split" / "Fold0" / "test.txt"
     test_file.write_text(test_file.read_text(encoding="utf-8") + "999\n", encoding="utf-8")
-    with pytest.raises(InvalidManifest) as err:
+    with pytest.raises(DataError, match="split references unknown entity id 999"):
         load_esbm(tmp_path, "dbpedia")
-    assert "999" in str(err.value)
 
 
 def test_entity_dir_missing_from_elist(tmp_path):
@@ -143,7 +142,7 @@ def test_entity_dir_missing_from_elist(tmp_path):
     lines = elist.read_text(encoding="utf-8").splitlines()
     elist.write_text("\n".join(ln for ln in lines if not ln.startswith("1\t")) + "\n",
                      encoding="utf-8")
-    with pytest.raises(InvalidManifest):
+    with pytest.raises(DataError, match="entity id missing from elist.txt"):
         load_esbm(tmp_path, "dbpedia")
 
 
@@ -154,9 +153,8 @@ def test_repeated_entity_iri_rejected(tmp_path):
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("http://ex.org/dbpedia/e2", "http://ex.org/dbpedia/e1"),
                         encoding="utf-8")
-    with pytest.raises(InvalidManifest) as err:
+    with pytest.raises(DataError, match="duplicate entity iri http://ex.org/dbpedia/e1"):
         load_esbm(tmp_path, "dbpedia")
-    assert "duplicate entity iri http://ex.org/dbpedia/e1" in str(err.value)
 
 
 def test_fold_count_mismatch_between_collections(tmp_path):
@@ -164,9 +162,8 @@ def test_fold_count_mismatch_between_collections(tmp_path):
     import shutil
 
     shutil.rmtree(tmp_path / "lmdb_split" / "Fold4")
-    with pytest.raises(InvalidManifest) as err:
+    with pytest.raises(DataError, match="fold count differs between collections"):
         load_esbm(tmp_path)
-    assert "fold count" in str(err.value)
 
 
 def test_missing_root_collections(tmp_path):

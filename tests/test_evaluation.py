@@ -13,12 +13,7 @@ from scipy import stats
 
 import entsum
 from entsum.dataset import GoldSummary
-from entsum.errors import (
-    DegenerateVariance,
-    EmptySummary,
-    LengthMismatch,
-    NoGoldForK,
-)
+from entsum.errors import DataError
 from entsum.evaluation import (
     f1_against_golds,
     format_significance,
@@ -78,7 +73,7 @@ def test_summary_order_is_irrelevant():
 
 
 def test_empty_summary_rejected():
-    with pytest.raises(EmptySummary):
+    with pytest.raises(DataError, match="cannot evaluate an empty summary"):
         f1_against_golds(set(), golds({0}))
 
 
@@ -111,7 +106,7 @@ def test_membership_counts_include_zeroes():
 
 def test_membership_counts_missing_k():
     desc = synthetic_entity(3, gold={2: [[0, 1]]})
-    with pytest.raises(NoGoldForK):
+    with pytest.raises(DataError, match="no ground-truth summaries for k="):
         gold_membership_counts(desc, 5)
 
 
@@ -186,17 +181,17 @@ def test_ttest_sign_flips_with_order():
 def test_ttest_constant_shift_has_no_variance():
     a = [0.5, 0.6, 0.7]
     b = [0.4, 0.5, 0.6]
-    with pytest.raises(DegenerateVariance):
+    with pytest.raises(DataError, match="t statistic undefined"):
         paired_ttest(a, b)
 
 
 def test_ttest_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="sample sizes differ: 2 vs 1"):
         paired_ttest([0.1, 0.2], [0.1])
 
 
 def test_ttest_needs_two_pairs():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="need at least 2 pairs, got 1"):
         paired_ttest([0.1], [0.2])
 
 

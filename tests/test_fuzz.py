@@ -75,7 +75,6 @@ def test_mutated_checkpoints_load_or_raise_data_errors(saved, tmp_path):
     assert {"loaded", "refused"} <= {outcome for _, outcome in outcomes}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a flipped exponent overflows
 def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys):
     path = tmp_path / "fold0.ckpt"
     args = ["summarize", "--manifest", str(TOYMUSIC / "manifest.json"),

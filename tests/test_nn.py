@@ -1,12 +1,17 @@
 """Dense layers, backprop, softmax, cosine, MSE, Adam, gradient checking."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from entsum.errors import ShapeMismatch
+from entsum.errors import NumericError
+from entsum.model import ModelConfig, TripleScorer
 from entsum.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Activation,
     AdamState,
     DenseLayer,
@@ -38,14 +43,17 @@ def two_layer_fixture():
 
 
 # --------------------------------------------------------------------------
-# layer and MLP construction
+# layers and their initialization
 # --------------------------------------------------------------------------
 
-def test_layer_shape_validation():
-    with pytest.raises(ShapeMismatch):
-        layer([[1.0, 2.0]], [0.0, 0.0])  # one output row, two biases
-    with pytest.raises(ShapeMismatch):
-        DenseLayer(np.zeros(3), np.zeros(3), Activation.LINEAR)  # W not 2-d
+def random_mlp(dims, rng):
+    """Glorot weights and zero biases; hidden layers ReLU, the last linear."""
+    last = len(dims) - 2
+    return Mlp([
+        layer(glorot_uniform(rng, d_out, d_in), np.zeros(d_out),
+              Activation.LINEAR if i == last else Activation.RELU)
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))
+    ])
 
 
 def test_layer_dims():
@@ -53,49 +61,50 @@ def test_layer_dims():
     assert (lay.in_dim, lay.out_dim) == (3, 2)
 
 
-def test_mlp_rejects_unchained_layers():
-    with pytest.raises(ShapeMismatch):
-        Mlp([layer(np.zeros((3, 2)), np.zeros(3)), layer(np.zeros((1, 4)), np.zeros(1))])
-
-
-def test_create_needs_at_least_one_layer():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ShapeMismatch):
-        Mlp.create([5], Activation.LINEAR, rng)
+# TripleScorer.create is where layers are drawn: every W a Glorot draw,
+# every bias zero, each MLP's shapes from the config
 
 
 def test_create_shapes_and_activations():
-    rng = np.random.default_rng(0)
-    mlp = Mlp.create([4, 8, 3], Activation.LINEAR, rng)
-    assert [l.W.shape for l in mlp.layers] == [(8, 4), (3, 8)]
-    assert [l.activation for l in mlp.layers] == [Activation.RELU, Activation.LINEAR]
-    assert all(np.all(l.b == 0.0) for l in mlp.layers)
-    assert (mlp.in_dim, mlp.out_dim) == (4, 3)
-
-
-def test_create_final_activation_as_given():
-    rng = np.random.default_rng(0)
-    mlp = Mlp.create([2, 2], Activation.RELU, rng)
-    assert mlp.layers[-1].activation is Activation.RELU
+    config = ModelConfig(embed_dim=2, candidate_hidden=(8, 3), context_hidden=(5,),
+                         scoring_hidden=(4,))
+    model = TripleScorer.create(config)
+    mlps = (model.candidate_mlp, model.context_mlp, model.scoring_mlp)
+    for mlp, dims in zip(mlps, config.mlp_dims()):
+        assert [l.W.shape for l in mlp.layers] == [(o, i) for i, o in zip(dims, dims[1:])]
+        assert all(np.all(l.b == 0.0) for l in mlp.layers)
+        assert (mlp.in_dim, mlp.out_dim) == (dims[0], dims[-1])
+    assert [[l.activation for l in mlp.layers] for mlp in mlps] == [
+        [Activation.RELU, Activation.RELU],
+        [Activation.RELU],
+        [Activation.RELU, Activation.LINEAR],
+    ]
 
 
 def test_create_glorot_bounds():
-    rng = np.random.default_rng(17)
-    for dims in ([3, 5, 2], [10, 4], [1, 1, 1]):
-        mlp = Mlp.create(dims, Activation.LINEAR, rng)
-        for lay in mlp.layers:
-            limit = math.sqrt(6.0 / (lay.in_dim + lay.out_dim))
-            assert np.all(np.abs(lay.W) <= limit)
-            assert lay.W.std() > 0.0 or lay.W.size == 1
+    for seed, hidden in ((17, (5, 2)), (18, (1, 1)), (19, (4,))):
+        config = ModelConfig(embed_dim=3, candidate_hidden=hidden, context_hidden=hidden,
+                             scoring_hidden=hidden, seed=seed)
+        model = TripleScorer.create(config)
+        for mlp in (model.candidate_mlp, model.context_mlp, model.scoring_mlp):
+            for lay in mlp.layers:
+                limit = math.sqrt(6.0 / (lay.in_dim + lay.out_dim))
+                assert np.all(np.abs(lay.W) <= limit)
+                assert lay.W.std() > 0.0 or lay.W.size == 1
 
 
 def test_create_deterministic_per_seed():
-    a = Mlp.create([3, 4, 1], Activation.LINEAR, np.random.default_rng(9))
-    b = Mlp.create([3, 4, 1], Activation.LINEAR, np.random.default_rng(9))
-    c = Mlp.create([3, 4, 1], Activation.LINEAR, np.random.default_rng(10))
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa, pb)
-    assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.parameters(), c.parameters()))
+    # one generator draws each W in parameters() order: the order every
+    # saved checkpoint was initialized in
+    config = ModelConfig(embed_dim=2, candidate_hidden=(3, 4), context_hidden=(2,),
+                         scoring_hidden=(3,), seed=9)
+    rng = np.random.default_rng(9)
+    params = TripleScorer.create(config).parameters()
+    for W, b in zip(params[::2], params[1::2]):
+        assert np.array_equal(W, glorot_uniform(rng, *W.shape))
+        assert np.array_equal(b, np.zeros(len(b)))
+    other = TripleScorer.create(replace(config, seed=10)).parameters()
+    assert not np.array_equal(params[0], other[0])
 
 
 def test_glorot_uniform_shape_and_range():
@@ -145,11 +154,11 @@ def test_two_layer_hand_value():
 
 def test_forward_rejects_bad_input():
     mlp = two_layer_fixture()
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="does not match first layer input dim"):
         mlp.forward([1.0, 2.0, 3.0])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="does not match first layer input dim"):
         mlp.forward(np.zeros((2, 3)))  # rows of the wrong width
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="does not match first layer input dim"):
         mlp.forward(np.zeros((2, 2, 2)))
 
 
@@ -194,7 +203,7 @@ def test_relu_blocks_gradient_of_inactive_unit():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_backward_matches_numeric(dims, seed):
     rng = np.random.default_rng(100 * seed + len(dims))
-    mlp = Mlp.create(dims, Activation.LINEAR, rng)
+    mlp = random_mlp(dims, rng)
     # one vector, then a batch whose gradients sum over the rows
     for shape in [(dims[0],), (5, dims[0])]:
         x = rng.normal(size=shape)
@@ -211,7 +220,7 @@ def test_backward_matches_numeric(dims, seed):
 
 def test_backward_input_gradient_matches_numeric():
     rng = np.random.default_rng(7)
-    mlp = Mlp.create([3, 6, 2], Activation.LINEAR, rng)
+    mlp = random_mlp([3, 6, 2], rng)
     X = rng.normal(size=(4, 3))
     dY = rng.normal(size=(4, 2))
     _, cache = mlp.forward(X)
@@ -230,10 +239,10 @@ def test_backward_input_gradient_matches_numeric():
 def test_backward_rejects_wrong_upstream_shape():
     mlp = two_layer_fixture()
     _, cache = mlp.forward([1.0, 0.0])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="upstream gradient shape"):
         mlp.backward(cache, np.array([1.0, 2.0]))
     _, cache = mlp.forward(np.zeros((3, 2)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="upstream gradient shape"):
         mlp.backward(cache, np.zeros((2, 1)))  # two rows for a batch of three
 
 
@@ -395,13 +404,13 @@ def test_cosine_zero_norm_guard():
 
 
 def test_cosine_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="cosine over shapes"):
         cosine(np.zeros(2), np.zeros(3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="cosine over shapes"):
         cosine(np.zeros((4, 2)), np.zeros((4, 3)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="cosine over shapes"):
         cosine(np.zeros(2), np.zeros((4, 2)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="cosine over shapes"):
         cosine(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
 
 
@@ -447,7 +456,7 @@ def test_cosine_backward_zero_at_guard():
     assert np.allclose(dU[1:], du0 + du2, atol=1e-12)
     assert np.allclose(dV[:1], dv0, atol=1e-12)
     assert np.allclose(dV[2:], dv2, atol=1e-12)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="upstream gradient shape"):
         cosine_backward(U, V, dS.T)
 
 
@@ -471,11 +480,11 @@ def test_mse_zero_at_match():
 
 
 def test_mse_shape_errors():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="mse over shapes"):
         mse_loss(np.zeros(2), np.zeros(3))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="mse over shapes"):
         mse_loss(np.zeros(0), np.zeros(0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="mse over shapes"):
         mse_loss(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
@@ -514,7 +523,7 @@ def test_adam_state_create():
     params = [np.zeros((2, 3)), np.zeros(4)]
     state = AdamState.create(params, lr=0.5)
     assert state.lr == 0.5
-    assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     assert state.step_count == 0
     assert [m.shape for m in state.m] == [(2, 3), (4,)]
     assert all(np.all(m == 0.0) for m in state.m)
@@ -580,14 +589,14 @@ def test_adam_converges_on_quadratic():
 def test_adam_list_length_mismatch():
     p = np.array([0.0])
     state = AdamState.create([p])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="differ in length"):
         adam_step([p], [np.zeros(1), np.zeros(1)], state)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="differ in length"):
         adam_step([p, np.zeros(2)], [np.zeros(1), np.zeros(2)], state)
 
 
 def test_adam_shape_mismatch():
     p = np.array([0.0, 0.0])
     state = AdamState.create([p])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(NumericError, match="misaligned shapes"):
         adam_step([p], [np.zeros(3)], state)

@@ -5,7 +5,7 @@ import pytest
 
 from entsum import training
 from entsum.dataset import DatasetManifest, FoldSpec
-from entsum.errors import NoGoldForK, NonFiniteLoss
+from entsum.errors import DataError, NumericError
 from entsum.evaluation import f1_against_golds
 from entsum.model import (
     ModelConfig,
@@ -128,14 +128,25 @@ def test_empty_validation_keeps_final_epoch(toy_manifest, toy_store):
 
 def test_exploding_learning_rate_raises(toy_manifest, toy_store):
     cfg = TrainConfig(k=2, lr=1e200, max_epochs=5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteLoss) as err:
-            train_fold(toy_manifest, toy_fold0(toy_manifest), TOY_MODEL, cfg, toy_store)
-    assert "epoch" in str(err.value)
+    with pytest.raises(NumericError, match=r"fold 0, epoch \d+, (entity|validation)"):
+        train_fold(toy_manifest, toy_fold0(toy_manifest), TOY_MODEL, cfg, toy_store)
+
+
+def test_overflow_outside_the_scorer_warns_nothing(toy_manifest, toy_store):
+    # pytest makes every numpy warning an error, so this fails if one escapes
+    fold = toy_fold0(toy_manifest)
+    # at lr 1e17 Adam's g * g overflows; the losses stay finite, so it ends
+    result = train_fold(toy_manifest, fold, TOY_MODEL, TrainConfig(k=2, lr=1e17, max_epochs=5),
+                        toy_store)
+    assert np.isfinite(result.model.flat).all()
+    # at lr 1e35 the validation loss overflows to inf, then the training loss
+    cfg = TrainConfig(k=2, lr=1e35, max_epochs=5, early_stop_metric=EarlyStopMetric.VAL_LOSS)
+    with pytest.raises(NumericError, match="fold 0, epoch 2, entity"):
+        train_fold(toy_manifest, fold, TOY_MODEL, cfg, toy_store)
 
 
 def test_missing_gold_slot_rejected(toy_manifest, toy_store):
-    with pytest.raises(NoGoldForK):
+    with pytest.raises(DataError, match="no ground-truth summaries for k=4"):
         train_fold(
             toy_manifest, toy_fold0(toy_manifest), TOY_MODEL,
             TrainConfig(k=4, max_epochs=2), toy_store,
@@ -171,7 +182,7 @@ def test_evaluate_fold_covers_test_entities(toy_manifest, toy_store):
 def test_evaluate_fold_missing_gold(toy_manifest, toy_store):
     fold = toy_fold0(toy_manifest)
     result = train_fold(toy_manifest, fold, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store)
-    with pytest.raises(NoGoldForK):
+    with pytest.raises(DataError, match="no ground-truth summaries for k=9"):
         evaluate_fold(result.model, toy_manifest, fold, 9, toy_store, 1)
 
 
@@ -317,5 +328,5 @@ def test_oracle_reports_toymusic(toy_manifest):
 
 
 def test_oracle_reports_missing_gold(toy_manifest):
-    with pytest.raises(NoGoldForK):
+    with pytest.raises(DataError, match="no ground-truth summaries for k=4"):
         oracle_reports(toy_manifest, 4)
