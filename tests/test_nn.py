@@ -81,6 +81,18 @@ def test_create_shapes_and_activations():
     ]
 
 
+def test_create_final_activation_as_given():
+    # the encoders end in ReLU and the scorer in a linear unit, whether the
+    # layers are drawn fresh or carved from a stored parameter vector
+    config = ModelConfig(embed_dim=2, candidate_hidden=(2,), context_hidden=(2,),
+                         scoring_hidden=(2,))
+    flat = np.ones(config.parameter_count)
+    for model in (TripleScorer.create(config), TripleScorer(config, flat)):
+        assert model.candidate_mlp.layers[-1].activation is Activation.RELU
+        assert model.context_mlp.layers[-1].activation is Activation.RELU
+        assert model.scoring_mlp.layers[-1].activation is Activation.LINEAR
+
+
 def test_create_glorot_bounds():
     for seed, hidden in ((17, (5, 2)), (18, (1, 1)), (19, (4,))):
         config = ModelConfig(embed_dim=3, candidate_hidden=hidden, context_hidden=hidden,
