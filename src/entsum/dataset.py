@@ -21,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,6 +34,10 @@ class NodeKind(Enum):
     IRI = "iri"
     BLANK = "blank"
     LITERAL = "literal"
+
+    # members are singletons, so identity is equality; Enum's own hash is a
+    # Python-level call each time a term or a label key is hashed
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,7 @@ class _Term(NamedTuple):
     datatype: str | None = None
 
 
-@dataclass(frozen=True)
-class _Statement:
+class _Statement(NamedTuple):
     line_no: int
     subject: _Term
     predicate: _Term
@@ -249,29 +253,87 @@ def _skip_ws(line: str, pos: int) -> int:
     return pos
 
 
+def _parse_line(line: str, line_no: int) -> _Statement | None:
+    """The statement on one line, term by term, or None for a blank line or
+    a ``#`` comment; every ``MalformedLine`` comes from here."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    pos = _skip_ws(line, 0)
+    subject, pos = _parse_term(line, pos, line_no)
+    if subject.kind is NodeKind.LITERAL:
+        raise MalformedLine(line_no, "literal in subject position")
+    pos = _skip_ws(line, pos)
+    predicate, pos = _parse_term(line, pos, line_no)
+    if predicate.kind is not NodeKind.IRI:
+        raise MalformedLine(line_no, "predicate must be an IRI")
+    pos = _skip_ws(line, pos)
+    obj, pos = _parse_term(line, pos, line_no)
+    pos = _skip_ws(line, pos)
+    if pos >= len(line) or line[pos] != ".":
+        raise MalformedLine(line_no, "missing terminating '.'")
+    if line[pos + 1:].strip():
+        raise MalformedLine(line_no, "trailing content after '.'")
+    return _Statement(line_no, subject, predicate, obj)
+
+
+def _atomic(*patterns: re.Pattern) -> str:
+    # an atomic group keeps the first match, as ``_parse_term``'s ``match``
+    # does: ``_:b.`` stays a blank node with a dot and no terminating '.'
+    return "(?>" + "|".join(p.pattern for p in patterns) + ")"
+
+
+# The tuple constructor itself: a NamedTuple's own ``__new__`` is a Python
+# function, called for every term of every statement
+_new_term = partial(tuple.__new__, _Term)
+_new_statement = partial(tuple.__new__, _Statement)
+
+# A whole statement line, spaced as ``_skip_ws`` allows.  Groups: subject
+# IRI or blank node; predicate IRI; object IRI, blank node, or literal body,
+# language tag and datatype.
+_STATEMENT_RE = re.compile(
+    r"[ \t]*" + _atomic(_IRI_RE, _BNODE_RE)
+    + r"[ \t]*" + _atomic(_IRI_RE)
+    + r"[ \t]*" + _atomic(_IRI_RE, _BNODE_RE, _LITERAL_RE)
+    + r"[ \t]*\.[ \t]*"
+)
+
+
+def _matched_statement(line: str, line_no: int) -> _Statement | None:
+    """The statement on ``line`` when the line holds no backslash (so no
+    escape), ``_STATEMENT_RE`` matches it whole and its literal, if it has
+    one, is not empty; else None."""
+    if "\\" in line:
+        return None
+    m = _STATEMENT_RE.fullmatch(line)
+    if m is None:
+        return None
+    s_iri, s_blank, p_iri, o_iri, o_blank, body, lang, datatype = m.groups()
+    if o_iri is not None:
+        obj = _new_term((NodeKind.IRI, o_iri, None, None))
+    elif o_blank is not None:
+        obj = _new_term((NodeKind.BLANK, o_blank, None, None))
+    elif body:
+        obj = _new_term((NodeKind.LITERAL, body, lang, datatype))
+    else:
+        return None
+    if s_blank is None:
+        subject = _new_term((NodeKind.IRI, s_iri, None, None))
+    else:
+        subject = _new_term((NodeKind.BLANK, s_blank, None, None))
+    predicate = _new_term((NodeKind.IRI, p_iri, None, None))
+    return _new_statement((line_no, subject, predicate, obj))
+
+
 def parse_statements(text: str) -> list[_Statement]:
-    """Parse all statements of a document; blank lines and ``#`` comments skip."""
+    """Parse all statements of a document; blank lines and ``#`` comments
+    skip.  A line takes one pattern match when it can; every other line goes
+    term by term, so the errors are the term-by-term parser's."""
     statements = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        pos = _skip_ws(line, 0)
-        subject, pos = _parse_term(line, pos, line_no)
-        if subject.kind is NodeKind.LITERAL:
-            raise MalformedLine(line_no, "literal in subject position")
-        pos = _skip_ws(line, pos)
-        predicate, pos = _parse_term(line, pos, line_no)
-        if predicate.kind is not NodeKind.IRI:
-            raise MalformedLine(line_no, "predicate must be an IRI")
-        pos = _skip_ws(line, pos)
-        obj, pos = _parse_term(line, pos, line_no)
-        pos = _skip_ws(line, pos)
-        if pos >= len(line) or line[pos] != ".":
-            raise MalformedLine(line_no, "missing terminating '.'")
-        if line[pos + 1:].strip():
-            raise MalformedLine(line_no, "trailing content after '.'")
-        statements.append(_Statement(line_no, subject, predicate, obj))
+        st = _matched_statement(line, line_no) or _parse_line(line, line_no)
+        if st is not None:
+            statements.append(st)
     return statements
 
 
@@ -350,7 +412,8 @@ def read_bytes(path: str | Path) -> bytes:
     """The content of an input file.  A missing file raises ``MissingFile``;
     any other failure to read it raises a ``DataError`` naming the path."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except FileNotFoundError:
         raise MissingFile(path) from None
     except OSError as exc:
@@ -385,8 +448,9 @@ def _match_gold_statements(
         if line in parsed.line_ids:
             ids[line_no] = parsed.line_ids[line]
             lines[line_no - 1] = ""
-    for st in parse_statements("\n".join(lines)):
-        ids[st.line_no] = parsed.first_id.get(st.key())
+    if any(lines):
+        for st in parse_statements("\n".join(lines)):
+            ids[st.line_no] = parsed.first_id.get(st.key())
     found = set()
     for line_no in sorted(ids):
         if ids[line_no] is None:
@@ -399,7 +463,7 @@ def _match_gold_statements(
 
 
 def load_entity(
-    iri: str, desc_file: Path, golds: Iterable[tuple[int, str, Path]]
+    iri: str, desc_file: str | Path, golds: Iterable[tuple[int, str, str | Path]]
 ) -> EntityDescription:
     """One entity from its description file and its ``(k, annotator,
     gold_file)`` summaries, kept in that order within each k; every gold

@@ -15,6 +15,7 @@ does, so the pipeline does not care where the data came from.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -34,6 +35,11 @@ PARTS = ("train", "valid", "test")
 _GOLD_RE = re.compile(r"_gold_top(\d+)_(\d+)\.nt$")
 
 
+def _is_entity_id(name: str) -> bool:
+    # str.isdigit alone also takes digits such as "²" that int() refuses
+    return name.isascii() and name.isdigit()
+
+
 def _read_elist(root: Path) -> dict[str, str]:
     """Map entity id to IRI; picks the integer field and the first IRI-like field."""
     path = root / "elist.txt"
@@ -42,7 +48,7 @@ def _read_elist(root: Path) -> dict[str, str]:
         fields = [f for f in re.split(r"[\t ]+", line.strip()) if f]
         if not fields:
             continue
-        eid = next((f for f in fields if f.isdigit()), None)
+        eid = next((f for f in fields if _is_entity_id(f)), None)
         iri = next((f for f in fields if "://" in f), None)
         if eid is None or iri is None:
             continue  # header or comment line
@@ -54,12 +60,14 @@ def _read_elist(root: Path) -> dict[str, str]:
 
 def _load_entity(entity_dir: Path, eid: str, iri: str) -> EntityDescription:
     """The entity with its gold files ``<eid>_gold_top<k>_<annotator>.nt``."""
+    # plain strings: a Path per file is several Python-level calls
+    base = os.fspath(entity_dir)
     golds = []
-    for gold_file in sorted(entity_dir.iterdir()):
-        m = _GOLD_RE.search(gold_file.name)
+    for name in sorted(os.listdir(base)):
+        m = _GOLD_RE.search(name)
         if m:
-            golds.append((int(m.group(1)), m.group(2), gold_file))
-    return load_entity(iri, entity_dir / f"{eid}_desc.nt", golds)
+            golds.append((int(m.group(1)), m.group(2), os.path.join(base, name)))
+    return load_entity(iri, os.path.join(base, f"{eid}_desc.nt"), golds)
 
 
 def _read_split_file(fold_dir: Path, part: str) -> list[str]:
@@ -122,8 +130,9 @@ def load_esbm(root: str | Path, collection: str = "all") -> DatasetManifest:
         coll_dir = root / coll
         if not coll_dir.is_dir():
             raise MissingFile(coll_dir)
-        eids = sorted((d.name for d in coll_dir.iterdir() if d.is_dir() and d.name.isdigit()),
-                      key=int)
+        eids = sorted(
+            (d.name for d in coll_dir.iterdir() if _is_entity_id(d.name) and d.is_dir()), key=int
+        )
         if not eids:
             raise DataError(f"{coll_dir}: no entity directories")
         for eid in eids:

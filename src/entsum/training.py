@@ -170,6 +170,13 @@ def train_fold(
                     f"{ent.desc.entity.raw}: loss={loss}"
                 )
             adam_step(params, grads, adam)
+        # a gradient whose square overflows makes v inf, and Adam then stops
+        # moving that parameter without any loss going non-finite
+        if not all(np.isfinite(v).all() for v in adam.v):
+            raise NumericError(
+                f"fold {fold.index}, epoch {epoch}: Adam's second-moment estimate "
+                f"is not finite (a squared gradient overflowed)"
+            )
 
         if valid_set:
             try:

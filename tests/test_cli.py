@@ -475,6 +475,18 @@ def test_train_nonfinite_loss(capsys, tmp_path):
     assert err.startswith("numeric error:")
 
 
+def test_train_overflowing_adam_moment_is_a_numeric_error(capsys, tmp_path):
+    # at lr 1e17 every loss stays finite but a squared gradient overflows
+    rc, stdout, err = invoke(
+        capsys, "train", "--manifest", MANIFEST, "--vectors", VEC,
+        "--k", "2", "--lr", "1e17", "--max-epochs", "5", "--out", str(tmp_path / "o"),
+    )
+    assert rc == 3
+    assert stdout == ""
+    assert err == ("numeric error: fold 0, epoch 2: Adam's second-moment estimate is not "
+                   "finite (a squared gradient overflowed)\n")
+
+
 @pytest.mark.parametrize("command", ["train", "summarize"])
 def test_internal_shape_mismatch_is_a_numeric_error(capsys, tmp_path, monkeypatch, train_dir,
                                                     command):

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from entsum.dataset import (
+    _BNODE_RE,
+    _IRI_RE,
+    _LITERAL_RE,
     DatasetManifest,
     EntityDescription,
     FoldSpec,
@@ -16,7 +19,11 @@ from entsum.dataset import (
     Triple,
     _collect_labels,
     _match_gold_statements,
+    _matched_statement,
+    _Statement,
+    _Term,
     _to_resource,
+    _unescape_literal,
     load_manifest,
     parse_description,
     parse_statements,
@@ -192,6 +199,154 @@ def test_parser_fuzz_raises_only_data_errors():
                 pass
             except Exception as exc:
                 pytest.fail(f"{type(exc).__name__} on {text!r}: {exc}")
+
+
+# --------------------------------------------------------------------------
+# differential test of the whole-line pattern against the term-by-term parser
+# --------------------------------------------------------------------------
+
+# ``parse_statements``, ``_parse_term`` and ``_skip_ws`` as they were before a
+# statement line was matched by one pattern, renamed; the reference for the
+# pattern's path, which must give the same statements and the same errors
+
+
+def reference_parse_term(line: str, pos: int, line_no: int) -> tuple[_Term, int]:
+    if pos >= len(line):
+        raise MalformedLine(line_no, "statement ended early")
+    ch = line[pos]
+    if ch == "<":
+        m = _IRI_RE.match(line, pos)
+        if not m:
+            raise MalformedLine(line_no, f"bad IRI at column {pos + 1}")
+        return _Term(NodeKind.IRI, m.group(1)), m.end()
+    if ch == "_":
+        m = _BNODE_RE.match(line, pos)
+        if not m:
+            raise MalformedLine(line_no, f"bad blank node at column {pos + 1}")
+        return _Term(NodeKind.BLANK, m.group(1)), m.end()
+    if ch == '"':
+        m = _LITERAL_RE.match(line, pos)
+        if not m:
+            raise MalformedLine(line_no, f"bad literal at column {pos + 1}")
+        value = _unescape_literal(m.group(1), line_no)
+        if not value:
+            raise MalformedLine(line_no, "empty literal")
+        return _Term(NodeKind.LITERAL, value, lang=m.group(2), datatype=m.group(3)), m.end()
+    raise MalformedLine(line_no, f"unexpected character {ch!r} at column {pos + 1}")
+
+
+def reference_skip_ws(line: str, pos: int) -> int:
+    while pos < len(line) and line[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def reference_parse_statements(text: str) -> list[_Statement]:
+    """Parse all statements of a document; blank lines and ``#`` comments skip."""
+    statements = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        pos = reference_skip_ws(line, 0)
+        subject, pos = reference_parse_term(line, pos, line_no)
+        if subject.kind is NodeKind.LITERAL:
+            raise MalformedLine(line_no, "literal in subject position")
+        pos = reference_skip_ws(line, pos)
+        predicate, pos = reference_parse_term(line, pos, line_no)
+        if predicate.kind is not NodeKind.IRI:
+            raise MalformedLine(line_no, "predicate must be an IRI")
+        pos = reference_skip_ws(line, pos)
+        obj, pos = reference_parse_term(line, pos, line_no)
+        pos = reference_skip_ws(line, pos)
+        if pos >= len(line) or line[pos] != ".":
+            raise MalformedLine(line_no, "missing terminating '.'")
+        if line[pos + 1:].strip():
+            raise MalformedLine(line_no, "trailing content after '.'")
+        statements.append(_Statement(line_no, subject, predicate, obj))
+    return statements
+
+
+# str.splitlines ends a line at each of these
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+# lines the pattern takes, and lines it must leave to the term-by-term parser
+STATEMENT_LINES = [
+    f'<{E}> <http://ex.org/p> "Tim" .',
+    f'\t<{E}>\t<http://ex.org/p>\t"a b"@en-GB\t.\t',
+    f'<{E}> <http://ex.org/q> "1998"^^<http://www.w3.org/2001/XMLSchema#gYear> .',
+    f"_:b0 <http://ex.org/p> <{E}> .",
+    f"<{E}> <http://ex.org/p> _:b-1.x .",
+    f"<{E}><http://ex.org/p><http://ex.org/o>.",
+    f'<{E}> <http://ex.org/p> "x"@en.',
+    f'<{E}> <http://ex.org/p> "a\\tb\\u0041\\"c\\\\" .',
+    f'<{E}> <http://ex.org/p> "x\\q" .',
+    f'<{E}> <http://ex.org/p> "" .',
+    f"<{E}> <http://ex.org/p> _:b0.",
+    f'<{E}> <http://ex.org/p> "x" .\xa0',
+    f'\xa0<{E}> <http://ex.org/p> "x" .',
+    f'<{E}> <http://ex.org/p> "x"',
+    f'<{E}> <http://ex.org/p> "x" . <{E}>',
+    f'"x" <http://ex.org/p> <{E}> .',
+    f'<{E}> _:b0 "x" .',
+    "# a comment",
+    "  # an indented comment",
+    "",
+    " \t ",
+]
+# every character the pattern or the parser gives a meaning to, each line
+# end of ``LINE_ENDS`` and other whitespace that ``str.strip`` removes
+MUTATION_ALPHABET = list('<>"\\_:@^.#- \tabuUxE09é\xa0\x1f') + LINE_ENDS
+
+
+def mutated_document(rng: random.Random) -> str:
+    """One to six lines of ``STATEMENT_LINES``, most with zero to three
+    character inserts, deletes or replacements, joined by random line ends."""
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        chars = list(rng.choice(STATEMENT_LINES))
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            pos = rng.randrange(len(chars) + 1)
+            edit = rng.randrange(3) if chars else 0
+            if edit == 0:
+                chars.insert(pos, rng.choice(MUTATION_ALPHABET))
+            elif edit == 1:
+                del chars[min(pos, len(chars) - 1)]
+            else:
+                chars[min(pos, len(chars) - 1)] = rng.choice(MUTATION_ALPHABET)
+        lines.append("".join(chars))
+    text = "".join(line + rng.choice(LINE_ENDS) for line in lines)
+    return text[:-1] if rng.random() < 0.3 else text  # cut the last line end
+
+
+def test_statement_pattern_matches_reference_parser_on_mutated_lines():
+    rng = random.Random(15)
+    matched = unmatched = 0
+    reasons = set()
+    for _ in range(6000):
+        text = mutated_document(rng)
+        want = outcome(reference_parse_statements, text)
+        assert outcome(parse_statements, text) == want, text
+        if isinstance(want, tuple):
+            reasons.add(want[1].split(": ", 1)[1])
+        for line in text.splitlines():
+            if _matched_statement(line, 1) is None:
+                unmatched += 1
+            else:
+                matched += 1
+    # both paths ran often, and the errors of every step were compared
+    assert matched > 3000 and unmatched > 3000
+    for reason in ("bad IRI", "bad blank node", "bad literal", "unknown escape",
+                   "empty literal", "literal in subject position", "predicate must be an IRI",
+                   "statement ended early", "missing terminating '.'",
+                   "trailing content after '.'", "unexpected character"):
+        assert any(r.startswith(reason) for r in reasons), reason
+
+
+@pytest.mark.parametrize("line", STATEMENT_LINES)
+def test_statement_pattern_matches_reference_parser_on_fixed_lines(line):
+    for text in (line, f"{line}\n{line}", f"# c\n{line}"):
+        assert outcome(parse_statements, text) == outcome(reference_parse_statements, text)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from entsum import cli
 from entsum.errors import DataError, MissingFile
 from entsum.esbm import load_esbm
 
@@ -169,3 +170,19 @@ def test_fold_count_mismatch_between_collections(tmp_path):
 def test_missing_root_collections(tmp_path):
     with pytest.raises(MissingFile):
         load_esbm(tmp_path)
+
+
+def test_non_ascii_digit_names_are_not_entity_ids(tmp_path, capsys):
+    # "²".isdigit() is true but int("²") fails: the directory is skipped like
+    # any non-numeric one, and the elist line has no entity id
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5})
+    (tmp_path / "dbpedia" / "²").mkdir()
+    elist = tmp_path / "elist.txt"
+    elist.write_text(elist.read_text(encoding="utf-8") + "²\thttp://ex.org/dbpedia/sq\n",
+                     encoding="utf-8")
+    manifest = load_esbm(tmp_path, "dbpedia")
+    assert [e.entity.raw for e in manifest.entities] == [
+        f"http://ex.org/dbpedia/e{i}" for i in range(1, 6)
+    ]
+    assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 0
+    assert capsys.readouterr() == ("5 entities, 15 triples, 20 golds\nfolds: 5\n", "")

@@ -1,12 +1,18 @@
-"""Seeded mutation fuzz over whole checkpoint files.
+"""Seeded mutation fuzz over whole checkpoint files and ESBM trees.
 
-Each case takes a saved checkpoint and truncates it inside the header, at
-the newline or inside the parameter bytes, flips bytes in the header or in
-the parameter bytes, or appends junk.  Every mutant must either load as a
-scorer whose parameters are finite and as many as its config needs, or raise
-a ``DataError``.  Through ``entsum summarize`` it must end in exit 0 or 2
-without a traceback; exit 3 is the one other outcome, for parameters that
-load finite but overflow a score.
+Each checkpoint case takes a saved checkpoint and truncates it inside the
+header, at the newline or inside the parameter bytes, flips bytes in the
+header or in the parameter bytes, or appends junk.  Every mutant must either
+load as a scorer whose parameters are finite and as many as its config
+needs, or raise a ``DataError``.  Through ``entsum summarize`` it must end in
+exit 0 or 2 without a traceback; exit 3 is the one other outcome, for
+parameters that load finite but overflow a score.
+
+Each tree case takes a small ESBM tree and truncates one of its description,
+gold, ``elist.txt`` or split files, flips bytes in it, deletes or duplicates
+one of its lines, or swaps its content with another file's.  Through
+``entsum ingest --esbm`` every mutant must end in exit 0 or 2 without a
+traceback.
 """
 
 import random
@@ -18,7 +24,7 @@ from entsum import cli
 from entsum.errors import DataError
 from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
 
-from conftest import ARIA, TOYMUSIC
+from conftest import ARIA, TOYMUSIC, build_esbm_tree
 
 CASES = 240
 KINDS = ("cut-header", "cut-newline", "cut-blob", "flip-header", "flip-blob", "append")
@@ -97,3 +103,64 @@ def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys)
             assert prefix and err.startswith(prefix) and out == "", (case, kind, rc, err)
         codes.add(rc)
     assert {0, 2} <= codes
+
+
+TREE_CASES = 400
+TREE_KINDS = ("truncate", "flip", "delete-line", "duplicate-line", "swap")
+
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory):
+    """A ten-entity ESBM tree and the bytes of each of its files."""
+    root = tmp_path_factory.mktemp("esbm")
+    build_esbm_tree(root)
+    return root, {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def tree_mutant(files: dict, case: int) -> tuple[str, dict]:
+    """The kind of mutation ``case`` and the new bytes of the files it changes."""
+    rng = random.Random(case)
+    paths = list(files)
+    path = rng.choice(paths)
+    data = files[path]
+    kind = TREE_KINDS[case % len(TREE_KINDS)]
+    if kind == "truncate":
+        return kind, {path: data[:rng.randrange(len(data))]}
+    if kind == "flip":
+        out = bytearray(data)
+        for _ in range(rng.randrange(1, 4)):
+            out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+        return kind, {path: bytes(out)}
+    if kind == "swap":
+        other = rng.choice(paths)
+        return kind, {path: files[other], other: data}
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    lines[i:i + 1] = [] if kind == "delete-line" else [lines[i], lines[i]]
+    return kind, {path: b"".join(lines)}
+
+
+def test_ingest_on_mutated_trees_exits_cleanly(tree, capsys):
+    root, files = tree
+    outcomes = set()
+    for case in range(TREE_CASES):
+        kind, changed = tree_mutant(files, case)
+        for path, data in changed.items():
+            path.write_bytes(data)
+        try:
+            rc = cli.main(["ingest", "--esbm", str(root)])
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        finally:
+            for path in changed:
+                path.write_bytes(files[path])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, (case, kind, err)
+        if rc == 0:
+            assert out.endswith("folds: 5\n") and err == "", (case, kind, out, err)
+        else:
+            assert rc == 2 and err.startswith("error:") and out == "", (case, kind, rc, err)
+        outcomes.add((kind, rc))
+    # every kind was tried, and some mutants still load while others fail
+    assert {kind for kind, _ in outcomes} == set(TREE_KINDS)
+    assert {rc for _, rc in outcomes} == {0, 2}
