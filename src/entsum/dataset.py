@@ -277,34 +277,31 @@ def _parse_line(line: str, line_no: int) -> _Statement | None:
     return _Statement(line_no, subject, predicate, obj)
 
 
-def _atomic(*patterns: re.Pattern) -> str:
-    # an atomic group keeps the first match, as ``_parse_term``'s ``match``
-    # does: ``_:b.`` stays a blank node with a dot and no terminating '.'
-    return "(?>" + "|".join(p.pattern for p in patterns) + ")"
-
-
 # The tuple constructor itself: a NamedTuple's own ``__new__`` is a Python
 # function, called for every term of every statement
 _new_term = partial(tuple.__new__, _Term)
 _new_statement = partial(tuple.__new__, _Statement)
 
+# A blank node as ``_parse_term`` reads it: its id runs as far as it can, so
+# ``_:b0.`` is the id ``b0.`` with no terminating '.'.  An IRI or a literal
+# has only one way to match at a given column.
+_WHOLE_BNODE = _BNODE_RE.pattern + r"(?![A-Za-z0-9._\-])"
+
 # A whole statement line, spaced as ``_skip_ws`` allows.  Groups: subject
 # IRI or blank node; predicate IRI; object IRI, blank node, or literal body,
 # language tag and datatype.
 _STATEMENT_RE = re.compile(
-    r"[ \t]*" + _atomic(_IRI_RE, _BNODE_RE)
-    + r"[ \t]*" + _atomic(_IRI_RE)
-    + r"[ \t]*" + _atomic(_IRI_RE, _BNODE_RE, _LITERAL_RE)
-    + r"[ \t]*\.[ \t]*"
+    rf"[ \t]*(?:{_IRI_RE.pattern}|{_WHOLE_BNODE})"
+    rf"[ \t]*{_IRI_RE.pattern}"
+    rf"[ \t]*(?:{_IRI_RE.pattern}|{_WHOLE_BNODE}|{_LITERAL_RE.pattern})"
+    r"[ \t]*\.[ \t]*"
 )
 
 
 def _matched_statement(line: str, line_no: int) -> _Statement | None:
-    """The statement on ``line`` when the line holds no backslash (so no
-    escape), ``_STATEMENT_RE`` matches it whole and its literal, if it has
-    one, is not empty; else None."""
-    if "\\" in line:
-        return None
+    """The statement on ``line`` when ``_STATEMENT_RE`` matches it whole and
+    its literal, if it has one, is not empty; else None.  A bad escape
+    raises the ``MalformedLine`` that ``_parse_term`` would."""
     m = _STATEMENT_RE.fullmatch(line)
     if m is None:
         return None
@@ -313,10 +310,11 @@ def _matched_statement(line: str, line_no: int) -> _Statement | None:
         obj = _new_term((NodeKind.IRI, o_iri, None, None))
     elif o_blank is not None:
         obj = _new_term((NodeKind.BLANK, o_blank, None, None))
-    elif body:
-        obj = _new_term((NodeKind.LITERAL, body, lang, datatype))
     else:
-        return None
+        value = _unescape_literal(body, line_no)
+        if not value:
+            return None
+        obj = _new_term((NodeKind.LITERAL, value, lang, datatype))
     if s_blank is None:
         subject = _new_term((NodeKind.IRI, s_iri, None, None))
     else:
