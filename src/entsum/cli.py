@@ -7,7 +7,8 @@ writes checkpoints plus reports, ``evaluate`` re-scores saved checkpoints
 
 Exit codes: 0 success, 1 usage error, 2 data error (also an input that
 cannot be read or an output that cannot be written), 3 numeric failure
-(also a non-finite score).  Each failure prints one line on stderr.
+(also a non-finite score).  Each failure prints one line on stderr, with
+every control character of its message written as ``\\xNN``.
 All randomness funnels through ``--seed``; rerunning a command with the
 same inputs and seed reproduces its output files byte for byte.
 """
@@ -51,6 +52,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+
+# C0 and C1 control characters and DEL, which could break a message's one
+# line or send the terminal an escape sequence
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
 class UsageError(Exception):
@@ -311,14 +317,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("usage error", exc, EXIT_USAGE)
     except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("error", exc, EXIT_DATA)
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail("numeric error", exc, EXIT_NUMERIC)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind}: {str(exc).translate(_CONTROL_ESCAPES)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

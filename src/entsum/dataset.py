@@ -11,6 +11,8 @@ The on-disk inputs are deliberately small UTF-8 text files:
   ``read_text``, build entities with ``load_entity`` and end in
   ``build_manifest``, so they differ only in how they name their files.
 
+Terms (``Resource``) and triples (``Triple``) are immutable tuples; the
+parser guarantees their invariants, so building one checks nothing.
 Everything is immutable after ingestion and safe to share across threads.
 """
 
@@ -40,29 +42,22 @@ class NodeKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(NamedTuple):
     """One RDF term: an IRI, a blank node, or a literal.
 
     ``raw`` holds the full IRI, the blank-node id, or the literal's lexical
     form (language tag and datatype already stripped).  ``label`` carries the
     object of an ``rdfs:label`` statement about this resource when the input
-    document provided one; literals never carry labels.
+    document provided one; literals never carry labels.  The parser makes
+    both hold: it refuses an empty term, and it never labels a literal.
     """
 
     kind: NodeKind
     raw: str
     label: str | None = None
 
-    def __post_init__(self):
-        if not self.raw:
-            raise ValueError("resource with empty raw form")
-        if self.kind is NodeKind.LITERAL and self.label is not None:
-            raise ValueError("literal resources cannot carry a label")
 
-
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """One statement of an entity description.
 
     ``val`` is the subject or object that is not the described entity.  Ids
@@ -323,12 +318,13 @@ def _matched_statement(line: str, line_no: int) -> _Statement | None:
     return _new_statement((line_no, subject, predicate, obj))
 
 
-def parse_statements(text: str) -> list[_Statement]:
-    """Parse all statements of a document; blank lines and ``#`` comments
-    skip.  A line takes one pattern match when it can; every other line goes
-    term by term, so the errors are the term-by-term parser's."""
+def parse_statements(lines: Sequence[str]) -> list[_Statement]:
+    """Parse all statements of a document given as its lines; blank lines
+    and ``#`` comments skip.  A line takes one pattern match when it can;
+    every other line goes term by term, so the errors are the term-by-term
+    parser's."""
     statements = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         st = _matched_statement(line, line_no) or _parse_line(line, line_no)
         if st is not None:
             statements.append(st)
@@ -343,12 +339,6 @@ def _collect_labels(statements: Iterable[_Statement]) -> dict[tuple[NodeKind, st
             key = (st.subject.kind, st.subject.value)
             labels.setdefault(key, st.object.value)
     return labels
-
-
-def _to_resource(term: _Term, labels: Mapping[tuple[NodeKind, str], str]) -> Resource:
-    if term.kind is NodeKind.LITERAL:
-        return Resource(NodeKind.LITERAL, term.value)
-    return Resource(term.kind, term.value, label=labels.get((term.kind, term.value)))
 
 
 @dataclass(frozen=True)
@@ -366,22 +356,25 @@ class ParsedDescription:
 
 
 def parse_description(text: str, entity_iri: str) -> ParsedDescription:
-    statements = parse_statements(text)
+    lines = text.splitlines()
+    statements = parse_statements(lines)
     labels = _collect_labels(statements)
 
-    # one Resource per distinct term; Resource is frozen, so sharing is safe
+    # one Resource per distinct term; Resource is immutable, so sharing is
+    # safe.  Labels are keyed by subjects, which are never literals, so no
+    # literal gets a label.
     resources: dict[_Term, Resource] = {}
 
     def resource(term: _Term) -> Resource:
         r = resources.get(term)
         if r is None:
-            r = resources[term] = _to_resource(term, labels)
+            key = (term.kind, term.value)
+            r = resources[term] = Resource(term.kind, term.value, labels.get(key))
         return r
 
     triples: list[Triple] = []
     first_id: dict[tuple[_Term, _Term, _Term], int] = {}
     line_ids: dict[str, int | None] = {}
-    lines = text.splitlines()
     for st in statements:
         subject_is_entity = st.subject.kind is NodeKind.IRI and st.subject.value == entity_iri
         object_is_entity = st.object.kind is NodeKind.IRI and st.object.value == entity_iri
@@ -447,7 +440,7 @@ def _match_gold_statements(
             ids[line_no] = parsed.line_ids[line]
             lines[line_no - 1] = ""
     if any(lines):
-        for st in parse_statements("\n".join(lines)):
+        for st in parse_statements(lines):
             ids[st.line_no] = parsed.first_id.get(st.key())
     found = set()
     for line_no in sorted(ids):

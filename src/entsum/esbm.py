@@ -32,7 +32,9 @@ from .errors import DataError, MissingFile
 COLLECTIONS = ("dbpedia", "lmdb")
 PARTS = ("train", "valid", "test")
 
-_GOLD_RE = re.compile(r"_gold_top(\d+)_(\d+)\.nt$")
+# ASCII digits only, and the name ends in ".nt": \d takes any Unicode digit
+# and $ also matches before a trailing newline
+_GOLD_RE = re.compile(r"_gold_top([0-9]+)_([0-9]+)\.nt\Z")
 
 
 def _is_entity_id(name: str) -> bool:

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .atomic import atomic_writer
-from .dataset import EntityDescription, Resource, Triple, decode_text, read_bytes
+from .dataset import EntityDescription, Resource, decode_text, read_bytes
 from .embeddings import EmbeddingStore, embed_resource
 from .errors import DataError, NumericError
 from .nn import (
@@ -50,9 +50,6 @@ from .nn import (
     softmax,
     softmax_backward,
 )
-
-# a triple's initial representation: property embedding then value embedding
-TripleVector = np.ndarray
 
 CHECKPOINT_FORMAT = "entsum-scorer"
 CHECKPOINT_VERSION = 3
@@ -170,16 +167,11 @@ class ScoredDescription:
     attention: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
 
-def encode_triple(t: Triple, store: EmbeddingStore) -> TripleVector:
-    """Concatenate the property embedding and the value embedding."""
-    return np.concatenate([embed_resource(t.prop, store), embed_resource(t.val, store)])
-
-
 def encode_description(
     desc: EntityDescription, store: EmbeddingStore
-) -> list[tuple[int, TripleVector]]:
-    """``encode_triple`` of every triple, embedding each distinct resource
-    once."""
+) -> list[tuple[int, np.ndarray]]:
+    """Each triple's id and initial representation: its property embedding
+    then its value embedding, embedding each distinct resource once."""
     embedded: dict[Resource, np.ndarray] = {}
 
     def embed(r: Resource) -> np.ndarray:
@@ -238,7 +230,7 @@ class TripleScorer:
     # -- forward ----------------------------------------------------------
 
     def _sorted_vectors(
-        self, vectors: Sequence[tuple[int, TripleVector]]
+        self, vectors: Sequence[tuple[int, np.ndarray]]
     ) -> tuple[list[int], np.ndarray]:
         """Triple ids in ascending order and the n x 2d matrix of their vectors."""
         if not vectors:
@@ -269,7 +261,7 @@ class TripleScorer:
 
     @np.errstate(**IGNORE_FLOAT_ERRORS)
     def score_description(
-        self, entity: Resource, vectors: Sequence[tuple[int, TripleVector]]
+        self, entity: Resource, vectors: Sequence[tuple[int, np.ndarray]]
     ) -> ScoredDescription:
         """Score every candidate in the context of the full description; a
         non-finite score is a ``NumericError``."""
@@ -291,7 +283,7 @@ class TripleScorer:
     @np.errstate(**IGNORE_FLOAT_ERRORS)
     def loss_and_gradients(
         self,
-        vectors: Sequence[tuple[int, TripleVector]],
+        vectors: Sequence[tuple[int, np.ndarray]],
         targets: Mapping[int, float],
     ) -> tuple[float, list[np.ndarray]]:
         """Mean squared error over all candidates and exact parameter

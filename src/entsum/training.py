@@ -27,7 +27,7 @@ from .evaluation import (
     make_report,
     oracle_summary,
 )
-from .model import ModelConfig, TripleScorer, TripleVector, encode_description, select_summary
+from .model import ModelConfig, TripleScorer, encode_description, select_summary
 from .nn import IGNORE_FLOAT_ERRORS, AdamState, adam_step, mse_loss
 
 
@@ -59,7 +59,7 @@ class TrainResult:
 
 
 # each entity's encoded description, keyed by IRI
-Encodings = Mapping[str, list[tuple[int, TripleVector]]]
+Encodings = Mapping[str, list[tuple[int, np.ndarray]]]
 
 
 def encode_entities(

@@ -121,6 +121,42 @@ def test_missing_description_file_names_path(capsys, tmp_path):
     assert "absent.nt" in err
 
 
+def test_control_characters_in_a_path_print_escaped(capsys, tmp_path):
+    path = patched_manifest(
+        tmp_path, lambda doc: doc["entities"][0].update(desc_file="a\nb.nt\x1b[2J")
+    )
+    rc, out, err = invoke(capsys, "ingest", "--manifest", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: missing file: {path.parent}/a\\x0ab.nt\\x1b[2J\n"
+
+
+def test_control_characters_in_a_split_file_print_escaped(capsys, tmp_path):
+    build_esbm_tree(tmp_path)
+    train = tmp_path / "dbpedia_split" / "Fold0" / "train.txt"
+    train.write_text("1\x1b[2J\n", encoding="utf-8")
+    rc, out, err = invoke(capsys, "ingest", "--esbm", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {train.parent}: split references unknown entity id "
+                   "1\\x1b[2J\n")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (cli.UsageError, 1, "usage error"),
+    (DataError, 2, "error"),
+    (NumericError, 3, "numeric error"),
+])
+def test_every_control_character_prints_as_hex(capsys, monkeypatch, error, code, prefix):
+    controls = [*range(0x20), *range(0x7F, 0xA0)]
+
+    def fail(args):
+        raise error("<" + "".join(map(chr, controls)) + "\xa0é>")
+
+    monkeypatch.setitem(cli._COMMANDS, "ingest", fail)
+    rc, out, err = invoke(capsys, "ingest")
+    escaped = "".join(f"\\x{c:02x}" for c in controls)
+    assert (rc, out, err) == (code, "", f"{prefix}: <{escaped}\xa0é>\n")
+
+
 @pytest.mark.parametrize("which, bad_line, reason", [
     ("description", f'<{ARIA}> <http://toy.example/voc/nick> "x\\uD800" .',
      "unicode escape \\uD800 is not a character"),

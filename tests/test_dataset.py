@@ -13,6 +13,7 @@ from entsum.dataset import (
     _IRI_RE,
     _LITERAL_RE,
     _STATEMENT_RE,
+    RDFS_LABEL,
     DatasetManifest,
     EntityDescription,
     FoldSpec,
@@ -23,7 +24,6 @@ from entsum.dataset import (
     _match_gold_statements,
     _Statement,
     _Term,
-    _to_resource,
     _unescape_literal,
     load_manifest,
     parse_description,
@@ -31,15 +31,21 @@ from entsum.dataset import (
     validate_folds,
 )
 from entsum.errors import DataError, MalformedLine, MissingFile
+from entsum.esbm import load_esbm
 from entsum.training import TrainConfig, _prepare
 
-from conftest import ARIA, BLUE, DATA_DIR, synthetic_entity
+from conftest import ARIA, BLUE, DATA_DIR, build_esbm_tree, synthetic_entity
 
 E = "http://ex.org/e"
 
 
 def desc_of(text: str, iri: str = E):
     return parse_description(text, iri)
+
+
+def parse_lines(text: str):
+    """``parse_statements`` of a whole document."""
+    return parse_statements(text.splitlines())
 
 
 # --------------------------------------------------------------------------
@@ -95,7 +101,7 @@ def test_comments_and_blank_lines_are_skipped():
         "   ",
         "# trailing comment",
     ])
-    assert len(parse_statements(text)) == 1
+    assert len(parse_lines(text)) == 1
 
 
 def test_escape_sequences_in_literals():
@@ -115,6 +121,16 @@ def test_escape_sequences_in_literals():
         (f'<{E}> _:b "x" .', "predicate must be an IRI"),
         (f'<{E}> <http://ex.org/p> "x" . extra', "trailing content"),
         (f'<{E}> <http://ex.org/p> "" .', "empty literal"),
+        # an empty term and a labelled literal subject are refused here, so
+        # no Resource is empty and no literal carries a label
+        (f'<{E}> <http://ex.org/p> ""@en .', "empty literal"),
+        (f'<{E}> <http://ex.org/p> ""^^<http://ex.org/t> .', "empty literal"),
+        (f'<> <http://ex.org/p> "x" .', "bad IRI"),
+        (f'<{E}> <> "x" .', "bad IRI"),
+        (f"<{E}> <http://ex.org/p> <> .", "bad IRI"),
+        (f'_: <http://ex.org/p> "x" .', "bad blank node"),
+        (f"<{E}> <http://ex.org/p> _: .", "bad blank node"),
+        (f'"x" <{RDFS_LABEL}> "label" .', "literal in subject"),
         (f'<{E}> <http://ex.org/p> "x\\q" .', "unknown escape"),
         (f'<{E}> <http://ex.org/p> "x\\u00" .', "truncated unicode"),
         (f'<{E}> <http://ex.org/p> .', "unexpected character"),
@@ -133,14 +149,14 @@ def test_escape_sequences_in_literals():
 )
 def test_malformed_statements(line, fragment):
     with pytest.raises(MalformedLine) as err:
-        parse_statements(line)
+        parse_statements([line])
     assert fragment in str(err.value)
 
 
 def test_malformed_line_number_is_reported():
     text = "\n".join([f'<{E}> <http://ex.org/p> "ok" .', "<broken"])
     with pytest.raises(MalformedLine) as err:
-        parse_statements(text)
+        parse_lines(text)
     assert err.value.line_no == 2
     assert "line 2" in str(err.value)
 
@@ -194,7 +210,7 @@ def fuzz_inputs(rng: random.Random, count: int):
 def test_parser_fuzz_raises_only_data_errors():
     rng = random.Random(4)
     for text in fuzz_inputs(rng, 20000):
-        for parse in (parse_statements, lambda doc: parse_description(doc, E)):
+        for parse in (parse_lines, lambda doc: parse_description(doc, E)):
             try:
                 parse(text)
             except DataError:
@@ -328,7 +344,7 @@ def test_statement_pattern_matches_reference_parser_on_mutated_lines():
     documents = (mutated_document(rng) for _ in range(6000))
     for text in itertools.chain(STATEMENT_LINES, documents):
         want = outcome(reference_parse_statements, text)
-        assert outcome(parse_statements, text) == want, text
+        assert outcome(parse_lines, text) == want, text
         if isinstance(want, tuple):
             reasons.add(want[1].split(": ", 1)[1])
         for line in text.splitlines():
@@ -352,7 +368,7 @@ def test_statement_pattern_matches_reference_parser_on_mutated_lines():
 def test_mixed_document_keeps_only_touching_statements():
     band = "http://toy.example/music/Night_Band"
     text = (DATA_DIR / "mixed_statements.nt").read_text(encoding="utf-8")
-    assert len(parse_statements(text)) == 10
+    assert len(parse_lines(text)) == 10
     triples = parse_description(text, band).triples
     assert [t.id for t in triples] == [0, 1, 2, 3, 4, 5, 6]
     # object-position statements flip the value to the subject side
@@ -422,10 +438,18 @@ def test_gold_statement_missing_from_description_raises():
 # differential test of gold matching against the statement-by-statement form
 # --------------------------------------------------------------------------
 
+def reference_to_resource(term: _Term, labels) -> Resource:
+    """A term's ``Resource`` as the parser built it before the memo in
+    ``parse_description`` took this in."""
+    if term.kind is NodeKind.LITERAL:
+        return Resource(NodeKind.LITERAL, term.value)
+    return Resource(term.kind, term.value, label=labels.get((term.kind, term.value)))
+
+
 def reference_parse_description(text: str, entity_iri: str):
     """``parse_description`` as it was before gold lines were matched by
     their text: the triples and the statement-identity index."""
-    statements = parse_statements(text)
+    statements = parse_lines(text)
     labels = _collect_labels(statements)
 
     triples: list[Triple] = []
@@ -435,9 +459,9 @@ def reference_parse_description(text: str, entity_iri: str):
         object_is_entity = st.object.kind is NodeKind.IRI and st.object.value == entity_iri
         if not (subject_is_entity or object_is_entity):
             continue
-        subject = _to_resource(st.subject, labels)
-        predicate = _to_resource(st.predicate, labels)
-        obj = _to_resource(st.object, labels)
+        subject = reference_to_resource(st.subject, labels)
+        predicate = reference_to_resource(st.predicate, labels)
+        obj = reference_to_resource(st.object, labels)
         # a self-referential statement keeps the object side as its value
         val = obj if subject_is_entity else subject
         tid = len(triples)
@@ -453,7 +477,7 @@ def reference_match_gold(first_id, gold_text: str, entity_iri: str, source: str)
     """``_match_gold_statements`` as it was: parse every gold line, then
     look each statement's terms up in the description."""
     ids = set()
-    for st in parse_statements(gold_text):
+    for st in parse_lines(gold_text):
         tid = first_id.get(st.key())
         if tid is None:
             raise DataError(
@@ -586,14 +610,43 @@ def test_gold_matching_matches_reference_on_fixed_files(gold, error, message):
 
 
 # --------------------------------------------------------------------------
-# dataclass invariants
+# record invariants
 # --------------------------------------------------------------------------
 
-def test_resource_rejects_empty_raw_and_labeled_literal():
-    with pytest.raises(ValueError):
-        Resource(NodeKind.IRI, "")
-    with pytest.raises(ValueError):
-        Resource(NodeKind.LITERAL, "x", label="nope")
+def test_manifest_with_empty_entity_iri_is_refused(tmp_path):
+    # no statement can mention <>, so load_entity never builds that Resource
+    (tmp_path / "d.nt").write_text('<http://ex.org/a> <http://ex.org/p> "x" .\n',
+                                   encoding="utf-8")
+    manifest = {"name": "m", "entities": [{"iri": "", "desc_file": "d.nt"}],
+                "folds": [{"index": 0, "train": [""], "test": [""]}]}
+    (tmp_path / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(DataError, match="no statement mentions <>"):
+        load_manifest(tmp_path / "m.json")
+
+
+def assert_terms_hold(triples):
+    """Every term is non-empty and no literal carries a label."""
+    for t in triples:
+        for r in (t.subject, t.predicate, t.object, t.val):
+            assert r.raw, t
+            assert r.kind is not NodeKind.LITERAL or r.label is None, t
+
+
+def test_loaded_terms_are_non_empty_and_literals_unlabelled(toy_manifest, tmp_path):
+    build_esbm_tree(tmp_path)
+    for manifest in (toy_manifest, load_esbm(tmp_path)):
+        for desc in manifest.entities:
+            assert desc.entity.raw
+            assert_terms_hold(desc.triples)
+    accepted = 0
+    for text in fuzz_inputs(random.Random(4), 20000):
+        try:
+            parsed = parse_description(text, E)
+        except DataError:
+            continue
+        accepted += 1
+        assert_terms_hold(parsed.triples)
+    assert accepted > 1000
 
 
 def test_triple_ids_must_be_contiguous():

@@ -186,3 +186,14 @@ def test_non_ascii_digit_names_are_not_entity_ids(tmp_path, capsys):
     ]
     assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 0
     assert capsys.readouterr() == ("5 entities, 15 triples, 20 golds\nfolds: 5\n", "")
+
+
+def test_gold_names_take_ascii_digits_and_end_in_nt(tmp_path):
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5})
+    want = [e.gold for e in load_esbm(tmp_path, "dbpedia").entities]
+    entity_dir = tmp_path / "dbpedia" / "1"
+    gold = (entity_dir / "1_gold_top5_0.nt").read_text(encoding="utf-8")
+    # a trailing newline, an Arabic-Indic five and an Arabic-Indic zero
+    for stray in ("1_gold_top5_0.nt\n", "1_gold_top٥_0.nt", "1_gold_top5_٠.nt"):
+        (entity_dir / stray).write_text(gold, encoding="utf-8")
+    assert [e.gold for e in load_esbm(tmp_path, "dbpedia").entities] == want

@@ -16,6 +16,7 @@ traceback.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkp
 from conftest import ARIA, TOYMUSIC, build_esbm_tree
 
 CASES = 240
+# a C0 or C1 control character or DEL
+CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 KINDS = ("cut-header", "cut-newline", "cut-blob", "flip-header", "flip-blob", "append")
 
 
@@ -101,6 +104,7 @@ def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys)
         else:
             prefix = {2: "error:", 3: "numeric error:"}.get(rc)
             assert prefix and err.startswith(prefix) and out == "", (case, kind, rc, err)
+            assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, kind, err)
         codes.add(rc)
     assert {0, 2} <= codes
 
@@ -160,6 +164,7 @@ def test_ingest_on_mutated_trees_exits_cleanly(tree, capsys):
             assert out.endswith("folds: 5\n") and err == "", (case, kind, out, err)
         else:
             assert rc == 2 and err.startswith("error:") and out == "", (case, kind, rc, err)
+            assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, kind, err)
         outcomes.add((kind, rc))
     # every kind was tried, and some mutants still load while others fail
     assert {kind for kind, _ in outcomes} == set(TREE_KINDS)

@@ -11,14 +11,13 @@ import pytest
 
 import entsum.model
 from entsum.dataset import EntityDescription, NodeKind, Resource, Triple, parse_description
-from entsum.embeddings import EmbeddingStore
+from entsum.embeddings import EmbeddingStore, embed_resource
 from entsum.errors import DataError, MissingFile, NumericError
 from entsum.model import (
     AttentionView,
     ModelConfig,
     TripleScorer,
     encode_description,
-    encode_triple,
     load_checkpoint,
     save_checkpoint,
     select_summary,
@@ -47,6 +46,12 @@ def triple_of(prop_raw, val_raw, tid=0):
 # --------------------------------------------------------------------------
 # triple encoding
 # --------------------------------------------------------------------------
+
+def encode_triple(t: Triple, store: EmbeddingStore) -> np.ndarray:
+    """One triple's initial representation, the reference for
+    ``encode_description``: its property embedding then its value embedding."""
+    return np.concatenate([embed_resource(t.prop, store), embed_resource(t.val, store)])
+
 
 def test_encode_concatenates_prop_and_val():
     store = EmbeddingStore(
