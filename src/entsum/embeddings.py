@@ -268,37 +268,56 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
 SAVE_BLOCK = 16384
 
 
-def _component_texts(block: np.ndarray) -> list:
-    """Per row of a float64 block, the ``repr`` of each component in order.
+def _component_texts(block: np.ndarray, carried: tuple) -> tuple[list, tuple]:
+    """Per row of a float64 block, the ``repr`` of each component in order,
+    and the block's table to carry into the next call: its distinct bit
+    patterns, sorted, and their texts.
 
-    Each distinct bit pattern is formatted once, so ``0.0`` and ``-0.0``
-    are told apart.
+    Each distinct bit pattern is formatted once, and not at all when it is
+    in ``carried``, the previous block's table; so ``0.0`` and ``-0.0`` are
+    told apart.
     """
     bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return distinct[inverse.reshape(block.shape)].tolist()
+    known_bits, known_texts = carried
+    at = np.searchsorted(known_bits, bits)
+    hit = at < len(known_bits)
+    hit[hit] = known_bits[at[hit]] == bits[hit]
+    texts = np.empty(len(bits), dtype=object)
+    texts[hit] = known_texts[at[hit]]
+    miss = ~hit
+    texts[miss] = list(map(repr, bits[miss].view(np.float64).tolist()))
+    return texts[inverse.reshape(block.shape)].tolist(), (bits, texts)
 
 
-def _unsavable(word: str, vec, dim: int) -> str | None:
-    """Why ``save_vec_file`` cannot write a word and vector the loader
-    would read back, or None."""
+def _cannot_save(word: str, problem: str) -> DataError:
+    return DataError(f"cannot save {word!r}: {problem}")
+
+
+def _savable_row(word: str, vec, dim: int) -> np.ndarray:
+    """``vec`` converted to float64, or ``DataError`` if ``save_vec_file``
+    cannot write the word and vector so that the loader reads them back.
+    Finiteness is left to ``_refuse_non_finite``, once per block."""
     if not word or " " in word or "\n" in word:
-        return "a word must be non-empty and hold no space or newline"
+        raise _cannot_save(word, "a word must be non-empty and hold no space or newline")
     if word.lower() != word:
-        return "the loader lowercases words, so a word must be lowercase"
+        raise _cannot_save(word, "the loader lowercases words, so a word must be lowercase")
     try:
         word.encode("utf-8")
     except UnicodeEncodeError:
-        return "word not encodable as UTF-8"
+        raise _cannot_save(word, "word not encodable as UTF-8") from None
     try:
-        vec = np.asarray(vec, dtype=np.float64)
+        row = np.asarray(vec, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        return f"component not convertible to float64 ({exc})"
-    if vec.shape != (dim,) or not dim:
-        return f"vector of shape {vec.shape} in a store of dim {dim}"
-    if not np.isfinite(vec).all():
-        return "non-finite vector component"
-    return None
+        raise _cannot_save(word, f"component not convertible to float64 ({exc})") from None
+    if row.shape != (dim,) or not dim:
+        raise _cannot_save(word, f"vector of shape {row.shape} in a store of dim {dim}")
+    return row
+
+
+def _refuse_non_finite(chunk: list[str], block: np.ndarray) -> None:
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise _cannot_save(chunk[int(finite.argmin())], "non-finite vector component")
 
 
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
@@ -306,30 +325,36 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
 
     Words are sorted for byte-stable output.  Components are converted to
     float64 and written as their ``repr``, so a round trip reproduces the
-    exact doubles.  Rows are formatted in blocks of about ``SAVE_BLOCK``
-    components, and each distinct value in a block is formatted once; the
-    bytes are the same as formatting every component.
+    exact doubles.  Rows are converted, checked and formatted in blocks of
+    about ``SAVE_BLOCK`` components.  Each distinct value of a block is
+    formatted once, and a value the previous block also held is not
+    formatted again; the bytes are the same as formatting every component.
 
     A word that is empty, holds a space or a newline, is not lowercase
     (``word.lower() != word``, which the loader would fold into another
     word), or does not encode as UTF-8, and a vector with a component that
     does not convert to float64, whose shape is not ``(dim,)``, that has a
     non-finite component, or that has no components at all raise
-    ``DataError`` naming the word before anything is written.
+    ``DataError`` naming the first such word in sorted order; the target is
+    then left as it was, and no temporary file is left behind.
     """
     words = sorted(store.vectors)
-    for word in words:
-        problem = _unsavable(word, store.vectors[word], store.dim)
-        if problem is not None:
-            raise DataError(f"cannot save {word!r}: {problem}")
     per_block = max(1, SAVE_BLOCK // max(store.dim, 1))
+    carried = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=object))
     with atomic_writer(path) as fh:
         fh.write(f"{len(words)} {store.dim}\n")
         for start in range(0, len(words), per_block):
             chunk = words[start:start + per_block]
-            block = np.stack([np.asarray(store.vectors[w], dtype=np.float64) for w in chunk])
-            for word, texts in zip(chunk, _component_texts(block)):
-                fh.write(f"{word} {' '.join(texts)}\n")
+            block = np.empty((len(chunk), max(store.dim, 0)), dtype=np.float64)
+            for i, word in enumerate(chunk):
+                try:
+                    block[i] = _savable_row(word, store.vectors[word], store.dim)
+                except DataError:
+                    _refuse_non_finite(chunk[:i], block[:i])  # an earlier word comes first
+                    raise
+            _refuse_non_finite(chunk, block)
+            texts, carried = _component_texts(block, carried)
+            fh.write("".join(f"{word} {' '.join(row)}\n" for word, row in zip(chunk, texts)))
 
 
 def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:

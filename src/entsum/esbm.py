@@ -32,9 +32,9 @@ from .errors import DataError, MissingFile
 COLLECTIONS = ("dbpedia", "lmdb")
 PARTS = ("train", "valid", "test")
 
-# ASCII digits only, and the name ends in ".nt": \d takes any Unicode digit
-# and $ also matches before a trailing newline
-_GOLD_RE = re.compile(r"_gold_top([0-9]+)_([0-9]+)\.nt\Z")
+# <eid>_gold_top<k>_<annotator>.nt, fullmatched in ASCII digits only: \d
+# takes any Unicode digit
+_GOLD_RE = re.compile(r"([0-9]+)_gold_top([0-9]+)_([0-9]+)\.nt")
 
 
 def _is_entity_id(name: str) -> bool:
@@ -66,9 +66,9 @@ def _load_entity(entity_dir: Path, eid: str, iri: str) -> EntityDescription:
     base = os.fspath(entity_dir)
     golds = []
     for name in sorted(os.listdir(base)):
-        m = _GOLD_RE.search(name)
-        if m:
-            golds.append((int(m.group(1)), m.group(2), os.path.join(base, name)))
+        m = _GOLD_RE.fullmatch(name)
+        if m and m.group(1) == eid:
+            golds.append((int(m.group(2)), m.group(3), os.path.join(base, name)))
     return load_entity(iri, os.path.join(base, f"{eid}_desc.nt"), golds)
 
 

@@ -28,11 +28,11 @@ def test_interrupted_vec_save_keeps_previous_file(tmp_path, monkeypatch):
     format_block = embeddings._component_texts
     calls = []
 
-    def fail_second(block):
+    def fail_second(block, carried):
         calls.append(sorted(p.name for p in tmp_path.iterdir()))
         if len(calls) == 2:
             raise OSError("write failed")
-        return format_block(block)
+        return format_block(block, carried)
 
     monkeypatch.setattr(embeddings, "SAVE_BLOCK", 1)
     monkeypatch.setattr(embeddings, "_component_texts", fail_second)

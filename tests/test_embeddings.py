@@ -616,7 +616,9 @@ def random_save_row(rng, dim, fresh):
 @pytest.mark.parametrize("dim, save_block", [(3, 20), (5, 5), (256, None)])
 def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
     # the bytes of formatting every component, at word counts around the
-    # block size, with values repeated within and across blocks and not at all
+    # block size, with values repeated within and across blocks and not at
+    # all, a value that skips a block and comes back, and blocks of 0.0 and
+    # of -0.0 taking turns
     if save_block is not None:
         monkeypatch.setattr(embeddings, "SAVE_BLOCK", save_block)
     block = max(1, embeddings.SAVE_BLOCK // dim)
@@ -626,18 +628,47 @@ def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
         words = [f"w{i:04d}" for i in range(n_words)]
         for fresh in (0.0, 0.6):
             vectors = {w: random_save_row(rng, dim, fresh) for w in rng.permutation(words)}
+
+            def row(w):  # a float64 copy of w's vector, to change in place
+                vectors[w] = np.asarray(vectors[w], dtype=np.float64).copy()
+                return vectors[w]
+
             for b in range(block, n_words, block):  # one bit pattern on both sides
                 shared = rng.choice([-0.0, 5e-324, 1e300])
                 for w in words[b - 1:b + 1]:
-                    vectors[w] = np.asarray(vectors[w], dtype=np.float64).copy()
-                    vectors[w][rng.integers(dim)] = shared
+                    row(w)[rng.integers(dim)] = shared
+            for w in words[::2 * block]:  # in blocks 0, 2, 4 ..., not in 1, 3 ...
+                row(w)[-1] = 0.7071067811865476
             store = EmbeddingStore(dim, vectors)
             save_vec_file(store, path)
             assert path.read_bytes() == reference_vec_text(store).encode("utf-8")
     distinct = EmbeddingStore(dim, {w: rng.normal(size=dim) * 10.0 ** rng.integers(-300, 300, dim)
                                     for w in words})
-    save_vec_file(distinct, path)
-    assert path.read_bytes() == reference_vec_text(distinct).encode("utf-8")
+    zeros = EmbeddingStore(dim, {w: np.full(dim, -0.0 if i // block % 2 else 0.0)
+                                 for i, w in enumerate(words)})
+    for store in (distinct, zeros):
+        save_vec_file(store, path)
+        assert path.read_bytes() == reference_vec_text(store).encode("utf-8")
+
+
+def test_save_formats_each_value_once_across_blocks(tmp_path, monkeypatch):
+    # every block of two words holds the same 7 values, so the table carried
+    # from the previous block formats each of them once in the whole save
+    values = np.array([0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, 1 / 3])
+    store = EmbeddingStore(7, {f"w{i:02d}": np.roll(values, i) for i in range(40)})
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(embeddings, "SAVE_BLOCK", 14)
+    monkeypatch.setattr(embeddings, "repr", counting_repr, raising=False)
+    path = tmp_path / "out.vec"
+    save_vec_file(store, path)
+    assert sorted(struct.pack("=d", v) for v in formatted) == \
+        sorted(struct.pack("=d", v) for v in values)
+    assert path.read_bytes() == reference_vec_text(store).encode("utf-8")
 
 
 @pytest.mark.parametrize("store, word", [
@@ -654,8 +685,10 @@ def test_save_matches_reference_text(tmp_path, monkeypatch, dim, save_block):
     (EmbeddingStore(1, {"": [1.0], "a": [1.0]}), ""),
     (EmbeddingStore(1, {"a": [1.0], "b c": [1.0]}), "b c"),
     (EmbeddingStore(1, {"a": [1.0], "b\nc": [1.0]}), "b\nc"),
+    (EmbeddingStore(1, {"a": [1.0], "b": [np.inf], "c d": [1.0]}), "b"),
 ], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
-        "overflow", "string", "surrogate-word", "empty-word", "space-word", "newline-word"])
+        "overflow", "string", "surrogate-word", "empty-word", "space-word", "newline-word",
+        "inf-before-space-word"])
 def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     with pytest.raises(DataError) as err:
         save_vec_file(store, tmp_path / "out.vec")

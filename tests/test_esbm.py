@@ -193,7 +193,9 @@ def test_gold_names_take_ascii_digits_and_end_in_nt(tmp_path):
     want = [e.gold for e in load_esbm(tmp_path, "dbpedia").entities]
     entity_dir = tmp_path / "dbpedia" / "1"
     gold = (entity_dir / "1_gold_top5_0.nt").read_text(encoding="utf-8")
-    # a trailing newline, an Arabic-Indic five and an Arabic-Indic zero
-    for stray in ("1_gold_top5_0.nt\n", "1_gold_top٥_0.nt", "1_gold_top5_٠.nt"):
+    # a trailing newline, an Arabic-Indic five and an Arabic-Indic zero; a
+    # prefix before the entity id, another entity's id and a padded id
+    for stray in ("1_gold_top5_0.nt\n", "1_gold_top٥_0.nt", "1_gold_top5_٠.nt",
+                  "backup_gold_top5_7.nt", "2_gold_top5_8.nt", "01_gold_top5_9.nt"):
         (entity_dir / stray).write_text(gold, encoding="utf-8")
     assert [e.gold for e in load_esbm(tmp_path, "dbpedia").entities] == want

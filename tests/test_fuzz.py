@@ -13,6 +13,12 @@ gold, ``elist.txt`` or split files, flips bytes in it, deletes or duplicates
 one of its lines, or swaps its content with another file's.  Through
 ``entsum ingest --esbm`` every mutant must end in exit 0 or 2 without a
 traceback.
+
+Each vector case takes the toy corpus's vector file and truncates it, flips
+bytes in it, inserts bytes the loader treats specially, or deletes,
+duplicates or swaps its lines.  Through ``entsum filter-vectors`` every
+mutant must end in exit 0 or 2 without a traceback or a temporary file, and
+a written file must load to the words and bits of the mutant itself.
 """
 
 import random
@@ -21,7 +27,8 @@ import re
 import numpy as np
 import pytest
 
-from entsum import cli
+from entsum import cli, embeddings
+from entsum.embeddings import load_vec_file, manifest_vocabulary
 from entsum.errors import DataError
 from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
 
@@ -168,4 +175,75 @@ def test_ingest_on_mutated_trees_exits_cleanly(tree, capsys):
         outcomes.add((kind, rc))
     # every kind was tried, and some mutants still load while others fail
     assert {kind for kind, _ in outcomes} == set(TREE_KINDS)
+    assert {rc for _, rc in outcomes} == {0, 2}
+
+
+VEC_CASES = 300
+VEC_KINDS = ("truncate", "flip", "insert", "delete-line", "duplicate-line", "swap-lines")
+# invalid UTF-8, the Kelvin sign (which lowercases to "k"), NUL, line and
+# field separators, and components that are non-finite or that only float reads
+VEC_PIECES = [b"\xff", b"\xe2\x82", "\u212a".encode(), b"\x00", b"\r", b"\n", b" ", b"  ",
+              b"\t", b"nan", b"1e999", b"1_0", b"-", b"."]
+
+
+def vec_mutant(data: bytes, case: int) -> tuple[str, bytes]:
+    """The kind and bytes of mutation ``case`` of vector file ``data``."""
+    rng = random.Random(case)
+    kind = VEC_KINDS[case % len(VEC_KINDS)]
+    if kind == "truncate":
+        return kind, data[:rng.randrange(len(data))]
+    if kind == "flip":
+        out = bytearray(data)
+        for _ in range(rng.randrange(1, 4)):
+            out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+        return kind, bytes(out)
+    if kind == "insert":
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(data) + 1)
+            data = data[:i] + rng.choice(VEC_PIECES) + data[i:]
+        return kind, data
+    lines = data.splitlines(keepends=True)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if kind == "swap-lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i:i + 1] = [] if kind == "delete-line" else [lines[i], lines[i]]
+    return kind, b"".join(lines)
+
+
+def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_path, capsys,
+                                                              monkeypatch):
+    # three words per save block, so the table carried between blocks is used
+    monkeypatch.setattr(embeddings, "SAVE_BLOCK", 12)
+    data = (TOYMUSIC / "toy.vec").read_bytes()
+    vocab = manifest_vocabulary(toy_manifest)
+    path, out_dir = tmp_path / "mutant.vec", tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "filtered.vec"
+    outcomes = set()
+    for case in range(VEC_CASES):
+        kind, mutated = vec_mutant(data, case)
+        path.write_bytes(mutated)
+        out.unlink(missing_ok=True)
+        try:
+            rc = cli.main(["filter-vectors", "--manifest", str(TOYMUSIC / "manifest.json"),
+                           "--vectors", str(path), "--out", str(out)])
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        _, err = capsys.readouterr()
+        assert "Traceback" not in err, (case, kind, err)
+        if rc == 0:
+            assert err == "", (case, kind, err)
+            assert [p.name for p in out_dir.iterdir()] == ["filtered.vec"], (case, kind)
+            want, got = load_vec_file(path, vocab), load_vec_file(out)
+            assert got.dim == want.dim, (case, kind)
+            assert {w: v.tobytes() for w, v in got.vectors.items()} == \
+                {w: v.tobytes() for w, v in want.vectors.items()}, (case, kind)
+        else:
+            assert rc == 2 and err.startswith("error:"), (case, kind, rc, err)
+            assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, kind, err)
+            assert list(out_dir.iterdir()) == [], (case, kind)
+        outcomes.add((kind, rc))
+    # every kind was tried, and some mutants still filter while others fail
+    assert {kind for kind, _ in outcomes} == set(VEC_KINDS)
     assert {rc for _, rc in outcomes} == {0, 2}
