@@ -325,7 +325,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
-    print(f"{kind}: {str(exc).translate(_CONTROL_ESCAPES)}", file=sys.stderr)
+    message = str(exc).translate(_CONTROL_ESCAPES)
+    # a lone surrogate, say from a JSON "\ud800" escape, encodes in no stream
+    message = message.encode("utf-8", "backslashreplace").decode("utf-8")
+    print(f"{kind}: {message}", file=sys.stderr)
     return code
 
 

@@ -401,7 +401,8 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
 
 def read_bytes(path: str | Path) -> bytes:
     """The content of an input file.  A missing file raises ``MissingFile``;
-    any other failure to read it raises a ``DataError`` naming the path."""
+    any other failure to read it, also a name the OS cannot take (a NUL or
+    a lone surrogate in it), raises a ``DataError`` naming the path."""
     try:
         with open(path, "rb") as f:
             return f.read()
@@ -409,6 +410,8 @@ def read_bytes(path: str | Path) -> bytes:
         raise MissingFile(path) from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: cannot read ({exc})") from None
 
 
 def decode_text(data: bytes, path: str | Path) -> str:
@@ -555,7 +558,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top-level value must be an object")

@@ -13,7 +13,9 @@ matrices, the n x n attention is ``softmax(cosine(C, G))`` and the pooled
 vectors are ``A @ G``; training runs the matching matrix chain rule backward.
 The rows are in ascending triple-id order no matter how the input list is
 ordered, which makes the scores bit-exactly invariant under permutations of
-the input.
+the input.  ``encode_description`` builds that matrix once per entity, as an
+``EncodedDescription`` the scorer takes as it is; a plain list of pairs is
+sorted, checked and stacked on every call.
 
 ``ModelConfig`` is the only description of the architecture: every layer's
 shape follows from the embedding width and the hidden sizes, the encoders end
@@ -27,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -167,11 +168,42 @@ class ScoredDescription:
     attention: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
 
-def encode_description(
-    desc: EntityDescription, store: EmbeddingStore
-) -> list[tuple[int, np.ndarray]]:
-    """Each triple's id and initial representation: its property embedding
-    then its value embedding, embedding each distinct resource once."""
+class EncodedDescription(Sequence):
+    """A description's triple ids in ascending order and the read-only
+    n x 2d float64 matrix whose row i is the vector of ``ids[i]``.
+
+    It is a sequence of ``(id, row)`` pairs, so it goes wherever a list of
+    pairs goes; the scorer uses ``ids`` and ``matrix`` as they are."""
+
+    __slots__ = ("ids", "matrix")
+
+    def __init__(self, ids: Sequence[int], matrix: np.ndarray):
+        ids = tuple(ids)
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise NumericError("encoded triple ids must be strictly ascending")
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(ids):
+            raise NumericError(f"{matrix.dtype} matrix of shape {matrix.shape} "
+                               f"for {len(ids)} triple ids")
+        self.ids = ids
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.ids[i], self.matrix[i]))
+        return self.ids[i], self.matrix[i]
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return zip(self.ids, self.matrix)
+
+
+def encode_description(desc: EntityDescription, store: EmbeddingStore) -> EncodedDescription:
+    """Each triple's initial representation, its property embedding then its
+    value embedding, as one row per triple id; each distinct resource is
+    embedded once.  ``EntityDescription`` keeps its triples in id order."""
     embedded: dict[Resource, np.ndarray] = {}
 
     def embed(r: Resource) -> np.ndarray:
@@ -180,7 +212,12 @@ def encode_description(
             vec = embedded[r] = embed_resource(r, store)
         return vec
 
-    return [(t.id, np.concatenate([embed(t.prop), embed(t.val)])) for t in desc.triples]
+    d = store.dim
+    X = np.empty((len(desc.triples), 2 * d))
+    for row, t in zip(X, desc.triples):
+        row[:d] = embed(t.prop)
+        row[d:] = embed(t.val)
+    return EncodedDescription([t.id for t in desc.triples], X)
 
 
 class TripleScorer:
@@ -231,22 +268,30 @@ class TripleScorer:
 
     def _sorted_vectors(
         self, vectors: Sequence[tuple[int, np.ndarray]]
-    ) -> tuple[list[int], np.ndarray]:
-        """Triple ids in ascending order and the n x 2d matrix of their vectors."""
+    ) -> tuple[Sequence[int], np.ndarray]:
+        """Triple ids in ascending order and the n x 2d matrix of their
+        vectors: an ``EncodedDescription``'s own, else sorted and stacked."""
         if not vectors:
             raise NumericError("cannot score an empty description")
+        dim = self.config.triple_dim
+        if isinstance(vectors, EncodedDescription):
+            if vectors.matrix.shape[1] != dim:
+                raise self._width_error(vectors.ids[0], vectors.matrix[0])
+            return vectors.ids, vectors.matrix
         pairs = sorted(vectors, key=lambda pair: pair[0])
         ids = [tid for tid, _ in pairs]
         if len(set(ids)) != len(ids):
             raise NumericError("duplicate triple id in description vectors")
-        dim = self.config.triple_dim
         for tid, vec in pairs:
             if np.shape(vec) != (dim,):
-                raise NumericError(
-                    f"triple {tid}: vector length {np.shape(vec)} does not match "
-                    f"2*embed_dim = {dim}"
-                )
+                raise self._width_error(tid, vec)
         return ids, np.array([vec for _, vec in pairs], dtype=np.float64)
+
+    def _width_error(self, tid: int, vec) -> NumericError:
+        return NumericError(
+            f"triple {tid}: vector length {np.shape(vec)} does not match "
+            f"2*embed_dim = {self.config.triple_dim}"
+        )
 
     def _forward(self, X: np.ndarray):
         """Scores for the rows of X plus what the backward pass needs:
@@ -264,7 +309,8 @@ class TripleScorer:
         self, entity: Resource, vectors: Sequence[tuple[int, np.ndarray]]
     ) -> ScoredDescription:
         """Score every candidate in the context of the full description; a
-        non-finite score is a ``NumericError``."""
+        non-finite score is a ``NumericError``.  ``scores`` iterates in
+        ascending id order."""
         ids, X = self._sorted_vectors(vectors)
         scores, (_, _, A, *_) = self._forward(X)
         if not np.isfinite(scores).all():
@@ -299,8 +345,9 @@ class TripleScorer:
         dJ, grads_s = self.scoring_mlp.backward(score_cache, dscores[:, None])
         dC, dP = np.hsplit(dJ, [C.shape[1]])
         dC_cos, dG_cos = cosine_backward(C, G, softmax_backward(A, dP @ G.T))
-        _, grads_c = self.candidate_mlp.backward(cand_cache, dC + dC_cos)
-        _, grads_d = self.context_mlp.backward(ctx_cache, A.T @ dP + dG_cos)
+        # the encoders' input X is data, so their backward stops at the weights
+        _, grads_c = self.candidate_mlp.backward(cand_cache, dC + dC_cos, input_grad=False)
+        _, grads_d = self.context_mlp.backward(ctx_cache, A.T @ dP + dG_cos, input_grad=False)
         return loss, grads_c + grads_d + grads_s
 
 

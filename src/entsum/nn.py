@@ -84,9 +84,13 @@ class Mlp:
             X = np.maximum(Z, 0.0) if layer.activation is Activation.RELU else Z
         return (X[0] if single else X), cache
 
-    def backward(self, cache: list, dy: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def backward(
+        self, cache: list, dy: np.ndarray, *, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """Return dL/dX and the parameter gradients summed over the batch,
-        ordered like ``parameters()``.  ``dy`` has the forward output's shape."""
+        ordered like ``parameters()``.  ``dy`` has the forward output's shape.
+        Without ``input_grad`` the first layer's ``dZ @ W`` is skipped and
+        dL/dX is None; the parameter gradients are the same bytes."""
         dY = np.asarray(dy, dtype=np.float64)
         single = dY.ndim == 1
         G = np.atleast_2d(dY)
@@ -99,6 +103,8 @@ class Mlp:
         for layer, (X, Z) in zip(reversed(self.layers), reversed(cache)):
             dZ = G * (Z > 0.0) if layer.activation is Activation.RELU else G
             grads[:0] = [dZ.T @ X, dZ.sum(axis=0)]
+            if layer is self.layers[0] and not input_grad:
+                return None, grads
             G = dZ @ layer.W
         return (G[0] if single else G), grads
 
@@ -198,7 +204,12 @@ class AdamState:
 def adam_step(
     params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
 ) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction, in the order of
+    Kingma & Ba (arXiv 1412.6980, section 2): both corrections are folded
+    into the step size and epsilon, ``p -= lr_t * m / (sqrt(v) + eps_t)``
+    with ``lr_t = lr * sqrt(bc2) / bc1`` and ``eps_t = eps * sqrt(bc2)``.
+    That is the textbook ``lr * m_hat / (sqrt(v_hat) + eps)`` up to
+    rounding, with no ``m_hat`` or ``v_hat`` array."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise NumericError("parameter, gradient and state lists differ in length")
     for p, g, m in zip(params, grads, state.m):
@@ -206,16 +217,15 @@ def adam_step(
             raise NumericError(f"misaligned shapes {p.shape} vs {g.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
+    root_bc2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    lr_t = state.lr * root_bc2 / (1.0 - ADAM_BETA1 ** t)
+    eps_t = ADAM_EPS * root_bc2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p -= lr_t * m / (np.sqrt(v) + eps_t)
 
 
 def grad_check(

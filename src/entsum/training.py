@@ -27,7 +27,13 @@ from .evaluation import (
     make_report,
     oracle_summary,
 )
-from .model import ModelConfig, TripleScorer, encode_description, select_summary
+from .model import (
+    EncodedDescription,
+    ModelConfig,
+    TripleScorer,
+    encode_description,
+    select_summary,
+)
 from .nn import IGNORE_FLOAT_ERRORS, AdamState, adam_step, mse_loss
 
 
@@ -59,7 +65,7 @@ class TrainResult:
 
 
 # each entity's encoded description, keyed by IRI
-Encodings = Mapping[str, list[tuple[int, np.ndarray]]]
+Encodings = Mapping[str, EncodedDescription]
 
 
 def encode_entities(
@@ -72,7 +78,7 @@ def encode_entities(
 @dataclass
 class _PreparedEntity:
     desc: EntityDescription
-    vectors: list
+    vectors: EncodedDescription
     targets: dict[int, float]
 
 
@@ -85,7 +91,8 @@ def _prepare(
 ) -> list[_PreparedEntity]:
     """Each entity with its encoding and, ``with_targets``, its regression
     targets: per triple, the fraction of the k-slot gold summaries that
-    contain it.  An entity without golds for k is a ``DataError``."""
+    contain it, keyed in ascending id order.  An entity without golds for
+    k is a ``DataError``."""
     prepared = []
     for iri in iris:
         desc = manifest.entity(iri)
@@ -114,10 +121,10 @@ def _validation_metric(
     total = 0.0
     for ent in prepared:
         scored = model.score_description(ent.desc.entity, ent.vectors)
-        ids = sorted(scored.scores)
-        pred = np.array([scored.scores[i] for i in ids])
-        target = np.array([ent.targets[i] for i in ids])
-        loss, _ = mse_loss(pred, target)
+        # scores and targets both iterate in ascending id order
+        n = len(ent.targets)
+        pred = np.fromiter(scored.scores.values(), np.float64, n)
+        loss, _ = mse_loss(pred, np.fromiter(ent.targets.values(), np.float64, n))
         total += loss
     return total / len(prepared)
 

@@ -130,6 +130,18 @@ def test_control_characters_in_a_path_print_escaped(capsys, tmp_path):
     assert err == f"error: missing file: {path.parent}/a\\x0ab.nt\\x1b[2J\n"
 
 
+@pytest.mark.parametrize("name, shown, reason", [
+    ("a\x00b.nt", "a\\x00b.nt", "embedded null byte"),
+    ("\ud800.nt", "\\ud800.nt", "surrogates not allowed"),
+], ids=["nul", "lone-surrogate"])
+def test_a_path_the_os_cannot_take_is_a_data_error(capsys, tmp_path, name, shown, reason):
+    path = patched_manifest(tmp_path, lambda doc: doc["entities"][0].update(desc_file=name))
+    rc, out, err = invoke(capsys, "ingest", "--manifest", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {path.parent}/{shown}: cannot read (")
+    assert err.endswith(f"{reason})\n") and err.count("\n") == 1 and err.isascii()
+
+
 def test_control_characters_in_a_split_file_print_escaped(capsys, tmp_path):
     build_esbm_tree(tmp_path)
     train = tmp_path / "dbpedia_split" / "Fold0" / "train.txt"

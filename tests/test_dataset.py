@@ -812,6 +812,17 @@ def test_manifest_bad_json(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("value", ["[" * 100000 + "]" * 100000, "9" * 5000],
+                         ids=["deep-nesting", "long-integer"])
+def test_manifest_json_past_the_decoder_limits_is_a_data_error(tmp_path, value):
+    # nesting past the recursion limit, an integer past int()'s digit limit
+    path = write_corpus(tmp_path, mini_doc(), mini_files())
+    text = path.read_text(encoding="utf-8").replace('"index": 0', f'"index": {value}', 1)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_manifest(path)
+
+
 def test_manifest_is_missing_entirely(tmp_path):
     with pytest.raises(MissingFile):
         load_manifest(tmp_path / "nope.json")

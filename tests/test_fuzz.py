@@ -19,10 +19,18 @@ bytes in it, inserts bytes the loader treats specially, or deletes,
 duplicates or swaps its lines.  Through ``entsum filter-vectors`` every
 mutant must end in exit 0 or 2 without a traceback or a temporary file, and
 a written file must load to the words and bits of the mutant itself.
+
+Each manifest case takes the toy corpus's manifest JSON and mutates it the
+same ways, or puts a value of another type, size or depth in place of one of
+its nodes, or drops a key.  Each TSV case mutates a per-entity TSV the same
+ways.  Through ``entsum ingest --manifest`` and ``entsum evaluate --oracle
+--compare`` every mutant must end in exit 0, 2 or 3 without a traceback.
 """
 
+import json
 import random
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -179,17 +187,19 @@ def test_ingest_on_mutated_trees_exits_cleanly(tree, capsys):
 
 
 VEC_CASES = 300
-VEC_KINDS = ("truncate", "flip", "insert", "delete-line", "duplicate-line", "swap-lines")
+LINE_KINDS = ("truncate", "flip", "insert", "delete-line", "duplicate-line", "swap-lines")
 # invalid UTF-8, the Kelvin sign (which lowercases to "k"), NUL, line and
 # field separators, and components that are non-finite or that only float reads
 VEC_PIECES = [b"\xff", b"\xe2\x82", "\u212a".encode(), b"\x00", b"\r", b"\n", b" ", b"  ",
               b"\t", b"nan", b"1e999", b"1_0", b"-", b"."]
 
 
-def vec_mutant(data: bytes, case: int) -> tuple[str, bytes]:
-    """The kind and bytes of mutation ``case`` of vector file ``data``."""
+def line_mutant(data: bytes, case: int, pieces: list[bytes],
+                kinds: tuple[str, ...] = LINE_KINDS) -> tuple[str, bytes]:
+    """The kind and bytes of mutation ``case`` of text file ``data``, for a
+    kind in ``LINE_KINDS``; an insertion takes bytes from ``pieces``."""
     rng = random.Random(case)
-    kind = VEC_KINDS[case % len(VEC_KINDS)]
+    kind = kinds[case % len(kinds)]
     if kind == "truncate":
         return kind, data[:rng.randrange(len(data))]
     if kind == "flip":
@@ -200,7 +210,7 @@ def vec_mutant(data: bytes, case: int) -> tuple[str, bytes]:
     if kind == "insert":
         for _ in range(rng.randrange(1, 4)):
             i = rng.randrange(len(data) + 1)
-            data = data[:i] + rng.choice(VEC_PIECES) + data[i:]
+            data = data[:i] + rng.choice(pieces) + data[i:]
         return kind, data
     lines = data.splitlines(keepends=True)
     i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
@@ -222,7 +232,7 @@ def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_
     out = out_dir / "filtered.vec"
     outcomes = set()
     for case in range(VEC_CASES):
-        kind, mutated = vec_mutant(data, case)
+        kind, mutated = line_mutant(data, case, VEC_PIECES)
         path.write_bytes(mutated)
         out.unlink(missing_ok=True)
         try:
@@ -245,5 +255,116 @@ def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_
             assert list(out_dir.iterdir()) == [], (case, kind)
         outcomes.add((kind, rc))
     # every kind was tried, and some mutants still filter while others fail
-    assert {kind for kind, _ in outcomes} == set(VEC_KINDS)
+    assert {kind for kind, _ in outcomes} == set(LINE_KINDS)
     assert {rc for _, rc in outcomes} == {0, 2}
+
+
+def assert_clean_exit(rc: int, err: str, case) -> None:
+    """Exit 0 with nothing on stderr, or exit 2 or 3 with one error line that
+    holds no control character."""
+    assert "Traceback" not in err, (case, err)
+    if rc == 0:
+        assert err == "", (case, err)
+    else:
+        prefix = {2: "error:", 3: "numeric error:"}.get(rc)
+        assert prefix and err.startswith(prefix), (case, rc, err)
+        assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, err)
+
+
+MANIFEST_CASES = 640
+MANIFEST_KINDS = (*LINE_KINDS, "replace-value", "drop-key")
+# bytes that end or open a JSON token, invalid UTF-8, NUL, and number texts
+# the decoder reads specially
+JSON_PIECES = [b'"', b",", b":", b"{", b"}", b"[", b"]", b"\\", b"\xff", b"\x00", b"-", b"0",
+               b"NaN", b"1e999"]
+# values put in place of a node: other types, non-finite and huge numbers,
+# strings that name no file or a directory, and nesting past the decoder's limit
+JSON_VALUES = ["null", "true", "0", "-1", "2.5", "NaN", "-Infinity", "1e999", '""', '"x"',
+               '"."', '"../toymusic/toy.vec"', '"\\u0000"', '"\\ud800"', "[]", "{}", '[""]',
+               '{"1": []}', "9" * 5000, "[" * 3000 + "]" * 3000]
+SENTINEL = "\x00mutated"
+
+
+def json_nodes(node, out: list) -> list:
+    """Every (container, key) pair under ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            json_nodes(child, out)
+    return out
+
+
+def manifest_mutant(data: bytes, case: int) -> tuple[str, bytes]:
+    """The kind and bytes of mutation ``case`` of manifest ``data``."""
+    kind = MANIFEST_KINDS[case % len(MANIFEST_KINDS)]
+    if kind in LINE_KINDS:
+        return line_mutant(data, case, JSON_PIECES, MANIFEST_KINDS)
+    rng = random.Random(case)
+    doc = json.loads(data)
+    container, key = rng.choice(json_nodes(doc, []))
+    if kind == "drop-key" and isinstance(container, dict):
+        del container[key]
+        return kind, json.dumps(doc).encode()
+    container[key] = SENTINEL
+    text = json.dumps(doc).replace(json.dumps(SENTINEL), rng.choice(JSON_VALUES))
+    return kind, text.encode()
+
+
+def test_ingest_on_mutated_manifests_exits_cleanly(tmp_path, capsys):
+    root = tmp_path / "toymusic"
+    shutil.copytree(TOYMUSIC, root)
+    path = root / "manifest.json"
+    data = path.read_bytes()
+    outcomes = set()
+    for case in range(MANIFEST_CASES):
+        kind, mutated = manifest_mutant(data, case)
+        path.write_bytes(mutated)
+        try:
+            rc = cli.main(["ingest", "--manifest", str(path)])
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        out, err = capsys.readouterr()
+        assert_clean_exit(rc, err, (case, kind))
+        assert re.fullmatch(r"\d+ entities, \d+ triples, \d+ golds\nfolds: \d+\n" if rc == 0
+                            else "", out), (case, kind, out)
+        outcomes.add((kind, rc))
+    # every kind was tried, and some mutants still load while others fail
+    assert {kind for kind, _ in outcomes} == set(MANIFEST_KINDS)
+    assert {0, 2} <= {rc for _, rc in outcomes}
+
+
+TSV_CASES = 400
+# field and line separators, including the ones only str.splitlines breaks
+# at, invalid UTF-8, NUL, and F1 texts that are non-finite, out of range or
+# that only float reads
+TSV_PIECES = [b"\t", b"\n", b"\r", "\x85".encode(), "\u2028".encode(), b"\xff", b"\x00", b" ",
+              b"nan", b"inf", b"-0", b"1e999", b"1_0", b"2", b"-"]
+
+
+def test_evaluate_compare_on_mutated_tsvs_exits_cleanly(tmp_path, capsys):
+    # this run's F1s, two other entities, and differences that vary
+    rows = [f"0\t{ARIA}\t0.5", "1\thttp://toy.example/film/Blue_River\t0.25",
+            "0\thttp://toy.example/x\t1.0", "1\thttp://toy.example/y\t0.0"]
+    data = "\n".join(["fold\tentity\tf1", *rows]).encode() + b"\n"
+    path = tmp_path / "other.tsv"
+    args = ["evaluate", "--manifest", str(TOYMUSIC / "manifest.json"), "--oracle", "--k", "2",
+            "--compare", str(path)]
+    outcomes = set()
+    for case in range(TSV_CASES):
+        kind, mutated = line_mutant(data, case, TSV_PIECES)
+        path.write_bytes(mutated)
+        try:
+            rc = cli.main(args)
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        out, err = capsys.readouterr()
+        assert_clean_exit(rc, err, (case, kind))
+        # the run's own mean is printed before the other file is read
+        assert out.startswith("oracle mean F1 0.7500 over 2 entities\n"), (case, kind, out)
+        if rc == 0:
+            assert re.search(r"\npaired \d+ shared entities;.*\nt=\S+, p=\S+, n=\d+\n\Z", out),\
+                (case, kind, out)
+        outcomes.add((kind, rc))
+    assert {kind for kind, _ in outcomes} == set(LINE_KINDS)
+    assert {0, 2} <= {rc for _, rc in outcomes}

@@ -15,6 +15,7 @@ from entsum.embeddings import EmbeddingStore, embed_resource
 from entsum.errors import DataError, MissingFile, NumericError
 from entsum.model import (
     AttentionView,
+    EncodedDescription,
     ModelConfig,
     TripleScorer,
     encode_description,
@@ -129,6 +130,34 @@ def test_encode_description_is_bit_identical_to_encode_triple(toy_manifest, toy_
     assert all(len({t.prop for t in d.triples}) < len(d.triples) / 2 for d in generated)
 
 
+def test_encoding_is_ascending_ids_and_a_read_only_matrix(toy_manifest, toy_store):
+    for desc in toy_manifest.entities:
+        enc = encode_description(desc, toy_store)
+        assert isinstance(enc, EncodedDescription)
+        assert enc.ids == tuple(range(len(desc.triples)))
+        assert enc.matrix.shape == (len(desc.triples), 2 * toy_store.dim)
+        assert enc.matrix.dtype == np.float64
+        assert len(enc) == len(desc.triples)
+        assert [tid for tid, _ in enc] == list(enc.ids)
+        assert enc[1][0] == 1 and enc[1][1].tobytes() == enc.matrix[1].tobytes()
+        assert [tid for tid, _ in enc[1:3]] == [1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            enc.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            enc[0][1][:] = 0.0
+
+
+def test_encoding_refuses_ids_out_of_order_and_a_mismatched_matrix():
+    with pytest.raises(NumericError, match="strictly ascending"):
+        EncodedDescription([1, 0], np.zeros((2, 4)))
+    with pytest.raises(NumericError, match="strictly ascending"):
+        EncodedDescription([0, 0], np.zeros((2, 4)))
+    with pytest.raises(NumericError, match="for 3 triple ids"):
+        EncodedDescription([0, 1, 2], np.zeros((2, 4)))
+    with pytest.raises(NumericError, match="for 2 triple ids"):
+        EncodedDescription([0, 1], np.zeros((2, 4), dtype=np.float32))
+
+
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
@@ -221,6 +250,17 @@ def test_empty_description_rejected():
         model.score_description(ENT, [])
 
 
+def test_empty_encoding_rejected_like_an_empty_list():
+    model = TripleScorer.create(small_config())
+    enc = encode_description(EntityDescription(ENT, ()), EmbeddingStore(6, {}))
+    assert len(enc) == 0 and enc.matrix.shape == (0, 12)
+    for vectors in (enc, []):
+        with pytest.raises(NumericError, match="^cannot score an empty description$"):
+            model.score_description(ENT, vectors)
+        with pytest.raises(NumericError, match="^cannot score an empty description$"):
+            model.loss_and_gradients(vectors, {})
+
+
 def test_duplicate_ids_rejected():
     model = TripleScorer.create(small_config())
     vec = np.zeros(12)
@@ -232,6 +272,14 @@ def test_wrong_vector_length_rejected():
     model = TripleScorer.create(small_config())
     with pytest.raises(NumericError, match="vector length"):
         model.score_description(ENT, [(0, np.zeros(11))])
+    # an encoding of the wrong width names its first id, as the list does
+    enc = EncodedDescription([3, 5], np.zeros((2, 10)))
+    messages = []
+    for vectors in (enc, [(5, np.zeros(10)), (3, np.zeros(10))]):
+        with pytest.raises(NumericError) as info:
+            model.score_description(ENT, vectors)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "triple 3: vector length (10,) does not match 2*embed_dim = 12"
 
 
 def test_permutation_invariance_bit_exact():
@@ -430,6 +478,27 @@ def test_gradients_permutation_invariant():
     assert loss_a == loss_b
     for ga, gb in zip(grads_a, grads_b):
         assert np.array_equal(ga, gb)
+
+
+def test_encoding_gives_the_bytes_of_a_shuffled_list():
+    rng = random.Random(23)
+    np_rng = np.random.default_rng(23)
+    words = ["alpha", "beta", "gamma", "delta", "omega", "zeta", "label", "3", "7"]
+    store = EmbeddingStore(6, {w: np_rng.normal(size=6) for w in words})
+    model = TripleScorer.create(small_config(seed=5))
+    for i in range(8):
+        desc = generated_description(rng, f"http://ex.org/e{i}", rng.randint(1, 40))
+        enc = encode_description(desc, store)
+        targets = {tid: rng.random() for tid in enc.ids}
+        pairs = [(tid, vec.copy()) for tid, vec in enc]
+        rng.shuffle(pairs)
+        a, b = model.score_description(ENT, enc), model.score_description(ENT, pairs)
+        assert list(a.scores.items()) == list(b.scores.items())
+        assert a.attention.matrix.tobytes() == b.attention.matrix.tobytes()
+        loss_a, grads_a = model.loss_and_gradients(enc, targets)
+        loss_b, grads_b = model.loss_and_gradients(pairs, targets)
+        assert loss_a == loss_b
+        assert [g.tobytes() for g in grads_a] == [g.tobytes() for g in grads_b]
 
 
 # --------------------------------------------------------------------------

@@ -258,6 +258,20 @@ def test_backward_rejects_wrong_upstream_shape():
         mlp.backward(cache, np.zeros((2, 1)))  # two rows for a batch of three
 
 
+@pytest.mark.parametrize("dims,seed", [([5, 4, 3], 0), ([7, 6, 6, 2], 1), ([3, 1], 2)])
+def test_backward_without_input_grad_keeps_parameter_gradient_bytes(dims, seed):
+    rng = np.random.default_rng(seed)
+    mlp = random_mlp(dims, rng)
+    for X in (rng.normal(size=(6, dims[0])), rng.normal(size=dims[0])):
+        out, cache = mlp.forward(X)
+        dy = rng.normal(size=out.shape)
+        dX, full = mlp.backward(cache, dy)
+        assert dX.shape == X.shape
+        none, grads = mlp.backward(cache, dy, input_grad=False)
+        assert none is None
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in full]
+
+
 def test_backward_grads_mirror_parameters():
     mlp = two_layer_fixture()
     _, cache = mlp.forward(np.zeros((3, 2)))
@@ -520,7 +534,7 @@ def test_mse_gradient_matches_numeric():
 # --------------------------------------------------------------------------
 
 def scalar_adam_reference(grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
-    # straight-line restatement of the update rule for one scalar parameter
+    # straight-line restatement of the textbook rule for one scalar parameter
     p, m, v = 0.0, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
         m = beta1 * m + (1.0 - beta1) * g
@@ -529,6 +543,24 @@ def scalar_adam_reference(grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1.0 - beta2 ** t)
         p -= lr * m_hat / (math.sqrt(v_hat) + eps)
     return p
+
+
+def scalar_adam_reordered(grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    # the same rule with both bias corrections folded into the step size and
+    # epsilon (Kingma & Ba, section 2), in adam_step's order of operations
+    p, m, v = 0.0, 0.0, 0.0
+    for t, g in enumerate(grads, start=1):
+        m = m * beta1 + (1.0 - beta1) * g
+        v = v * beta2 + (1.0 - beta2) * (g * g)
+        root_bc2 = math.sqrt(1.0 - beta2 ** t)
+        lr_t = lr * root_bc2 / (1.0 - beta1 ** t)
+        p -= lr_t * m / (math.sqrt(v) + eps * root_bc2)
+    return p
+
+
+def ulps_apart(a: float, b: float) -> int:
+    # the number of doubles between a and b, for two values of one sign
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 def test_adam_state_create():
@@ -547,8 +579,9 @@ def test_adam_single_step_hand_oracle():
     state = AdamState.create([p], lr=0.01)
     adam_step([p], [np.array([1.0])], state)
     # with bias correction the first step moves by almost exactly -lr
-    assert p[0] == scalar_adam_reference([1.0])
-    assert p[0] == -0.009999999900000002
+    assert p[0] == scalar_adam_reordered([1.0])
+    assert p[0] == -0.0099999999
+    assert ulps_apart(p[0], scalar_adam_reference([1.0])) <= 2
     assert abs(p[0] + 0.01) < 2e-10
     assert state.step_count == 1
 
@@ -558,7 +591,8 @@ def test_adam_two_step_hand_oracle():
     state = AdamState.create([p], lr=0.01)
     adam_step([p], [np.array([1.0])], state)
     adam_step([p], [np.array([1.0])], state)
-    assert p[0] == scalar_adam_reference([1.0, 1.0])
+    assert p[0] == scalar_adam_reordered([1.0, 1.0])
+    assert ulps_apart(p[0], scalar_adam_reference([1.0, 1.0])) <= 2
     assert abs(p[0] - -0.019999999799999932) < 1e-12
     assert abs(p[0] + 0.02) < 1e-9
 
@@ -569,7 +603,23 @@ def test_adam_varying_gradients_match_reference():
     state = AdamState.create([p], lr=0.01)
     for g in grads:
         adam_step([p], [np.array([g])], state)
+    assert p[0] == scalar_adam_reordered(grads)
+    assert ulps_apart(p[0], scalar_adam_reference(grads)) <= 2
     assert abs(p[0] - scalar_adam_reference(grads)) < 1e-15
+
+
+def test_adam_arrays_follow_the_scalar_rule():
+    rng = np.random.default_rng(59)
+    grads = rng.normal(scale=3.0, size=(6, 3, 4))
+    params = [np.zeros((3, 2)), np.zeros(4)]
+    state = AdamState.create(params, lr=0.02)
+    for g in grads:
+        adam_step(params, [g[:, :2], g[0]], state)
+    got = params[0].ravel().tolist() + params[1].tolist()
+    want = [scalar_adam_reordered(grads[:, i, j].tolist(), lr=0.02)
+            for i in range(3) for j in range(2)]
+    want += [scalar_adam_reordered(grads[:, 0, j].tolist(), lr=0.02) for j in range(4)]
+    assert got == want
 
 
 def test_adam_zero_gradient_is_noop():
