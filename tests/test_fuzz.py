@@ -22,7 +22,7 @@ a written file must load to the words and bits of the mutant itself.
 
 Each manifest case takes the toy corpus's manifest JSON and mutates it the
 same ways, or puts a value of another type, size or depth in place of one of
-its nodes, or drops a key.  Each TSV case mutates a per-entity TSV the same
+its nodes, or drops a key or list entry.  Each TSV case mutates a per-entity TSV the same
 ways.  Through ``entsum ingest --manifest`` and ``entsum evaluate --oracle
 --compare`` every mutant must end in exit 0, 2 or 3 without a traceback.
 """
@@ -272,7 +272,7 @@ def assert_clean_exit(rc: int, err: str, case) -> None:
 
 
 MANIFEST_CASES = 640
-MANIFEST_KINDS = (*LINE_KINDS, "replace-value", "drop-key")
+MANIFEST_KINDS = (*LINE_KINDS, "replace-node", "drop-node")
 # bytes that end or open a JSON token, invalid UTF-8, NUL, and number texts
 # the decoder reads specially
 JSON_PIECES = [b'"', b",", b":", b"{", b"}", b"[", b"]", b"\\", b"\xff", b"\x00", b"-", b"0",
@@ -303,7 +303,7 @@ def manifest_mutant(data: bytes, case: int) -> tuple[str, bytes]:
     rng = random.Random(case)
     doc = json.loads(data)
     container, key = rng.choice(json_nodes(doc, []))
-    if kind == "drop-key" and isinstance(container, dict):
+    if kind == "drop-node":
         del container[key]
         return kind, json.dumps(doc).encode()
     container[key] = SENTINEL
