@@ -253,30 +253,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for fold in manifest.folds:
             path = args.checkpoints / f"fold{fold.index}.ckpt"
             model, meta = _load_scorer(path, store, args.k)
-            try:
-                chosen = int(meta.get("chosen_epoch", 0))
-            except (TypeError, ValueError, OverflowError):
-                raise DataError(
-                    f"{path}: chosen_epoch {meta['chosen_epoch']!r} is not an integer"
-                ) from None
+            chosen = meta.get("chosen_epoch", 0)
+            if type(chosen) is not int or chosen < 0:
+                raise DataError(f"{path}: chosen_epoch {chosen!r} is not an integer >= 0")
             reports.append(evaluate_fold(model, manifest, fold, args.k, store, chosen))
-    if args.out is not None:
-        _write_reports(args.out, manifest.name, args.k, reports)
+    # the other run is read and tested before anything is printed or
+    # written, so a bad --compare file leaves no partial output
     all_f1 = {iri: f1 for r in reports for iri, f1 in r.per_entity_f1.items()}
-    mean = sum(all_f1.values()) / len(all_f1) if all_f1 else 0.0
-    label = "oracle" if args.oracle else "model"
-    print(f"{label} mean F1 {mean:.4f} over {len(all_f1)} entities")
+    lines = []
     if args.compare is not None:
         other = evaluation.read_per_entity_tsv(args.compare)
         shared = sorted(set(all_f1) & set(other))
-        print(
-            f"paired {len(shared)} shared entities; left out {len(all_f1) - len(shared)} "
-            f"of this run and {len(other) - len(shared)} of {args.compare}"
-        )
         result = evaluation.paired_ttest(
             [all_f1[iri] for iri in shared], [other[iri] for iri in shared]
         )
-        print(evaluation.format_significance(result))
+        lines = [
+            f"paired {len(shared)} shared entities; left out {len(all_f1) - len(shared)} "
+            f"of this run and {len(other) - len(shared)} of {args.compare}",
+            evaluation.format_significance(result),
+        ]
+    if args.out is not None:
+        _write_reports(args.out, manifest.name, args.k, reports)
+    label = "oracle" if args.oracle else "model"
+    print(f"{label} mean F1 {evaluation.pooled_mean_f1(reports):.4f} over {len(all_f1)} entities")
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

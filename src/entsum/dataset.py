@@ -483,13 +483,20 @@ def load_entity(
 def validate_folds(folds: Iterable[FoldSpec], entity_iris: Iterable[str]) -> None:
     """Check fold assignments against the manifest's entity set.
 
+    No two folds share an index, since a fold's checkpoint is named by it.
     The test list must be disjoint from both train and valid, train and test
     must be non-empty, every listed IRI must be a known entity, and the three
-    lists together must cover every entity.  Train and valid may overlap so
-    that tiny corpora can reuse training entities for validation.
+    lists together must cover every entity.  No entity is tested in two
+    folds, so that each has one F1 in a run's reports.  Train and valid may
+    overlap so that tiny corpora can reuse training entities for validation.
     """
     known = set(entity_iris)
+    indices: set[int] = set()
+    tested_in: dict[str, int] = {}
     for fold in folds:
+        if fold.index in indices:
+            raise DataError(f"fold {fold.index}: index used by an earlier fold")
+        indices.add(fold.index)
         for name, part in (("train", fold.train), ("valid", fold.valid), ("test", fold.test)):
             if len(set(part)) != len(part):
                 raise DataError(f"fold {fold.index}: duplicate entity in {name} list")
@@ -508,6 +515,12 @@ def validate_folds(folds: Iterable[FoldSpec], entity_iris: Iterable[str]) -> Non
         uncovered = known - set(fold.train) - set(fold.valid) - set(fold.test)
         if uncovered:
             raise DataError(f"fold {fold.index}: entity not assigned: {sorted(uncovered)[0]}")
+        for iri in fold.test:
+            if iri in tested_in:
+                raise DataError(
+                    f"fold {fold.index}: test entity also tested in fold {tested_in[iri]}: {iri}"
+                )
+            tested_in[iri] = fold.index
 
 
 def build_manifest(

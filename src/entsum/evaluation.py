@@ -78,6 +78,12 @@ def make_report(
     return EvalReport(dict(per_entity_f1), mean, fold_index, chosen_epoch)
 
 
+def pooled_mean_f1(reports: Sequence[EvalReport]) -> float:
+    """Mean F1 over every test entity of every report, 0.0 for none."""
+    all_f1 = [f1 for r in reports for f1 in r.per_entity_f1.values()]
+    return sum(all_f1) / len(all_f1) if all_f1 else 0.0
+
+
 @dataclass(frozen=True)
 class SignificanceResult:
     t_statistic: float
@@ -176,7 +182,6 @@ def write_aggregate_json(
     reports: Sequence[EvalReport],
     path: str | Path,
 ) -> None:
-    all_f1 = [f1 for r in reports for f1 in r.per_entity_f1.values()]
     doc = {
         "dataset": dataset,
         "k": k,
@@ -189,8 +194,8 @@ def write_aggregate_json(
             }
             for r in reports
         ],
-        "mean_f1": sum(all_f1) / len(all_f1) if all_f1 else 0.0,
-        "entities": len(all_f1),
+        "mean_f1": pooled_mean_f1(reports),
+        "entities": sum(len(r.per_entity_f1) for r in reports),
     }
     with atomic_writer(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -65,13 +65,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # ``type(x) is int`` refuses a checkpoint header's ``true``, not
+        # only its ``7.5`` or ``"7"``; nothing is coerced
         for name in ("candidate_hidden", "context_hidden", "scoring_hidden"):
             dims = getattr(self, name)
-            if not dims or any(not isinstance(d, int) or d < 1 for d in dims):
+            if not dims or any(type(d) is not int or d < 1 for d in dims):
                 raise ValueError(f"{name} must be non-empty positive dims, got {dims}")
-        if not isinstance(self.embed_dim, int) or self.embed_dim < 1:
+        if type(self.embed_dim) is not int or self.embed_dim < 1:
             raise ValueError("embed_dim must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
     @property
@@ -415,7 +417,7 @@ def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
             candidate_hidden=tuple(cfg_doc["candidate_hidden"]),
             context_hidden=tuple(cfg_doc["context_hidden"]),
             scoring_hidden=tuple(cfg_doc["scoring_hidden"]),
-            seed=int(cfg_doc["seed"]),
+            seed=cfg_doc["seed"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -1,10 +1,13 @@
 """Minimal dense-network machinery in 64-bit numpy.
 
 Implements exactly what the scorer needs: fully connected layers with ReLU
-or linear activations run on a batch of rows, their reverse-mode gradients,
-row-wise numerically stable softmax, the matrix of row cosines with a
-zero-norm guard, mean squared error, Adam, and a central-difference gradient
-checker.  Every function works on whole matrices; no graphs, no GPU.
+or linear activations run on an n x in matrix of rows, their reverse-mode
+gradients, row-wise numerically stable softmax, the matrix of row cosines
+with a zero-norm guard, mean squared error, Adam, and a central-difference
+gradient checker.  Every function works on whole matrices; no graphs, no GPU.
+The layers take matrices only and do not re-check their widths: the scorer
+refuses a description of the wrong width before any layer runs, and each
+layer's shape follows from the model config.
 """
 
 from __future__ import annotations
@@ -37,14 +40,6 @@ class DenseLayer:
     b: np.ndarray  # [out]
     activation: Activation
 
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
-
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (in_dim + out_dim))
@@ -55,50 +50,26 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 class Mlp:
     layers: list[DenseLayer]
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in (layer.W, layer.b)]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Run the stack on an n x in batch as ``X @ W.T + b`` per layer; a
-        single vector runs as a batch of one.  The cache feeds ``backward``."""
-        X = np.asarray(x, dtype=np.float64)
-        if X.ndim not in (1, 2) or X.shape[-1] != self.in_dim:
-            raise NumericError(
-                f"input of shape {X.shape} does not match first layer "
-                f"input dim {self.in_dim}"
-            )
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, list]:
+        """Run the stack on an n x in float64 matrix as ``X @ W.T + b`` per
+        layer, giving n x out.  The cache feeds ``backward``."""
         cache = []
         for layer in self.layers:
             Z = X @ layer.W.T + layer.b
             cache.append((X, Z))
             X = np.maximum(Z, 0.0) if layer.activation is Activation.RELU else Z
-        return (X[0] if single else X), cache
+        return X, cache
 
     def backward(
-        self, cache: list, dy: np.ndarray, *, input_grad: bool = True
+        self, cache: list, G: np.ndarray, *, input_grad: bool = True
     ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-        """Return dL/dX and the parameter gradients summed over the batch,
-        ordered like ``parameters()``.  ``dy`` has the forward output's shape.
+        """Return the n x in dL/dX and the parameter gradients summed over
+        the rows, ordered like ``parameters()``, for the n x out dL/dY ``G``.
         Without ``input_grad`` the first layer's ``dZ @ W`` is skipped and
         dL/dX is None; the parameter gradients are the same bytes."""
-        dY = np.asarray(dy, dtype=np.float64)
-        single = dY.ndim == 1
-        G = np.atleast_2d(dY)
-        if G.shape != (cache[0][0].shape[0], self.out_dim):
-            raise NumericError(
-                f"upstream gradient shape {dY.shape} does not match output "
-                f"dim {self.out_dim} over the cached batch"
-            )
         grads: list[np.ndarray] = []
         for layer, (X, Z) in zip(reversed(self.layers), reversed(cache)):
             dZ = G * (Z > 0.0) if layer.activation is Activation.RELU else G
@@ -106,7 +77,7 @@ class Mlp:
             if layer is self.layers[0] and not input_grad:
                 return None, grads
             G = dZ @ layer.W
-        return (G[0] if single else G), grads
+        return G, grads
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -149,13 +120,9 @@ def cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
 def cosine_backward(
     U: np.ndarray, V: np.ndarray, dS: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(dS * cosine(U, V))`` wrt the rows of U and V; zero
-    for every row under the guard."""
+    """Gradients of ``sum(dS * cosine(U, V))`` wrt the rows of U and V,
+    for the n x m float64 matrix ``dS``; zero for every row under the guard."""
     (Uh, nu), (Vh, nv) = _unit_rows(U, V)
-    dS = np.asarray(dS, dtype=np.float64)
-    if dS.shape != (len(Uh), len(Vh)):
-        raise NumericError(f"upstream gradient shape {dS.shape} does not match "
-                            f"{len(Uh)} x {len(Vh)} cosines")
     grads = []
     for Xh, norms, dXh in ((Uh, nu, dS @ Vh), (Vh, nv, dS.T @ Uh)):
         # back through X / |X|: drop the radial part, divide by the norm

@@ -26,6 +26,7 @@ from .evaluation import (
     gold_membership_counts,
     make_report,
     oracle_summary,
+    pooled_mean_f1,
 )
 from .model import (
     EncodedDescription,
@@ -214,9 +215,7 @@ class CrossValReport:
 
     @property
     def mean_f1(self) -> float:
-        if not self.per_entity:
-            return 0.0
-        return sum(f1 for _, _, f1 in self.per_entity) / len(self.per_entity)
+        return pooled_mean_f1(self.reports)
 
 
 def evaluate_fold(

@@ -219,6 +219,25 @@ def test_broken_fold_names_its_index(capsys, tmp_path):
     assert "fold 0" in err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    # train would write both folds' checkpoints to fold0.ckpt
+    (lambda doc: doc["folds"][1].update(index=0), "fold 0: index used by an earlier fold"),
+    # the entity would have two F1s, which evaluate and --compare cannot pair
+    (lambda doc: doc["folds"].append(dict(doc["folds"][1], index=2)),
+     f"fold 2: test entity also tested in fold 1: {ARIA}"),
+], ids=["repeated-index", "tested-twice"])
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_folds_that_mix_up_a_runs_files_are_a_data_error(capsys, tmp_path, mutate, message,
+                                                         command):
+    path = patched_manifest(tmp_path, mutate)
+    args = [command, "--manifest", str(path)]
+    if command == "train":
+        args += ["--vectors", VEC, "--k", "2", "--max-epochs", "1", "--out", str(tmp_path / "o")]
+    rc, stdout, err = invoke(capsys, *args)
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_manifest_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{не json", encoding="utf-8")
@@ -618,15 +637,15 @@ def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):
         capsys, "evaluate", "--manifest", MANIFEST, "--k", "2",
         "--oracle", "--compare", str(compare),
     )
-    assert stdout.splitlines()[1] == (
-        f"paired 2 shared entities; left out 0 of this run and 1 of {compare}"
-    )
     if expected is None:
         assert rc == 2
+        assert stdout == ""
         assert err.startswith("error:")
     else:
         assert rc == 0
-        assert stdout.splitlines()[-1] == expected
+        assert stdout.splitlines()[1:] == [
+            f"paired 2 shared entities; left out 0 of this run and 1 of {compare}", expected
+        ]
 
 
 def test_evaluate_compare_degenerate_variance_is_a_data_error(capsys, tmp_path):
@@ -650,9 +669,7 @@ def test_evaluate_compare_degenerate_variance_is_a_data_error(capsys, tmp_path):
         "--oracle", "--compare", str(compare),
     )
     assert rc == 2
-    assert stdout.splitlines()[1] == (
-        f"paired 2 shared entities; left out 0 of this run and 0 of {compare}"
-    )
+    assert stdout == ""
     assert err == "error: all 2 differences equal 0.125; t statistic undefined\n"
 
 
@@ -686,6 +703,24 @@ def test_evaluate_compare_rejects_bad_tsv(capsys, tmp_path, rows, names):
     assert err.startswith("error:")
     assert str(path) in err
     assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("data, message", [
+    (f"{TSV_HEADER}\n0\t{ARIA}\t0.5\xff\n".encode("latin-1"), "not UTF-8 text"),
+    (f"{TSV_HEADER}\n0\t{ARIA}\t0.5\n".encode(), "need at least 2 pairs, got 1"),
+], ids=["not-utf8", "one-row"])
+def test_evaluate_compare_failure_prints_and_writes_nothing(capsys, tmp_path, data, message):
+    # the TSV is read and the t-test run before the mean is printed and
+    # before the --out reports are written
+    path = tmp_path / "other.tsv"
+    path.write_bytes(data)
+    rc, stdout, err = invoke(
+        capsys, "evaluate", "--manifest", MANIFEST, "--k", "2", "--oracle",
+        "--out", str(tmp_path / "reports"), "--compare", str(path),
+    )
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error:") and message in err, err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_evaluate_dim_mismatched_checkpoint(train_dir, capsys, tmp_path):
@@ -733,9 +768,10 @@ def test_nonfinite_vector_file_is_a_data_error(capsys, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("chosen", ["x", [1], float("inf")])
+@pytest.mark.parametrize("chosen", ["x", [1], float("inf"), 7.9, "7", True, -1])
 def test_evaluate_rejects_a_chosen_epoch_that_is_not_an_integer(capsys, tmp_path, chosen):
-    # each used to end in a ValueError, TypeError or OverflowError traceback
+    # the first three used to end in a ValueError, TypeError or OverflowError
+    # traceback, the next three to be read as 7, 7 and 1
     model = TripleScorer.create(ModelConfig(embed_dim=4))
     for fold in (0, 1):
         save_checkpoint(model, tmp_path / f"fold{fold}.ckpt", meta={"k": 2, "chosen_epoch": chosen})
@@ -952,6 +988,41 @@ def test_summarize_rejects_version_2_checkpoint(overfit_dir, capsys, tmp_path):
     assert rc == 2
     assert stdout == ""
     assert "checkpoint version 2" in err
+
+
+@pytest.mark.parametrize("field, hostile", [
+    ("candidate_hidden", b"[true]"),
+    ("seed", b"7.9"),
+    ("seed", b'"7"'),
+    ("seed", b"true"),
+    ("embed_dim", b"true"),
+])
+def test_summarize_refuses_a_config_field_that_is_no_json_integer(capsys, tmp_path, field,
+                                                                 hostile):
+    # [true] used to end in a TypeError traceback from the scorer's
+    # constructor; the others loaded as 7, 7, 1 and 1.  Each field's stored
+    # value is one that the hostile one would pass for.
+    vectors = VEC
+    if field == "embed_dim":  # the toy words with one component each
+        vectors = tmp_path / "one.vec"
+        words = [line.split(" ", 1)[0] for line in
+                 (TOYMUSIC / "toy.vec").read_text(encoding="utf-8").splitlines()[1:]]
+        vectors.write_text("".join(f"{word} 0.5\n" for word in words), encoding="utf-8")
+    config = ModelConfig(embed_dim=1 if field == "embed_dim" else 4, candidate_hidden=(1,),
+                         context_hidden=(1,), scoring_hidden=(2,),
+                         seed=1 if hostile == b"true" else 7)
+    ckpt = tmp_path / "fold0.ckpt"
+    save_checkpoint(TripleScorer.create(config), ckpt, meta={"k": 2})
+    data = ckpt.read_bytes()
+    stored = json.dumps({field: getattr(config, field)}, separators=(",", ":"))[1:-1].encode()
+    assert data.count(stored) == 1
+    ckpt.write_bytes(data.replace(stored, f'"{field}":'.encode() + hostile))
+    rc, stdout, err = invoke(
+        capsys, "summarize", "--manifest", MANIFEST, "--k", "2", "--checkpoint", str(ckpt),
+        "--vectors", str(vectors), "--entity", ARIA,
+    )
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: {ckpt}: {field} must be "), err
 
 
 def test_summarize_rejects_surrogate_escape(overfit_dir, capsys, tmp_path):

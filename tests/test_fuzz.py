@@ -2,11 +2,15 @@
 
 Each checkpoint case takes a saved checkpoint and truncates it inside the
 header, at the newline or inside the parameter bytes, flips bytes in the
-header or in the parameter bytes, or appends junk.  Every mutant must either
-load as a scorer whose parameters are finite and as many as its config
-needs, or raise a ``DataError``.  Through ``entsum summarize`` it must end in
-exit 0 or 2 without a traceback; exit 3 is the one other outcome, for
-parameters that load finite but overflow a score.
+header or in the parameter bytes, or appends junk.  Then every node of the
+header's config and meta is retyped in turn: replaced by each of ``true``,
+``7.5``, ``"7"``, ``null``, ``[]``, ``{}`` and a 5000-digit integer, the
+parameter bytes kept.  Every mutant must either load as a scorer whose
+parameters are finite and as many as its config needs, and whose config is
+the header's value for value and type for type, or raise a ``DataError``.
+Through ``entsum summarize`` it must end in exit 0 or 2 without a traceback;
+exit 3 is the one other outcome, for parameters that load finite but
+overflow a score.
 
 Each tree case takes a small ESBM tree and truncates one of its description,
 gold, ``elist.txt`` or split files, flips bytes in it, deletes or duplicates
@@ -24,13 +28,15 @@ Each manifest case takes the toy corpus's manifest JSON and mutates it the
 same ways, or puts a value of another type, size or depth in place of one of
 its nodes, or drops a key or list entry.  Each TSV case mutates a per-entity TSV the same
 ways.  Through ``entsum ingest --manifest`` and ``entsum evaluate --oracle
---compare`` every mutant must end in exit 0, 2 or 3 without a traceback.
+--compare`` every mutant must end in exit 0, 2 or 3 without a traceback, and
+a run that fails prints nothing on stdout.
 """
 
 import json
 import random
 import re
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,10 +74,40 @@ def mutant(data: bytes, case: int) -> tuple[str, bytes]:
     return kind, bytes(out)
 
 
+RETYPE = "retype-header"
+RETYPE_VALUES = ["true", "7.5", '"7"', "null", "[]", "{}", "9" * 5000]
+
+
+def retyped_mutants(data: bytes) -> list[tuple[str, bytes]]:
+    """Checkpoint ``data`` with one config or meta node of its header, or
+    the config or meta itself, replaced by each of ``RETYPE_VALUES``."""
+    cut = data.index(b"\n")
+
+    def nodes(doc):
+        return [(doc, "config"), (doc, "meta"), *json_nodes(doc["config"], []),
+                *json_nodes(doc["meta"], [])]
+
+    out = []
+    for i in range(len(nodes(json.loads(data[:cut])))):
+        for value in RETYPE_VALUES:
+            doc = json.loads(data[:cut])
+            container, key = nodes(doc)[i]
+            container[key] = SENTINEL
+            header = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            out.append((RETYPE, header.replace(json.dumps(SENTINEL), value).encode() + data[cut:]))
+    return out
+
+
+def checkpoint_mutants(data: bytes) -> list[tuple[str, bytes]]:
+    return [mutant(data, case) for case in range(CASES)] + retyped_mutants(data)
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory) -> bytes:
+    # a one-unit layer, so that ``true`` in its place keeps the byte count
+    # right and reaches the scorer's constructor
     config = ModelConfig(embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8),
-                         scoring_hidden=(8, 8, 8), seed=3)
+                         scoring_hidden=(8, 8, 1), seed=3)
     path = tmp_path_factory.mktemp("fuzz") / "fold0.ckpt"
     save_checkpoint(TripleScorer.create(config), path,
                     meta={"chosen_epoch": 4, "fold": 0, "k": 2})
@@ -81,8 +117,7 @@ def saved(tmp_path_factory) -> bytes:
 def test_mutated_checkpoints_load_or_raise_data_errors(saved, tmp_path):
     path = tmp_path / "fold0.ckpt"
     outcomes = set()
-    for case in range(CASES):
-        kind, data = mutant(saved, case)
+    for case, (kind, data) in enumerate(checkpoint_mutants(saved)):
         path.write_bytes(data)
         try:
             model, _ = load_checkpoint(path)
@@ -93,9 +128,13 @@ def test_mutated_checkpoints_load_or_raise_data_errors(saved, tmp_path):
             pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
         assert np.isfinite(model.flat).all(), (case, kind)
         assert model.flat.size == model.config.parameter_count, (case, kind)
+        # nothing was coerced: ``true`` stays ``true`` and 7.5 stays 7.5
+        header = json.loads(data[:data.index(b"\n")])
+        assert json.dumps(asdict(model.config), sort_keys=True) == \
+            json.dumps(header["config"], sort_keys=True), (case, kind)
         outcomes.add((kind, "loaded"))
     # every kind was tried, and both outcomes happen
-    assert {kind for kind, _ in outcomes} == set(KINDS)
+    assert {kind for kind, _ in outcomes} == {*KINDS, RETYPE}
     assert {"loaded", "refused"} <= {outcome for _, outcome in outcomes}
 
 
@@ -105,8 +144,7 @@ def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys)
             "--vectors", str(TOYMUSIC / "toy.vec"), "--k", "2",
             "--checkpoint", str(path), "--entity", ARIA]
     codes = set()
-    for case in range(CASES):
-        kind, data = mutant(saved, case)
+    for case, (kind, data) in enumerate(checkpoint_mutants(saved)):
         path.write_bytes(data)
         try:
             rc = cli.main(args)
@@ -360,11 +398,10 @@ def test_evaluate_compare_on_mutated_tsvs_exits_cleanly(tmp_path, capsys):
             pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
         out, err = capsys.readouterr()
         assert_clean_exit(rc, err, (case, kind))
-        # the run's own mean is printed before the other file is read
-        assert out.startswith("oracle mean F1 0.7500 over 2 entities\n"), (case, kind, out)
-        if rc == 0:
-            assert re.search(r"\npaired \d+ shared entities;.*\nt=\S+, p=\S+, n=\d+\n\Z", out),\
-                (case, kind, out)
+        # the other file is read and tested before anything is printed
+        assert re.fullmatch(r"oracle mean F1 0\.7500 over 2 entities\npaired \d+ shared "
+                            r"entities;.*\nt=\S+, p=\S+, n=\d+\n" if rc == 0 else "", out), \
+            (case, kind, out)
         outcomes.add((kind, rc))
     assert {kind for kind, _ in outcomes} == set(LINE_KINDS)
     assert {0, 2} <= {rc for _, rc in outcomes}

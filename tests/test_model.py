@@ -196,10 +196,10 @@ def test_create_is_seed_deterministic():
 
 def test_create_architecture():
     model = TripleScorer.create(small_config())
-    assert model.candidate_mlp.in_dim == 12
-    assert model.context_mlp.in_dim == 12
-    assert model.scoring_mlp.in_dim == 16
-    assert model.scoring_mlp.out_dim == 1
+    assert model.candidate_mlp.layers[0].W.shape[1] == 12
+    assert model.context_mlp.layers[0].W.shape[1] == 12
+    assert model.scoring_mlp.layers[0].W.shape[1] == 16
+    assert model.scoring_mlp.layers[-1].W.shape[0] == 1
     assert model.scoring_mlp.layers[-1].activation is Activation.LINEAR
 
 
@@ -315,10 +315,10 @@ def test_single_triple_attends_to_itself():
     scored = model.score_description(ENT, [(4, vec)])
     assert scored.attention == {(4, 4): 1.0}
     # with one weight the pooled vector is the context encoding itself
-    ctx, _ = model.context_mlp.forward(vec)
-    cand, _ = model.candidate_mlp.forward(vec)
-    out, _ = model.scoring_mlp.forward(np.concatenate([cand, ctx]))
-    assert scored.scores[4] == out[0]
+    ctx, _ = model.context_mlp.forward(vec[None])
+    cand, _ = model.candidate_mlp.forward(vec[None])
+    out, _ = model.scoring_mlp.forward(np.hstack([cand, ctx]))
+    assert scored.scores[4] == out[0, 0]
 
 
 def test_identical_triples_share_score_and_split_attention():
@@ -341,15 +341,16 @@ def test_three_triple_straight_line_recomputation():
         vectors = random_vectors(rng, n, 12)
         scored = model.score_description(ENT, vectors)
 
-        ctx = [model.context_mlp.forward(v)[0] for _, v in vectors]
+        # each MLP runs on one row at a time
+        ctx = [model.context_mlp.forward(v[None])[0][0] for _, v in vectors]
         for tid, vec in vectors:
-            cand = model.candidate_mlp.forward(vec)[0]
+            cand = model.candidate_mlp.forward(vec[None])[0][0]
             sims = np.array([cosine(cand, g) for g in ctx])
             weights = softmax(sims)
             pooled = np.zeros_like(ctx[0])
             for w, g in zip(weights, ctx):
                 pooled += w * g
-            expected = model.scoring_mlp.forward(np.concatenate([cand, pooled]))[0][0]
+            expected = model.scoring_mlp.forward(np.concatenate([cand, pooled])[None])[0][0, 0]
             assert abs(scored.scores[tid] - expected) < 1e-12
             for (ctx_id, _), w in zip(vectors, weights):
                 assert abs(scored.attention[(tid, ctx_id)] - w) < 1e-12
