@@ -177,8 +177,11 @@ def _load_scorer(path: Path, store: EmbeddingStore, k: int) -> tuple[TripleScore
             f"{path}: checkpoint embed_dim {model.config.embed_dim} does not match "
             f"the {store.dim}-dimensional vectors"
         )
-    if "k" in meta and meta["k"] != k:
-        raise DataError(f"{path}: checkpoint was trained for k={meta['k']}, not --k {k}")
+    trained_k = meta.get("k", k)
+    if type(trained_k) is not int:
+        raise DataError(f"{path}: k {trained_k!r} is not an integer")
+    if trained_k != k:
+        raise DataError(f"{path}: checkpoint was trained for k={trained_k}, not --k {k}")
     return model, meta
 
 

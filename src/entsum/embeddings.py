@@ -144,7 +144,7 @@ def _parse_block(block: list, dim: int, vectors: dict[str, np.ndarray]) -> None:
 
 # bytes read per block by load_vec_file's line scan; a line longer than
 # one read is joined, never split.  Smaller reads give numpy too few lines
-# per call; larger ones cost memory, 8 bytes per byte while spaces are
+# per call; larger ones cost memory, 4 bytes per byte while spaces are
 # counted, for no speed
 SCAN_BLOCK = 65536
 
@@ -166,11 +166,11 @@ def _line_blocks(fh):
         yield tail + b"\n", len(tail) + 1
 
 
-def _scan_lines(fh):
-    """``(line_no, word, n_values, rest)`` for each line of a binary vector
-    file that holds more than spaces, after stripping its spaces and
-    collapsing their runs.  ``word`` is decoded; ``rest``, the bytes after
-    the first space, is not.
+def _scan_lines(fh, words, width):
+    """``(line_no, word, n_values, rest, folded)`` for each line of a binary
+    vector file that holds more than spaces, after stripping its spaces and
+    collapsing their runs.  ``rest``, the bytes after the first space, is
+    not decoded.
 
     numpy counts the spaces of a block's lines and strips one space from
     either end.  A line with no two spaces in a row then has its fields
@@ -179,6 +179,15 @@ def _scan_lines(fh):
     and spaces never occur inside a multi-byte UTF-8 sequence, and decoding
     with ``errors="replace"`` never folds an ASCII byte into a replacement
     character.
+
+    ``words`` maps the ASCII words of a vocabulary, as bytes, to themselves,
+    or is None; ``width()`` is the number of values every line must have, or
+    0 while it is unknown, and is asked once per block.  Given both, a line
+    of that many values with no two spaces in a row and an ASCII word is
+    settled from its bytes, since ``bytes.lower`` folds ASCII as
+    ``str.lower`` does: it is left out unless its lowercased word is in
+    ``words``, and then comes with that word as a ``str``, ``folded``.
+    Every other line comes with its word decoded as it is.
     """
     line_no = 0
     for buf, size in _line_blocks(fh):
@@ -191,10 +200,24 @@ def _scan_lines(fh):
         # ends - 1 of an empty first line is -1, the block's last newline;
         # a line of one space is left with its start past its end
         lead, trail = sp[starts], sp[ends - 1]
-        n_spaces = np.add.reduceat(sp, starts, dtype=np.intp) - lead - trail
-        for s, e, n, odd in zip((starts + lead).tolist(), (ends - trail).tolist(),
-                                n_spaces.tolist(), doubled.tolist()):
+        # counted in 4 bytes a byte, unless a count could reach 2**32
+        counts = np.add.reduceat(sp.view(np.uint8), starts,
+                                 dtype=np.uint32 if size < 2**32 else np.intp)
+        n_spaces = counts.astype(np.intp) - lead - trail
+        settle = np.zeros_like(doubled)
+        if words is not None and width() > 0:
+            settle = ~doubled & (n_spaces == width())
+        for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
+                                         n_spaces.tolist(), doubled.tolist(), settle.tolist()):
             line_no += 1
+            if settled:
+                i = buf.find(b" ", s, e)
+                word = words.get(buf[s:i].lower())
+                if word is not None:
+                    yield line_no, word, n, buf[i + 1:e], True
+                    continue
+                if buf[s:i].isascii():
+                    continue
             line = buf
             if odd:
                 line = b" ".join(p for p in buf[s:e].split(b" ") if p)
@@ -202,7 +225,7 @@ def _scan_lines(fh):
             if s >= e:
                 continue
             i = line.find(b" ", s, e) if n else e
-            yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e]
+            yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e], False
 
 
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
@@ -215,19 +238,29 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     restricts loading to the given (lowercase) words.  The file is read as
     UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n`` ends a
     line.  It is scanned as bytes, in blocks of ``SCAN_BLOCK``: every line's
-    field count is checked, but only words and the lines that are kept are
-    decoded, and only kept lines have their components parsed.  Kept lines
-    are parsed in blocks of ``PARSE_BLOCK`` by numpy's text reader; every
-    value is the one ``float`` gives, and a component only ``float`` reads,
-    such as ``1_0`` (10.0), still loads.  Errors are reported for the first
-    bad line of the file.
+    field count is checked, but only the kept lines and the words of lines
+    that get the full per-line work are decoded, and only kept lines have
+    their components parsed.
+
+    With ``vocab``, from the first block after the width is known (from the
+    header or the first line) and if it is not 0, a line of that width with
+    no two spaces in a row and an ASCII word is kept or dropped on its
+    word's ASCII lowercasing as bytes; a dropped one is not decoded and gets
+    no other per-line work.  Blank lines, the header, lines of another width
+    (errors), lines with two spaces in a row and lines whose word is not
+    ASCII (the Kelvin sign lowercases to ``k``) get the full per-line work.
+    Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's text
+    reader; every value is the one ``float`` gives, and a component only
+    ``float`` reads, such as ``1_0`` (10.0), still loads.  Errors are
+    reported for the first bad line of the file.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     pending: list[tuple[int, str, str]] = []
     dim: int | None = None
+    words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
     with path.open("rb") as fh:
-        for line_no, word, n_values, rest in _scan_lines(fh):
+        for line_no, word, n_values, rest, folded in _scan_lines(fh, words, lambda: dim or 0):
             if line_no == 1 and n_values == 1:
                 try:
                     int(word)
@@ -245,9 +278,10 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
                 if not n_values:
                     raise ParseError(line_no, "no vector components")
                 raise ParseError(line_no, f"expected {dim} vector components, got {n_values}")
-            word = word.lower()
-            if vocab is not None and word not in vocab:
-                continue
+            if not folded:
+                word = word.lower()
+                if vocab is not None and word not in vocab:
+                    continue
             if word in vectors:
                 continue
             vectors[word] = None  # queued: later casings of the word are dropped
@@ -359,12 +393,13 @@ def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
 
 def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:
     """Each distinct textual form of a candidate triple's property or value,
-    mapped to the first resource that has it, in manifest order."""
+    mapped to the first resource that has it, in manifest order.  Each
+    distinct resource is formed once."""
+    resources = dict.fromkeys(r for entity in manifest.entities for t in entity.triples
+                              for r in (t.predicate, t.val))
     forms: dict[str, Resource] = {}
-    for entity in manifest.entities:
-        for t in entity.triples:
-            forms.setdefault(textual_form(t.prop), t.prop)
-            forms.setdefault(textual_form(t.val), t.val)
+    for r in resources:
+        forms.setdefault(textual_form(r), r)
     return forms
 
 
@@ -382,7 +417,7 @@ def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[
     one warning per distinct form, naming the first resource that has it."""
     warnings = []
     for form, r in _distinct_forms(manifest).items():
-        if not any(tok in store for tok in tokenize(form)):
+        if store.vectors.keys().isdisjoint(tokenize(form)):
             warnings.append(
                 f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {form!r})"
             )

@@ -207,11 +207,10 @@ def train_fold(
 
 @dataclass
 class CrossValReport:
-    """Per-fold reports plus the concatenation over all test entities."""
+    """Per-fold reports and training results, in fold order."""
 
     reports: list[EvalReport]
     results: list[TrainResult]
-    per_entity: list[tuple[int, str, float]]  # fold, entity, f1
 
     @property
     def mean_f1(self) -> float:
@@ -269,12 +268,7 @@ def cross_validate(
         reports.append(evaluate_fold(
             result.model, manifest, fold, train_cfg.k, store, result.chosen_epoch, encoded
         ))
-    per_entity = [
-        (report.fold_index, iri, f1)
-        for report in reports
-        for iri, f1 in report.per_entity_f1.items()
-    ]
-    return CrossValReport(reports, results, per_entity)
+    return CrossValReport(reports, results)
 
 
 def oracle_reports(manifest: DatasetManifest, k: int) -> list[EvalReport]:

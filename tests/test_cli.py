@@ -784,6 +784,27 @@ def test_evaluate_rejects_a_chosen_epoch_that_is_not_an_integer(capsys, tmp_path
     assert err.startswith("error:") and "fold0.ckpt: chosen_epoch" in err
 
 
+@pytest.mark.parametrize("hostile, k", [
+    (b"2.0", "2"), (b"true", "1"), (b'"2"', "2"), (b"[2]", "2"), (b"null", "2"), (b"{}", "2"),
+])
+def test_a_meta_k_that_is_no_json_integer_is_a_data_error(capsys, tmp_path, hostile, k):
+    # 2.0 and true used to pass for --k 2 and --k 1
+    model = TripleScorer.create(ModelConfig(embed_dim=4))
+    for fold in (0, 1):
+        ckpt = tmp_path / f"fold{fold}.ckpt"
+        save_checkpoint(model, ckpt, meta={"k": 2, "chosen_epoch": 1})
+        data = ckpt.read_bytes()
+        assert data.count(b'"k":2') == 1
+        ckpt.write_bytes(data.replace(b'"k":2', b'"k":' + hostile))
+    for args in (["summarize", "--checkpoint", str(tmp_path / "fold0.ckpt"), "--entity", ARIA],
+                 ["evaluate", "--checkpoints", str(tmp_path)]):
+        rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", VEC,
+                                 "--k", k)
+        assert (rc, stdout) == (2, ""), args
+        assert err.startswith(f"error: {tmp_path / 'fold0.ckpt'}: k "), err
+        assert "is not an integer" in err
+
+
 def test_evaluate_missing_checkpoint(capsys, tmp_path):
     rc, _, err = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,

@@ -494,6 +494,60 @@ def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
         assert store.vectors[f"w{parse_block + 5}"][123] == 10.0  # "1_0", full load
 
 
+# lines placed after a scan block of out-of-vocabulary lines, where the scan
+# settles lines from their bytes; the vocabulary to load them with; and the
+# store, or the index in the lines of the line whose error is raised
+FILTER_EDGES = {
+    # U+212A lowercases to "k" as str but has no ASCII lowercasing as bytes
+    "kelvin-sign-first": (["\u212a 1 2", "k 3 4", "cat 5 6"], {"k", "cat"},
+                          {"k": [1, 2], "cat": [5, 6]}),
+    "vocabulary-word-not-ascii": (["NA\u00cfVE 1 2", "na\u00efve 3 4", "cat 5 6"],
+                                  {"na\u00efve", "cat"}, {"na\u00efve": [1, 2], "cat": [5, 6]}),
+    "dropped-line-of-wrong-width": (["cat 1 2", "pad 1 2 3", "dog 3 4"], {"cat", "dog"}, 1),
+    # as many spaces as the width, but two in a row: one component
+    "dropped-line-with-doubled-space": (["cat 1 2", "pad  1", "dog 3 4"], {"cat", "dog"}, 1),
+    "spaces-around-and-doubled": ([" pad 1 2", "pad  1 2", " CAT 1 2", "  dog 3 4",
+                                   "eel  5 6 ", "cat 7 8"], {"cat", "dog", "eel"},
+                                  {"cat": [1, 2], "dog": [3, 4], "eel": [5, 6]}),
+}
+
+
+def padded_vec_text(lines, scan_block):
+    """A 2-d file with a header and enough out-of-vocabulary lines to fill
+    the first scan block of ``scan_block`` bytes, then ``lines``."""
+    pad = [f"pad{i:05d} 0.5 -0.25" for i in range(scan_block // 20 + 2)]
+    return "".join(f"{line}\n" for line in [f"{len(pad) + len(lines)} 2", *pad, *lines])
+
+
+@pytest.mark.parametrize("edge", sorted(FILTER_EDGES))
+def test_scan_filter_edges_match_reference(tmp_path, monkeypatch, edge):
+    lines, vocab, outcome = FILTER_EDGES[edge]
+    path = tmp_path / "edge.vec"
+    for scan_block in (1, 3, 7, embeddings.SCAN_BLOCK):
+        monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
+        text = padded_vec_text(lines, scan_block)
+        path.write_text(text, encoding="utf-8")
+        expected, _ = load_outcome(reference_load_vec_file, path, vocab)
+        got, store = load_outcome(load_vec_file, path, vocab)
+        assert got == expected, scan_block
+        if isinstance(outcome, int):
+            assert got[2] == text.count("\n") - len(lines) + outcome + 1
+        else:
+            assert {w: v.tolist() for w, v in store.vectors.items()} == outcome
+
+
+def test_scan_filter_is_off_under_a_zero_width_header(tmp_path, monkeypatch):
+    # every line after "3 0" is an error, however many spaces it holds
+    path = tmp_path / "zero.vec"
+    path.write_bytes(b"3 0\npad\ncat\n")
+    for scan_block in (1, 3, 7, embeddings.SCAN_BLOCK):
+        monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
+        for vocab in ({"cat"}, None):
+            expected, _ = load_outcome(reference_load_vec_file, path, vocab)
+            assert expected == ("error", ParseError, 2, "unparseable line 2: no vector components")
+            assert load_outcome(load_vec_file, path, vocab)[0] == expected, scan_block
+
+
 NUMERIC_PIECES = list("0123456789.eE+-_,#x") + [
     "\t", "\r", "\x0b", "\x0c", "\x00", "\x1c", "\x1f", "\xa0", "\x85", "\u3000", "\ufeff",
     "١", "٢", "０", "inf", "nan", "infinity", "0x", "1e308", "00000000000000000001",

@@ -10,7 +10,9 @@ parameters are finite and as many as its config needs, and whose config is
 the header's value for value and type for type, or raise a ``DataError``.
 Through ``entsum summarize`` it must end in exit 0 or 2 without a traceback;
 exit 3 is the one other outcome, for parameters that load finite but
-overflow a score.
+overflow a score.  Through ``entsum evaluate --checkpoints``, with the
+mutant as one fold's checkpoint, the same holds, and a run that fails prints
+nothing on stdout and leaves no report or temporary file.
 
 Each tree case takes a small ESBM tree and truncates one of its description,
 gold, ``elist.txt`` or split files, flips bytes in it, deletes or duplicates
@@ -160,6 +162,38 @@ def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys)
             assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, kind, err)
         codes.add(rc)
     assert {0, 2} <= codes
+
+
+def test_evaluate_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys):
+    # each mutant stands in for one fold's checkpoint, the other fold's is
+    # intact; a failed run prints nothing and writes no report or temporary
+    ckpts, out = tmp_path / "ckpts", tmp_path / "out"
+    ckpts.mkdir()
+    args = ["evaluate", "--manifest", str(TOYMUSIC / "manifest.json"),
+            "--vectors", str(TOYMUSIC / "toy.vec"), "--k", "2",
+            "--checkpoints", str(ckpts), "--out", str(out)]
+    outcomes = set()
+    for case, (kind, data) in enumerate(checkpoint_mutants(saved)):
+        fold = case % 2
+        (ckpts / f"fold{fold}.ckpt").write_bytes(data)
+        (ckpts / f"fold{1 - fold}.ckpt").write_bytes(saved)
+        try:
+            rc = cli.main(args)
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        stdout, err = capsys.readouterr()
+        assert_clean_exit(rc, err, (case, kind))
+        assert sorted(p.name for p in ckpts.iterdir()) == ["fold0.ckpt", "fold1.ckpt"]
+        if rc == 0:
+            assert re.fullmatch(r"model mean F1 \d\.\d{4} over 2 entities\n", stdout), \
+                (case, kind, stdout)
+            assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "per_entity.tsv"]
+            shutil.rmtree(out)
+        else:
+            assert stdout == "" and not out.exists(), (case, kind, rc, stdout)
+        outcomes.add((kind, rc))
+    assert {kind for kind, _ in outcomes} == {*KINDS, RETYPE}
+    assert {0, 2} <= {rc for _, rc in outcomes}
 
 
 TREE_CASES = 400

@@ -208,8 +208,9 @@ def test_cross_validate_composes_fold_runs(toy_manifest, toy_store):
 def test_cross_validate_per_entity_rows(toy_manifest, toy_store):
     cv = cross_validate(toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=2), toy_store)
     # every entity is tested exactly once, under its own fold's index
-    assert sorted((fold, iri) for fold, iri, _ in cv.per_entity) == [(0, BLUE), (1, ARIA)]
-    pooled = sum(f1 for _, _, f1 in cv.per_entity) / 2
+    rows = [(r.fold_index, iri, f1) for r in cv.reports for iri, f1 in r.per_entity_f1.items()]
+    assert sorted((fold, iri) for fold, iri, _ in rows) == [(0, BLUE), (1, ARIA)]
+    pooled = sum(f1 for _, _, f1 in rows) / 2
     assert cv.mean_f1 == pooled
 
 
@@ -244,7 +245,7 @@ def test_constant_scores_select_lowest_ids(toy_manifest, toy_store):
     for iri in (ARIA, BLUE):
         desc = toy_manifest.entity(iri)
         expected[iri] = f1_against_golds({0, 1}, desc.gold[2])
-    got = {iri: f1 for _, iri, f1 in cv.per_entity}
+    got = {iri: f1 for r in cv.reports for iri, f1 in r.per_entity_f1.items()}
     assert got == expected
     # Aria: {0,1} hits one gold id in each of three summaries; Blue likewise
     # in two of three: (1/2 + 1/3 + 1/2 + 1/2 + 0 + 1/2) / ... = 5/12 pooled
