@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Commands: ``ingest`` validates a manifest, ``filter-vectors`` shrinks a
-vector file to a manifest's vocabulary, ``train`` runs cross-validation and
-writes checkpoints plus reports, ``evaluate`` re-scores saved checkpoints
-(or the frequency oracle), and ``summarize`` prints one entity's summary.
+Commands: ``ingest`` validates a manifest, ``filter-vectors`` writes the
+vectors of a manifest's words as a vector store, ``train`` runs
+cross-validation and writes checkpoints plus reports, ``evaluate`` re-scores
+saved checkpoints (or the frequency oracle), and ``summarize`` prints one entity's summary.
 
 Exit codes: 0 success, 1 usage error, 2 data error (also an input that
 cannot be read or an output that cannot be written), 3 numeric failure
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filter-vectors", help="restrict a vector file to a dataset's vocabulary")
     _add_manifest_args(p)
     p.add_argument("--vectors", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="filtered vector file to write")
+    p.add_argument("--out", type=Path, required=True, help="vector store to write")
 
     p = sub.add_parser("train", help="cross-validate and write checkpoints and reports")
     _add_manifest_args(p)

@@ -8,6 +8,7 @@ the zero vector.  Case is folded to lowercase on both sides for coverage.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from dataclasses import dataclass
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_writer
 from .dataset import DatasetManifest, NodeKind, Resource
 from .errors import DataError, ParseError
+from .framing import Framing, has_marker, read_framed, write_framed
 
 
 def textual_form(r: Resource) -> str:
@@ -228,31 +229,47 @@ def _scan_lines(fh, words, width):
             yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e], False
 
 
+VECTOR_STORE = Framing(marker="entsum-vectors", version=1, name="vector store",
+                       kind="vector store", unit="vector component", sized_by="header")
+
+
+def _read_store(path: Path, data: bytes, vocab: set[str] | None) -> EmbeddingStore:
+    """Store ``path``, whose content is ``data``, as one matrix of the rows ``vocab`` keeps."""
+    def parse(doc: dict) -> tuple[tuple[int, list[str]], int]:
+        words, dim = doc.get("words"), doc.get("dim")
+        if type(words) is not list:
+            raise DataError(f"{path}: words is not a JSON list")
+        least = 1 if words else 0
+        if type(dim) is not int or dim < least:
+            raise DataError(f"{path}: dim {dim!r} is not an integer >= {least}")
+        if (any(type(w) is not str or not w or w.lower() != w for w in words)
+                or len(set(words)) < len(words)):
+            raise DataError(f"{path}: words must be distinct, non-empty lowercase strings")
+        return (dim, words), len(words) * dim
+
+    (dim, words), values = read_framed(path, data, VECTOR_STORE, parse)
+    kept = [i for i, word in enumerate(words) if vocab is None or word in vocab]
+    rows = values.reshape(len(words), dim)[kept].astype(np.float64, copy=False)
+    return EmbeddingStore(dim, dict(zip([words[i] for i in kept], rows)))
+
+
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
-    """Read a text-format vector file: optional ``count dim`` header, then
-    ``word v1 ... v_dim`` per line.  A loaded vector must be finite.
+    """Read a vector store that ``save_vec_file`` wrote, or a text file: an
+    optional ``count dim`` header, then ``word v1 ... v_dim`` per line.  A
+    loaded vector must be finite; ``vocab`` restricts loading to its words.
 
-    Fields are separated by spaces; a run of spaces counts as one.  Words are
-    lowercased; the first occurrence of a folded word wins, which for
-    frequency-ordered files keeps the most frequent casing.  ``vocab``
-    restricts loading to the given (lowercase) words.  The file is read as
+    A file whose first line is a JSON object with the ``format`` of
+    ``VECTOR_STORE`` is a store, read by ``framing.read_framed`` as one
+    matrix whose rows ``vocab`` keeps by index.  Every other file is text:
+    fields are separated by spaces, a run counting as one; words are
+    lowercased, the first occurrence of a folded word winning, which for
+    frequency-ordered files keeps the most frequent casing.  It is read as
     UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n`` ends a
-    line.  It is scanned as bytes, in blocks of ``SCAN_BLOCK``: every line's
-    field count is checked, but only the kept lines and the words of lines
-    that get the full per-line work are decoded, and only kept lines have
-    their components parsed.
-
-    With ``vocab``, from the first block after the width is known (from the
-    header or the first line) and if it is not 0, a line of that width with
-    no two spaces in a row and an ASCII word is kept or dropped on its
-    word's ASCII lowercasing as bytes; a dropped one is not decoded and gets
-    no other per-line work.  Blank lines, the header, lines of another width
-    (errors), lines with two spaces in a row and lines whose word is not
-    ASCII (the Kelvin sign lowercases to ``k``) get the full per-line work.
-    Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's text
-    reader; every value is the one ``float`` gives, and a component only
-    ``float`` reads, such as ``1_0`` (10.0), still loads.  Errors are
-    reported for the first bad line of the file.
+    line.  ``_scan_lines`` scans it as bytes and settles most lines that
+    ``vocab`` drops from their bytes.  Kept lines are parsed in blocks of
+    ``PARSE_BLOCK`` by numpy's text reader; every value is the one ``float``
+    gives, and ``1_0``, which only ``float`` reads, still loads as 10.0.
+    Errors are reported for the first bad line of the file.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
@@ -260,6 +277,11 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     dim: int | None = None
     words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
     with path.open("rb") as fh:
+        if fh.peek(1)[:1] == b"{":  # a store's header, or a text file's first word
+            data = fh.read()
+            if has_marker(data, VECTOR_STORE):
+                return _read_store(path, data, vocab)
+            fh = io.BytesIO(data)
         for line_no, word, n_values, rest, folded in _scan_lines(fh, words, lambda: dim or 0):
             if line_no == 1 and n_values == 1:
                 try:
@@ -296,99 +318,41 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     return EmbeddingStore(dim, vectors)
 
 
-# components formatted per block by save_vec_file: enough for a block of a
-# 4-decimal file to repeat most of its values, few enough that a save adds
-# under 2 MB to the peak memory
-SAVE_BLOCK = 16384
-
-
-def _component_texts(block: np.ndarray, carried: tuple) -> tuple[list, tuple]:
-    """Per row of a float64 block, the ``repr`` of each component in order,
-    and the block's table to carry into the next call: its distinct bit
-    patterns, sorted, and their texts.
-
-    Each distinct bit pattern is formatted once, and not at all when it is
-    in ``carried``, the previous block's table; so ``0.0`` and ``-0.0`` are
-    told apart.
-    """
-    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-    known_bits, known_texts = carried
-    at = np.searchsorted(known_bits, bits)
-    hit = at < len(known_bits)
-    hit[hit] = known_bits[at[hit]] == bits[hit]
-    texts = np.empty(len(bits), dtype=object)
-    texts[hit] = known_texts[at[hit]]
-    miss = ~hit
-    texts[miss] = list(map(repr, bits[miss].view(np.float64).tolist()))
-    return texts[inverse.reshape(block.shape)].tolist(), (bits, texts)
-
-
 def _cannot_save(word: str, problem: str) -> DataError:
     return DataError(f"cannot save {word!r}: {problem}")
 
 
 def _savable_row(word: str, vec, dim: int) -> np.ndarray:
-    """``vec`` converted to float64, or ``DataError`` if ``save_vec_file``
-    cannot write the word and vector so that the loader reads them back.
-    Finiteness is left to ``_refuse_non_finite``, once per block."""
-    if not word or " " in word or "\n" in word:
-        raise _cannot_save(word, "a word must be non-empty and hold no space or newline")
+    """``vec`` converted to float64, or ``DataError`` if the store reader
+    would refuse the word or the vector."""
+    if not word:
+        raise _cannot_save(word, "a word must be non-empty")
     if word.lower() != word:
         raise _cannot_save(word, "the loader lowercases words, so a word must be lowercase")
-    try:
-        word.encode("utf-8")
-    except UnicodeEncodeError:
-        raise _cannot_save(word, "word not encodable as UTF-8") from None
     try:
         row = np.asarray(vec, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise _cannot_save(word, f"component not convertible to float64 ({exc})") from None
     if row.shape != (dim,) or not dim:
         raise _cannot_save(word, f"vector of shape {row.shape} in a store of dim {dim}")
+    if not np.isfinite(row).all():
+        raise _cannot_save(word, "non-finite vector component")
     return row
 
 
-def _refuse_non_finite(chunk: list[str], block: np.ndarray) -> None:
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        raise _cannot_save(chunk[int(finite.argmin())], "non-finite vector component")
-
-
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
-    """Write a store in the text format ``load_vec_file`` reads.
-
-    Words are sorted for byte-stable output.  Components are converted to
-    float64 and written as their ``repr``, so a round trip reproduces the
-    exact doubles.  Rows are converted, checked and formatted in blocks of
-    about ``SAVE_BLOCK`` components.  Each distinct value of a block is
-    formatted once, and a value the previous block also held is not
-    formatted again; the bytes are the same as formatting every component.
-
-    A word that is empty, holds a space or a newline, is not lowercase
-    (``word.lower() != word``, which the loader would fold into another
-    word), or does not encode as UTF-8, and a vector with a component that
-    does not convert to float64, whose shape is not ``(dim,)``, that has a
-    non-finite component, or that has no components at all raise
-    ``DataError`` naming the first such word in sorted order; the target is
-    then left as it was, and no temporary file is left behind.
-    """
+    """Write a vector store: ``dim`` and the sorted words, then each word's
+    vector converted to float64, checked and written in turn, which
+    ``load_vec_file`` reads back to the same bits.  An empty or not
+    lowercase word (the loader would fold it into another), and a vector that
+    does not convert to float64, is not of shape ``(dim,)``, has a non-finite
+    component or none at all raise ``DataError`` naming the first such word
+    in sorted order, as does a ``dim`` below 0; ``path`` is then left as it was."""
+    if type(store.dim) is not int or store.dim < 0:
+        raise DataError(f"cannot save a store of dim {store.dim!r}")
     words = sorted(store.vectors)
-    per_block = max(1, SAVE_BLOCK // max(store.dim, 1))
-    carried = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=object))
-    with atomic_writer(path) as fh:
-        fh.write(f"{len(words)} {store.dim}\n")
-        for start in range(0, len(words), per_block):
-            chunk = words[start:start + per_block]
-            block = np.empty((len(chunk), max(store.dim, 0)), dtype=np.float64)
-            for i, word in enumerate(chunk):
-                try:
-                    block[i] = _savable_row(word, store.vectors[word], store.dim)
-                except DataError:
-                    _refuse_non_finite(chunk[:i], block[:i])  # an earlier word comes first
-                    raise
-            _refuse_non_finite(chunk, block)
-            texts, carried = _component_texts(block, carried)
-            fh.write("".join(f"{word} {' '.join(row)}\n" for word, row in zip(chunk, texts)))
+    write_framed(path, VECTOR_STORE, {"dim": store.dim, "words": words},
+                 (_savable_row(word, store.vectors[word], store.dim) for word in words))
 
 
 def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:

@@ -28,17 +28,16 @@ and a meta mapping, followed by ``flat`` as raw little-endian float64 bytes.
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_writer
-from .dataset import EntityDescription, Resource, decode_text, read_bytes
+from .dataset import EntityDescription, Resource, read_bytes
 from .embeddings import EmbeddingStore, embed_resource
 from .errors import DataError, NumericError
+from .framing import Framing, read_framed, write_framed
 from .nn import (
     IGNORE_FLOAT_ERRORS,
     Activation,
@@ -52,8 +51,8 @@ from .nn import (
     softmax_backward,
 )
 
-CHECKPOINT_FORMAT = "entsum-scorer"
-CHECKPOINT_VERSION = 3
+CHECKPOINT = Framing(marker="entsum-scorer", version=3, name="scorer checkpoint",
+                     kind="checkpoint", unit="parameter", sized_by="config")
 
 
 @dataclass(frozen=True)
@@ -366,70 +365,35 @@ def select_summary(scored: ScoredDescription, k: int) -> list[int]:
 # checkpoints
 # --------------------------------------------------------------------------
 
-def save_checkpoint(
-    model: TripleScorer, path: str | Path, meta: Mapping[str, object] | None = None
-) -> None:
-    """Write a header line, then every parameter as raw bytes.
-
-    The header is compact sorted-key JSON of ``format``, ``version``,
-    ``config`` and ``meta``, ended by a newline.  Exactly
-    ``8 * config.parameter_count`` bytes follow: ``model.flat`` as
-    little-endian float64.  Equal models give byte-equal files."""
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(model.config),
-        "meta": dict(meta or {}),
-    }
-    with atomic_writer(path) as fh:
-        fh.buffer.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        fh.buffer.write(model.flat.astype("<f8").tobytes())
+def save_checkpoint(model: TripleScorer, path: str | Path,
+                    meta: Mapping[str, object] | None = None) -> None:
+    """Write a framed file whose header holds ``config`` and ``meta``, and
+    whose values are ``model.flat``.  Equal models give byte-equal files."""
+    write_framed(path, CHECKPOINT, {"config": asdict(model.config), "meta": dict(meta or {})},
+                 [model.flat])
 
 
 def load_checkpoint(path: str | Path) -> tuple[TripleScorer, dict]:
     """Rebuild a scorer from ``save_checkpoint`` output; returns the model and
-    the stored meta mapping.
-
-    The header is the bytes before the first newline, read as strict UTF-8
-    JSON.  Its format marker, version and config are checked in that order,
-    then the length of the bytes after it against the config, before any
-    parameter array is allocated, and last that every value is finite.  A
+    the stored meta mapping, ``{}`` when the header has none.  Past the
+    checks of ``framing.read_framed``, a ``meta`` must be a JSON object.  A
     version 1 or 2 file, which is one JSON line, is refused by version."""
-    data = read_bytes(path)
-    cut = data.find(b"\n")
-    if cut < 0:
-        raise DataError(f"{path}: no header line")
-    try:
-        doc = json.loads(decode_text(data[:cut], path))
-    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
-        raise DataError(f"{path}: header is not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"{path}: not a scorer checkpoint")
-    version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: checkpoint version {version!r}, supported {CHECKPOINT_VERSION}"
-        )
-    try:
-        cfg_doc = doc["config"]
-        config = ModelConfig(
-            embed_dim=cfg_doc["embed_dim"],
-            candidate_hidden=tuple(cfg_doc["candidate_hidden"]),
-            context_hidden=tuple(cfg_doc["context_hidden"]),
-            scoring_hidden=tuple(cfg_doc["scoring_hidden"]),
-            seed=cfg_doc["seed"],
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    size = len(data) - cut - 1
-    if size != 8 * config.parameter_count:
-        raise DataError(
-            f"{path}: {size} parameter bytes, the config needs "
-            f"{8 * config.parameter_count}"
-        )
-    values = np.frombuffer(data, dtype="<f8", offset=cut + 1)
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}: non-finite parameter")
-    model = TripleScorer(config, values.astype(np.float64))
-    meta = doc.get("meta", {})
-    return model, meta if isinstance(meta, dict) else {}
+    def parse(doc: dict) -> tuple[tuple[ModelConfig, dict], int]:
+        try:
+            cfg_doc = doc["config"]
+            config = ModelConfig(
+                embed_dim=cfg_doc["embed_dim"],
+                candidate_hidden=tuple(cfg_doc["candidate_hidden"]),
+                context_hidden=tuple(cfg_doc["context_hidden"]),
+                scoring_hidden=tuple(cfg_doc["scoring_hidden"]),
+                seed=cfg_doc["seed"],
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: meta is not a JSON object")
+        return (config, meta), config.parameter_count
+
+    (config, meta), values = read_framed(path, read_bytes(path), CHECKPOINT, parse)
+    return TripleScorer(config, values.astype(np.float64)), meta

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from entsum import atomic, embeddings
+from entsum import atomic
 from entsum.embeddings import EmbeddingStore, save_vec_file
 from entsum.evaluation import make_report, write_aggregate_json, write_per_entity_tsv
 from entsum.model import TripleScorer, save_checkpoint
@@ -22,25 +22,21 @@ def _previous_file(tmp_path, name):
     return path
 
 
-def test_interrupted_vec_save_keeps_previous_file(tmp_path, monkeypatch):
-    # one word per block; formatting the second block fails, after the
-    # header and the first word have been written to the temporary file
-    format_block = embeddings._component_texts
+def test_interrupted_vec_save_keeps_previous_file(tmp_path):
+    # the second word's vector fails to convert, after the header and the
+    # first word's row have been written to the temporary file
     calls = []
 
-    def fail_second(block, carried):
-        calls.append(sorted(p.name for p in tmp_path.iterdir()))
-        if len(calls) == 2:
+    class FailingVector:
+        def __array__(self, *args, **kwargs):
+            calls.append(sorted(p.name for p in tmp_path.iterdir()))
             raise OSError("write failed")
-        return format_block(block, carried)
 
-    monkeypatch.setattr(embeddings, "SAVE_BLOCK", 1)
-    monkeypatch.setattr(embeddings, "_component_texts", fail_second)
-    store = EmbeddingStore(1, {"a": np.array([1.0]), "b": np.array([2.0])})
+    store = EmbeddingStore(1, {"a": np.array([1.0]), "b": FailingVector()})
     path = _previous_file(tmp_path, "store.vec")
     with pytest.raises(OSError, match="write failed"):
         save_vec_file(store, path)
-    assert calls[1] == [f".store.vec.{os.getpid()}.tmp", "store.vec"]
+    assert calls == [[f".store.vec.{os.getpid()}.tmp", "store.vec"]]
     assert path.read_bytes() == PREVIOUS
     assert [p.name for p in tmp_path.iterdir()] == ["store.vec"]
 

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -362,6 +363,10 @@ def test_bad_numeric_argument_is_a_usage_error(capsys, tmp_path, command, flag, 
 # filter-vectors
 # --------------------------------------------------------------------------
 
+# a 4-dimensional store without words: the header line and nothing after it
+EMPTY_STORE = b'{"dim":4,"format":"entsum-vectors","version":1,"words":[]}\n'
+
+
 def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     out = tmp_path / "filtered.vec"
     rc, stdout, _ = invoke(
@@ -374,7 +379,9 @@ def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     assert len(store) == 40
     assert store.dim == 4
     assert "unused" not in store
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 41
+    header, payload = out.read_bytes().split(b"\n", 1)
+    assert json.loads(header)["words"] == sorted(store.vectors)
+    assert len(payload) == 40 * 4 * 8
 
 
 def test_filter_vectors_no_overlap_writes_header_only(capsys, tmp_path):
@@ -404,7 +411,7 @@ def test_filter_vectors_no_overlap_writes_header_only(capsys, tmp_path):
     )
     assert rc == 0
     assert stdout.startswith("kept 0 of 2 ")
-    assert out.read_text(encoding="utf-8") == "0 4\n"
+    assert out.read_bytes() == EMPTY_STORE
     assert len(load_vec_file(out)) == 0
 
 
@@ -434,7 +441,7 @@ def test_filter_vectors_empty_vocabulary(capsys, tmp_path):
     )
     assert rc == 0
     assert stdout.startswith("kept 0 of 0 ")
-    assert out.read_text(encoding="utf-8") == "0 4\n"
+    assert out.read_bytes() == EMPTY_STORE
 
 
 def test_filtered_store_scores_identically(capsys, tmp_path, toy_manifest, toy_store):
@@ -455,6 +462,24 @@ def test_filtered_store_scores_identically(capsys, tmp_path, toy_manifest, toy_s
         full = model.score_entity(desc, toy_store)
         trimmed = model.score_entity(desc, filtered)
         assert full.scores == trimmed.scores
+
+
+def test_training_from_the_filtered_store_is_byte_identical(capsys, tmp_path, train_dir):
+    # filter-vectors output trains to the same checkpoints and reports as the
+    # text file, and filtering the store again writes the same bytes
+    store, again = tmp_path / "filtered.vec", tmp_path / "again.vec"
+    for vectors, out in ((VEC, store), (store, again)):
+        rc, _, _ = invoke(capsys, "filter-vectors", "--manifest", MANIFEST,
+                          "--vectors", str(vectors), "--out", str(out))
+        assert rc == 0
+    assert again.read_bytes() == store.read_bytes()
+    rc, _, _ = invoke(capsys, "train", "--manifest", MANIFEST, "--vectors", str(store),
+                      "--k", "2", "--seed", "0", "--max-epochs", "3", "--out", str(tmp_path / "t"))
+    assert rc == 0
+    names = ["aggregate.json", "fold0.ckpt", "fold1.ckpt", "per_entity.tsv"]
+    assert sorted(p.name for p in (tmp_path / "t").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "t" / name).read_bytes() == (train_dir / name).read_bytes(), name
 
 
 # --------------------------------------------------------------------------
@@ -803,6 +828,25 @@ def test_a_meta_k_that_is_no_json_integer_is_a_data_error(capsys, tmp_path, host
         assert (rc, stdout) == (2, ""), args
         assert err.startswith(f"error: {tmp_path / 'fold0.ckpt'}: k "), err
         assert "is not an integer" in err
+
+
+@pytest.mark.parametrize("hostile", [b"[]", b'"x"', b"7", b"null", None])
+def test_a_meta_that_is_no_json_object_is_a_data_error(capsys, train_dir, tmp_path, hostile):
+    # each used to load as {}, which skipped the --k check; a missing meta
+    # still reads as {}
+    for fold in (0, 1):
+        data = (train_dir / f"fold{fold}.ckpt").read_bytes()
+        meta = re.search(rb',"meta":\{[^{}]*\}', data).group()
+        replacement = b"" if hostile is None else b',"meta":' + hostile
+        (tmp_path / f"fold{fold}.ckpt").write_bytes(data.replace(meta, replacement, 1))
+    rc, stdout, err = invoke(capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
+                             "--k", "3", "--checkpoints", str(tmp_path))
+    if hostile is None:
+        assert (rc, err) == (0, ""), err
+        assert stdout.startswith("model mean F1 ")
+    else:
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: {tmp_path / 'fold0.ckpt'}: meta is not a JSON object\n"
 
 
 def test_evaluate_missing_checkpoint(capsys, tmp_path):

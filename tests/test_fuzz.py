@@ -26,6 +26,15 @@ duplicates or swaps its lines.  Through ``entsum filter-vectors`` every
 mutant must end in exit 0 or 2 without a traceback or a temporary file, and
 a written file must load to the words and bits of the mutant itself.
 
+Each store case takes what ``filter-vectors`` writes for the toy corpus and
+mutates it as a checkpoint, retypes its header's ``dim``, ``words`` and each
+word, or repeats, uppercases or empties a word.  Every mutant must either
+load as the store its header describes, with finite vectors, or raise a
+``DataError``; a repeated, uppercase or empty word is always refused.
+Through ``entsum train --max-epochs 1`` and ``entsum summarize`` it must end
+in exit 0, 2 or 3 without a traceback, and a failed ``train`` writes no
+checkpoint or report.
+
 Each manifest case takes the toy corpus's manifest JSON and mutates it the
 same ways, or puts a value of another type, size or depth in place of one of
 its nodes, or drops a key or list entry.  Each TSV case mutates a per-entity TSV the same
@@ -43,8 +52,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from entsum import cli, embeddings
-from entsum.embeddings import load_vec_file, manifest_vocabulary
+from entsum import cli
+from entsum.embeddings import load_vec_file, manifest_vocabulary, save_vec_file
 from entsum.errors import DataError
 from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
 
@@ -80,15 +89,11 @@ RETYPE = "retype-header"
 RETYPE_VALUES = ["true", "7.5", '"7"', "null", "[]", "{}", "9" * 5000]
 
 
-def retyped_mutants(data: bytes) -> list[tuple[str, bytes]]:
-    """Checkpoint ``data`` with one config or meta node of its header, or
-    the config or meta itself, replaced by each of ``RETYPE_VALUES``."""
+def retyped_mutants(data: bytes, nodes) -> list[tuple[str, bytes]]:
+    """Framed file ``data`` with each of the header nodes that ``nodes``
+    lists, as ``(container, key)`` pairs of the parsed header, replaced in
+    turn by each of ``RETYPE_VALUES``."""
     cut = data.index(b"\n")
-
-    def nodes(doc):
-        return [(doc, "config"), (doc, "meta"), *json_nodes(doc["config"], []),
-                *json_nodes(doc["meta"], [])]
-
     out = []
     for i in range(len(nodes(json.loads(data[:cut])))):
         for value in RETYPE_VALUES:
@@ -100,8 +105,14 @@ def retyped_mutants(data: bytes) -> list[tuple[str, bytes]]:
     return out
 
 
+def checkpoint_nodes(doc) -> list:
+    """The config and meta of a checkpoint header and every node under them."""
+    return [(doc, "config"), (doc, "meta"), *json_nodes(doc["config"], []),
+            *json_nodes(doc["meta"], [])]
+
+
 def checkpoint_mutants(data: bytes) -> list[tuple[str, bytes]]:
-    return [mutant(data, case) for case in range(CASES)] + retyped_mutants(data)
+    return [mutant(data, case) for case in range(CASES)] + retyped_mutants(data, checkpoint_nodes)
 
 
 @pytest.fixture(scope="module")
@@ -293,10 +304,7 @@ def line_mutant(data: bytes, case: int, pieces: list[bytes],
     return kind, b"".join(lines)
 
 
-def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_path, capsys,
-                                                              monkeypatch):
-    # three words per save block, so the table carried between blocks is used
-    monkeypatch.setattr(embeddings, "SAVE_BLOCK", 12)
+def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_path, capsys):
     data = (TOYMUSIC / "toy.vec").read_bytes()
     vocab = manifest_vocabulary(toy_manifest)
     path, out_dir = tmp_path / "mutant.vec", tmp_path / "out"
@@ -341,6 +349,97 @@ def assert_clean_exit(rc: int, err: str, case) -> None:
         prefix = {2: "error:", 3: "numeric error:"}.get(rc)
         assert prefix and err.startswith(prefix), (case, rc, err)
         assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, err)
+
+
+BAD_WORD = "bad-word"
+
+
+def store_nodes(doc) -> list:
+    """The dim and words of a store header and each word."""
+    return [(doc, "dim"), (doc, "words"), *json_nodes(doc["words"], [])]
+
+
+def bad_word_mutants(data: bytes) -> list[tuple[str, bytes]]:
+    """Store ``data`` with its second word replaced by its first, by its own
+    uppercasing and by the empty word."""
+    cut = data.index(b"\n")
+    words = json.loads(data[:cut])["words"]
+    out = []
+    for word in (words[0], words[1].upper(), ""):
+        doc = json.loads(data[:cut])
+        doc["words"][1] = word
+        out.append((BAD_WORD, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                    + data[cut:]))
+    return out
+
+
+def store_mutants(data: bytes) -> list[tuple[str, bytes]]:
+    return ([mutant(data, case) for case in range(CASES)] + retyped_mutants(data, store_nodes)
+            + bad_word_mutants(data))
+
+
+@pytest.fixture(scope="module")
+def store(toy_manifest, tmp_path_factory) -> bytes:
+    """What ``filter-vectors`` writes for the toy corpus."""
+    path = tmp_path_factory.mktemp("store") / "filtered.vec"
+    vocab = manifest_vocabulary(toy_manifest)
+    save_vec_file(load_vec_file(TOYMUSIC / "toy.vec", vocab), path)
+    return path.read_bytes()
+
+
+def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path):
+    path = tmp_path / "store.vec"
+    vocab = manifest_vocabulary(toy_manifest)
+    outcomes = set()
+    for case, (kind, data) in enumerate(store_mutants(store)):
+        path.write_bytes(data)
+        for words in (None, vocab):
+            try:
+                loaded = load_vec_file(path, words)
+            except DataError:
+                outcomes.add((kind, "refused"))
+                continue
+            except Exception as exc:
+                pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+            assert kind != BAD_WORD, case
+            header = json.loads(data[:data.index(b"\n")])
+            assert type(loaded.dim) is int and loaded.dim == header["dim"], (case, kind)
+            assert list(loaded.vectors) == [w for w in header["words"]
+                                            if words is None or w in words], (case, kind)
+            for v in loaded.vectors.values():
+                assert v.dtype == np.float64 and v.shape == (loaded.dim,), (case, kind)
+                assert np.isfinite(v).all(), (case, kind)
+            outcomes.add((kind, "loaded"))
+    assert {kind for kind, _ in outcomes} == {*KINDS, RETYPE, BAD_WORD}
+    assert {"loaded", "refused"} <= {outcome for _, outcome in outcomes}
+
+
+def test_train_and_summarize_on_mutated_stores_exit_cleanly(store, tmp_path, capsys):
+    manifest = str(TOYMUSIC / "manifest.json")
+    path, out, ckpts = tmp_path / "store.vec", tmp_path / "out", tmp_path / "ckpts"
+    assert cli.main(["train", "--manifest", manifest, "--vectors", str(TOYMUSIC / "toy.vec"),
+                     "--k", "2", "--max-epochs", "1", "--out", str(ckpts)]) == 0
+    capsys.readouterr()
+    reports = ["aggregate.json", "fold0.ckpt", "fold1.ckpt", "per_entity.tsv"]
+    outcomes = set()
+    for case, (kind, data) in enumerate(store_mutants(store)):
+        path.write_bytes(data)
+        for args in (["train", "--max-epochs", "1", "--out", str(out)],
+                     ["summarize", "--checkpoint", str(ckpts / "fold0.ckpt"), "--entity", ARIA]):
+            try:
+                rc = cli.main([*args, "--manifest", manifest, "--vectors", str(path), "--k", "2"])
+            except Exception as exc:
+                pytest.fail(f"case {case} ({kind}) {args[0]}: {type(exc).__name__}: {exc}")
+            stdout, err = capsys.readouterr()
+            assert_clean_exit(rc, err, (case, kind, args[0]))
+            if args[0] == "train":
+                written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+                assert written == (reports if rc == 0 else []), (case, kind, rc, written)
+                shutil.rmtree(out, ignore_errors=True)
+            outcomes.add((kind, args[0], rc))
+    assert {kind for kind, _, _ in outcomes} == {*KINDS, RETYPE, BAD_WORD}
+    assert {0, 2} <= {rc for _, command, rc in outcomes if command == "train"}
+    assert {0, 2} <= {rc for _, command, rc in outcomes if command == "summarize"}
 
 
 MANIFEST_CASES = 640
