@@ -8,7 +8,6 @@ the zero vector.  Case is folded to lowercase on both sides for coverage.
 
 from __future__ import annotations
 
-import io
 import re
 import warnings
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dataset import DatasetManifest, NodeKind, Resource
 from .errors import DataError, ParseError
-from .framing import Framing, has_marker, read_framed, write_framed
+from .framing import Framing, read_framed, write_framed
 
 
 def textual_form(r: Resource) -> str:
@@ -57,10 +56,6 @@ def tokenize(s: str) -> list[str]:
     return tokens
 
 
-def resource_tokens(r: Resource) -> list[str]:
-    return tokenize(textual_form(r))
-
-
 @dataclass
 class EmbeddingStore:
     """Word to vector map with a fixed dimensionality; words stored lowercase."""
@@ -84,7 +79,7 @@ def embed_resource(r: Resource, store: EmbeddingStore) -> np.ndarray:
     """
     acc = np.zeros(store.dim, dtype=np.float64)
     covered = 0
-    for tok in resource_tokens(r):
+    for tok in tokenize(textual_form(r)):
         vec = store.vectors.get(tok)
         if vec is not None:
             acc += vec
@@ -167,68 +162,6 @@ def _line_blocks(fh):
         yield tail + b"\n", len(tail) + 1
 
 
-def _scan_lines(fh, words, width):
-    """``(line_no, word, n_values, rest, folded)`` for each line of a binary
-    vector file that holds more than spaces, after stripping its spaces and
-    collapsing their runs.  ``rest``, the bytes after the first space, is
-    not decoded.
-
-    numpy counts the spaces of a block's lines and strips one space from
-    either end.  A line with no two spaces in a row then has its fields
-    separated by single spaces, so only its word is decoded here; one with
-    two in a row is collapsed first.  Splitting on bytes is exact: ``\\n``
-    and spaces never occur inside a multi-byte UTF-8 sequence, and decoding
-    with ``errors="replace"`` never folds an ASCII byte into a replacement
-    character.
-
-    ``words`` maps the ASCII words of a vocabulary, as bytes, to themselves,
-    or is None; ``width()`` is the number of values every line must have, or
-    0 while it is unknown, and is asked once per block.  Given both, a line
-    of that many values with no two spaces in a row and an ASCII word is
-    settled from its bytes, since ``bytes.lower`` folds ASCII as
-    ``str.lower`` does: it is left out unless its lowercased word is in
-    ``words``, and then comes with that word as a ``str``, ``folded``.
-    Every other line comes with its word decoded as it is.
-    """
-    line_no = 0
-    for buf, size in _line_blocks(fh):
-        a = np.frombuffer(buf, dtype=np.uint8, count=size)
-        ends = np.flatnonzero(a == 10)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        sp = a == 32
-        doubled = np.zeros(len(ends), dtype=bool)
-        doubled[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
-        # ends - 1 of an empty first line is -1, the block's last newline;
-        # a line of one space is left with its start past its end
-        lead, trail = sp[starts], sp[ends - 1]
-        # counted in 4 bytes a byte, unless a count could reach 2**32
-        counts = np.add.reduceat(sp.view(np.uint8), starts,
-                                 dtype=np.uint32 if size < 2**32 else np.intp)
-        n_spaces = counts.astype(np.intp) - lead - trail
-        settle = np.zeros_like(doubled)
-        if words is not None and width() > 0:
-            settle = ~doubled & (n_spaces == width())
-        for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
-                                         n_spaces.tolist(), doubled.tolist(), settle.tolist()):
-            line_no += 1
-            if settled:
-                i = buf.find(b" ", s, e)
-                word = words.get(buf[s:i].lower())
-                if word is not None:
-                    yield line_no, word, n, buf[i + 1:e], True
-                    continue
-                if buf[s:i].isascii():
-                    continue
-            line = buf
-            if odd:
-                line = b" ".join(p for p in buf[s:e].split(b" ") if p)
-                s, e, n = 0, len(line), line.count(b" ")
-            if s >= e:
-                continue
-            i = line.find(b" ", s, e) if n else e
-            yield line_no, line[s:i].decode("utf-8", "replace"), n, line[i + 1:e], False
-
-
 VECTOR_STORE = Framing(marker="entsum-vectors", version=1, name="vector store",
                        kind="vector store", unit="vector component", sized_by="header")
 
@@ -258,59 +191,101 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     optional ``count dim`` header, then ``word v1 ... v_dim`` per line.  A
     loaded vector must be finite; ``vocab`` restricts loading to its words.
 
-    A file whose first line is a JSON object with the ``format`` of
-    ``VECTOR_STORE`` is a store, read by ``framing.read_framed`` as one
-    matrix whose rows ``vocab`` keeps by index.  Every other file is text:
-    fields are separated by spaces, a run counting as one; words are
-    lowercased, the first occurrence of a folded word winning, which for
-    frequency-ordered files keeps the most frequent casing.  It is read as
-    UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n`` ends a
-    line.  ``_scan_lines`` scans it as bytes and settles most lines that
-    ``vocab`` drops from their bytes.  Kept lines are parsed in blocks of
-    ``PARSE_BLOCK`` by numpy's text reader; every value is the one ``float``
-    gives, and ``1_0``, which only ``float`` reads, still loads as 10.0.
-    Errors are reported for the first bad line of the file.
+    A file whose first byte is ``{`` is a store, read by
+    ``framing.read_framed`` as one matrix whose rows ``vocab`` keeps by
+    index; a store that does not read is a ``DataError`` naming the file.
+    Every other file is text: fields are separated by spaces, a run counting
+    as one; words are lowercased, the first occurrence of a folded word
+    winning, which for frequency-ordered files keeps the most frequent
+    casing.  It is read as UTF-8, an undecodable byte reading as U+FFFD, and
+    only ``\\n`` ends a line.  Errors are reported for the first bad line of
+    the file.
+
+    Text is scanned as bytes, in blocks of whole lines from ``_line_blocks``.
+    numpy counts the spaces of a block's lines and strips one space from
+    either end.  A line with no two spaces in a row then has its fields
+    separated by single spaces, so only its word is decoded; one with two in
+    a row is collapsed first.  Splitting on bytes is exact: ``\\n`` and
+    spaces never occur inside a multi-byte UTF-8 sequence, and decoding with
+    ``errors="replace"`` never folds an ASCII byte into a replacement
+    character.  Given ``vocab``, once the width is known, a block's lines of
+    that width with no two spaces in a row and an ASCII word are settled
+    from their bytes, since ``bytes.lower`` folds ASCII as ``str.lower``
+    does: kept if the lowercased word is in ``vocab``, dropped otherwise.
+    Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's text
+    reader (``_parse_block``); every value is the one ``float`` gives, and
+    ``1_0``, which only ``float`` reads, still loads as 10.0.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     pending: list[tuple[int, str, str]] = []
     dim: int | None = None
     words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
+    line_no = 0
     with path.open("rb") as fh:
-        if fh.peek(1)[:1] == b"{":  # a store's header, or a text file's first word
-            data = fh.read()
-            if has_marker(data, VECTOR_STORE):
-                return _read_store(path, data, vocab)
-            fh = io.BytesIO(data)
-        for line_no, word, n_values, rest, folded in _scan_lines(fh, words, lambda: dim or 0):
-            if line_no == 1 and n_values == 1:
-                try:
-                    int(word)
-                    header_dim = int(rest.decode("utf-8", "replace"))
-                except ValueError:
-                    pass
-                else:
-                    dim = header_dim
+        if fh.peek(1)[:1] == b"{":
+            return _read_store(path, fh.read(), vocab)
+        for buf, size in _line_blocks(fh):
+            a = np.frombuffer(buf, dtype=np.uint8, count=size)
+            ends = np.flatnonzero(a == 10)
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            sp = a == 32
+            doubled = np.zeros(len(ends), dtype=bool)
+            doubled[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
+            # ends - 1 of an empty first line is -1, the block's last newline;
+            # a line of one space is left with its start past its end
+            lead, trail = sp[starts], sp[ends - 1]
+            # counted in 4 bytes a byte, unless a count could reach 2**32
+            counts = np.add.reduceat(sp.view(np.uint8), starts,
+                                     dtype=np.uint32 if size < 2**32 else np.intp)
+            n_spaces = counts.astype(np.intp) - lead - trail
+            settle = np.zeros_like(doubled)
+            if words is not None and (dim or 0) > 0:
+                settle = ~doubled & (n_spaces == dim)
+            for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
+                                             n_spaces.tolist(), doubled.tolist(), settle.tolist()):
+                line_no += 1
+                line, word = buf, None
+                if settled:
+                    i = buf.find(b" ", s, e)
+                    word = words.get(buf[s:i].lower())
+                    if word is None and buf[s:i].isascii():
+                        continue
+                if word is None:
+                    if odd:
+                        line = b" ".join(p for p in buf[s:e].split(b" ") if p)
+                        s, e, n = 0, len(line), line.count(b" ")
+                    if s >= e:
+                        continue
+                    i = line.find(b" ", s, e) if n else e
+                    word = line[s:i].decode("utf-8", "replace")
+                    if line_no == 1 and n == 1:
+                        try:
+                            int(word)
+                            header_dim = int(line[i + 1:e].decode("utf-8", "replace"))
+                        except ValueError:
+                            pass
+                        else:
+                            dim = header_dim
+                            continue
+                    if dim is None and n:
+                        dim = n
+                    if not n or n != dim:
+                        if pending:  # an earlier kept line's error is reported first
+                            _parse_block(pending, dim, vectors)
+                        if not n:
+                            raise ParseError(line_no, "no vector components")
+                        raise ParseError(line_no, f"expected {dim} vector components, got {n}")
+                    word = word.lower()
+                    if vocab is not None and word not in vocab:
+                        continue
+                if word in vectors:
                     continue
-            if dim is None and n_values:
-                dim = n_values
-            if not n_values or n_values != dim:
-                if pending:  # an earlier kept line's error is reported first
+                vectors[word] = None  # queued: later casings of the word are dropped
+                pending.append((line_no, word, line[i + 1:e].decode("utf-8", "replace")))
+                if len(pending) >= PARSE_BLOCK:
                     _parse_block(pending, dim, vectors)
-                if not n_values:
-                    raise ParseError(line_no, "no vector components")
-                raise ParseError(line_no, f"expected {dim} vector components, got {n_values}")
-            if not folded:
-                word = word.lower()
-                if vocab is not None and word not in vocab:
-                    continue
-            if word in vectors:
-                continue
-            vectors[word] = None  # queued: later casings of the word are dropped
-            pending.append((line_no, word, rest.decode("utf-8", "replace")))
-            if len(pending) >= PARSE_BLOCK:
-                _parse_block(pending, dim, vectors)
-                pending = []
+                    pending = []
     if pending:
         _parse_block(pending, dim, vectors)
     if dim is None:

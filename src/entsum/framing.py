@@ -29,17 +29,6 @@ def write_framed(path: str | Path, framing: Framing, fields: dict, rows) -> None
             fh.buffer.write(row.astype("<f8", copy=False).tobytes())
 
 
-def has_marker(data: bytes, framing: Framing) -> bool:
-    """Whether the first line of ``data`` is a UTF-8 JSON object whose
-    ``format`` is ``framing``'s marker."""
-    cut = data.find(b"\n")
-    try:
-        doc = json.loads(data[:cut if cut >= 0 else len(data)].decode("utf-8"))
-    except (ValueError, RecursionError):
-        return False
-    return isinstance(doc, dict) and doc.get("format") == framing.marker
-
-
 def read_framed(path: str | Path, data: bytes, framing: Framing, parse):
     """``parse(header)``'s fields, and the values of ``data``, the content of
     ``path``, as a read-only view.  Checked in order, each failure a

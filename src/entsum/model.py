@@ -70,6 +70,10 @@ class ModelConfig:
             dims = getattr(self, name)
             if not dims or any(type(d) is not int or d < 1 for d in dims):
                 raise ValueError(f"{name} must be non-empty positive dims, got {dims}")
+        # the attention takes cosines between the two encoders' outputs
+        if self.candidate_hidden[-1] != self.context_hidden[-1]:
+            raise ValueError(f"candidate_hidden and context_hidden must end in the same width, "
+                             f"got {self.candidate_hidden[-1]} and {self.context_hidden[-1]}")
         if type(self.embed_dim) is not int or self.embed_dim < 1:
             raise ValueError("embed_dim must be a positive integer")
         if type(self.seed) is not int or self.seed < 0:

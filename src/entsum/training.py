@@ -88,20 +88,16 @@ def _prepare(
     iris: Sequence[str],
     encoded: Encodings,
     cfg: TrainConfig,
-    with_targets: bool,
 ) -> list[_PreparedEntity]:
-    """Each entity with its encoding and, ``with_targets``, its regression
-    targets: per triple, the fraction of the k-slot gold summaries that
-    contain it, keyed in ascending id order.  An entity without golds for
-    k is a ``DataError``."""
+    """Each entity with its encoding and its regression targets: per triple,
+    the fraction of the k-slot gold summaries that contain it, keyed in
+    ascending id order.  An entity without golds for k is a ``DataError``."""
     prepared = []
     for iri in iris:
         desc = manifest.entity(iri)
         counts = gold_membership_counts(desc, cfg.k)
-        targets = {}
-        if with_targets:
-            golds = len(desc.gold[cfg.k])
-            targets = {tid: count / golds for tid, count in counts.items()}
+        golds = len(desc.gold[cfg.k])
+        targets = {tid: count / golds for tid, count in counts.items()}
         prepared.append(_PreparedEntity(desc, encoded[iri], targets))
     return prepared
 
@@ -149,11 +145,8 @@ def train_fold(
     """
     if encoded is None:
         encoded = encode_entities(manifest, (*fold.train, *fold.valid), store)
-    train_set = _prepare(manifest, fold.train, encoded, train_cfg, with_targets=True)
-    valid_set = _prepare(
-        manifest, fold.valid, encoded, train_cfg,
-        with_targets=train_cfg.early_stop_metric is EarlyStopMetric.VAL_LOSS,
-    )
+    train_set = _prepare(manifest, fold.train, encoded, train_cfg)
+    valid_set = _prepare(manifest, fold.valid, encoded, train_cfg)
 
     model = TripleScorer.create(model_cfg)
     # Adam steps each layer's view of model.flat: one step over the whole

@@ -27,6 +27,19 @@ TOYMUSIC = DATA_DIR / "toymusic"
 ARIA = "http://toy.example/music/Aria_Stone"
 BLUE = "http://toy.example/film/Blue_River"
 
+# header-less text files whose first word begins with "{", each with the
+# start of its error after the file name: a first byte of "{" means a
+# vector store, so each is refused with the store's error
+BRACE_TEXTS = {
+    "word-then-line": (b"{ab 1 2\ncd 3 4\n", "header is not valid JSON"),
+    "lone-brace-words": (b"{ 1 2\n{ 3 4\n", "header is not valid JSON"),
+    "no-newline": (b"{ab 1 2", "no header line"),
+    "object-then-values": (b'{"dim":1} 1.5\n', "header is not valid JSON"),
+    "checkpoint-header": (b'{"format":"entsum-scorer"}\n', "not a vector store"),
+    "empty-object": (b"{}", "no header line"),
+    "lone-brace-line": (b"{\n1 2\n", "header is not valid JSON"),
+}
+
 
 @pytest.fixture(scope="session")
 def toy_manifest() -> DatasetManifest:

@@ -20,9 +20,16 @@ from entsum.evaluation import (
     read_per_entity_tsv,
 )
 from entsum.embeddings import load_vec_file
-from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
+from entsum.framing import write_framed
+from entsum.model import (
+    CHECKPOINT,
+    ModelConfig,
+    TripleScorer,
+    load_checkpoint,
+    save_checkpoint,
+)
 
-from conftest import ARIA, BLUE, TOYMUSIC, build_esbm_tree
+from conftest import ARIA, BLUE, BRACE_TEXTS, TOYMUSIC, build_esbm_tree
 
 MANIFEST = str(TOYMUSIC / "manifest.json")
 VEC = str(TOYMUSIC / "toy.vec")
@@ -444,6 +451,38 @@ def test_filter_vectors_empty_vocabulary(capsys, tmp_path):
     assert out.read_bytes() == EMPTY_STORE
 
 
+# files whose first byte is "{" but that are no vector store, each made
+# from a good store's bytes, with the start of its error after the file name
+NOT_STORES = {
+    **{f"text-{name}": (lambda store, data=data: data, message)
+       for name, (data, message) in BRACE_TEXTS.items()},
+    "store-cut-header": (lambda store: store[:store.index(b"\n") // 2], "no header line"),
+    "store-format-renamed": (lambda store: store.replace(b'"format"', b'"formats"', 1),
+                             "not a vector store"),
+    # the payload's first newline byte then ends a "header" of binary bytes
+    "store-header-without-newline": (lambda store: store.replace(b"\n", b"", 1),
+                                     "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STORES))
+def test_a_brace_led_file_that_is_no_store_exits_2(capsys, tmp_path, case):
+    store = tmp_path / "filtered.vec"
+    assert invoke(capsys, "filter-vectors", "--manifest", MANIFEST, "--vectors", VEC,
+                  "--out", str(store))[0] == 0
+    damage, message = NOT_STORES[case]
+    path = tmp_path / "vectors.vec"
+    path.write_bytes(damage(store.read_bytes()))
+    out = tmp_path / "out"
+    out.mkdir()
+    for args in (["filter-vectors", "--out", str(out / "filtered.vec")],
+                 ["train", "--k", "2", "--max-epochs", "1", "--out", str(out)]):
+        rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", str(path))
+        assert (rc, stdout) == (2, ""), args[0]
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == [], args[0]
+
+
 def test_filtered_store_scores_identically(capsys, tmp_path, toy_manifest, toy_store):
     from entsum.model import ModelConfig, TripleScorer
 
@@ -602,15 +641,21 @@ def test_internal_shape_mismatch_is_a_numeric_error(capsys, tmp_path, monkeypatc
 # evaluate
 # --------------------------------------------------------------------------
 
-def test_evaluate_checkpoints(train_dir, capsys):
+def test_evaluate_checkpoints(train_dir, capsys, tmp_path):
+    # evaluating train's checkpoints writes train's reports byte for byte
+    out = tmp_path / "eval"
     rc, stdout, _ = invoke(
         capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
-        "--k", "2", "--checkpoints", str(train_dir),
+        "--k", "2", "--checkpoints", str(train_dir), "--out", str(out),
     )
     assert rc == 0
     per_entity = read_per_entity_tsv(train_dir / "per_entity.tsv")
     mean = sum(per_entity.values()) / len(per_entity)
     assert stdout == f"model mean F1 {mean:.4f} over 2 entities\n"
+    names = ["aggregate.json", "per_entity.tsv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (train_dir / name).read_bytes(), name
 
 
 def test_evaluate_oracle(capsys, tmp_path):
@@ -1088,6 +1133,30 @@ def test_summarize_refuses_a_config_field_that_is_no_json_integer(capsys, tmp_pa
     )
     assert (rc, stdout) == (2, "")
     assert err.startswith(f"error: {ckpt}: {field} must be "), err
+
+
+def test_encoders_of_two_widths_are_a_data_error(capsys, tmp_path):
+    # such a checkpoint used to load, and scoring then ended in exit 3 with
+    # "numeric error: cosine over shapes (10, 3) and (10, 5)"
+    config = {"embed_dim": 4, "candidate_hidden": [3], "context_hidden": [5],
+              "scoring_hidden": [2], "seed": 0}
+    layers = ([8, 3], [8, 5], [8, 2, 1])
+    count = sum((i + 1) * o for dims in layers for i, o in zip(dims, dims[1:]))
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for fold in (0, 1):
+        write_framed(ckpts / f"fold{fold}.ckpt", CHECKPOINT,
+                     {"config": config, "meta": {"chosen_epoch": 1, "fold": fold, "k": 2}},
+                     [np.full(count, 0.1)])
+    ckpt = ckpts / "fold0.ckpt"
+    for args in (["summarize", "--checkpoint", str(ckpt), "--entity", ARIA],
+                 ["evaluate", "--checkpoints", str(ckpts), "--out", str(tmp_path / "out")]):
+        rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", VEC,
+                                 "--k", "2")
+        assert (rc, stdout) == (2, ""), args[0]
+        assert err == (f"error: {ckpt}: candidate_hidden and context_hidden must end in the "
+                       "same width, got 3 and 5\n"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_summarize_rejects_surrogate_escape(overfit_dir, capsys, tmp_path):

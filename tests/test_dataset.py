@@ -889,7 +889,7 @@ def targets(desc, k):
     """The regression targets training builds for ``desc`` at budget k."""
     manifest = DatasetManifest("t", (desc,), ())
     iri = desc.entity.raw
-    (prepared,) = _prepare(manifest, [iri], {iri: []}, TrainConfig(k=k), with_targets=True)
+    (prepared,) = _prepare(manifest, [iri], {iri: []}, TrainConfig(k=k))
     return prepared.targets
 
 

@@ -1,8 +1,10 @@
 """Textual forms, tokenization, vector files, mean-of-word embeddings."""
 
 import json
+import os
 import random
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -22,14 +24,13 @@ from entsum.embeddings import (
     embed_resource,
     load_vec_file,
     manifest_vocabulary,
-    resource_tokens,
     save_vec_file,
     textual_form,
     tokenize,
 )
 from entsum.errors import DataError, ParseError
 
-from conftest import TOYMUSIC
+from conftest import BRACE_TEXTS, TOYMUSIC
 
 
 def iri(raw, label=None):
@@ -103,8 +104,9 @@ def test_tokenize(text, expected):
 
 
 def test_resource_tokens_compose_form_and_split():
-    assert resource_tokens(iri("http://ex.org/voc#birthPlace")) == ["birth", "place"]
-    assert resource_tokens(iri("http://ex.org/x", "Golden Note Prize")) == [
+    # the tokens embed_resource looks up
+    assert tokenize(textual_form(iri("http://ex.org/voc#birthPlace"))) == ["birth", "place"]
+    assert tokenize(textual_form(iri("http://ex.org/x", "Golden Note Prize"))) == [
         "golden",
         "note",
         "prize",
@@ -706,6 +708,21 @@ def test_store_loads_one_matrix_and_vocabulary_rows_by_index(tmp_path, vocab):
     assert all(v.dtype == np.float64 and v.flags.writeable for v in store.vectors.values())
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_store_and_a_text_file_load_the_same_bits_through_a_pipe(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    for data in (store_bytes(), (TOYMUSIC / "toy.vec").read_bytes()):
+        path = tmp_path / "file.vec"
+        path.write_bytes(data)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        piped = load_outcome(load_vec_file, fifo, None)[0]
+        writer.join()
+        assert piped == load_outcome(load_vec_file, path, None)[0]
+        assert piped[0] == "store"
+
+
 WORDS_RULE = "words must be distinct, non-empty lowercase strings"
 BAD_STORES = {
     "version-true": (store_bytes(version=True), "vector store version True, supported 1"),
@@ -737,16 +754,16 @@ def test_store_reader_refuses_a_bad_store(tmp_path, case):
         assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
 
 
-@pytest.mark.parametrize("text", [
-    "{ab 1 2\ncd 3 4\n", "{ 1 2\n{ 3 4\n", "{ab 1 2", '{"dim":1} 1.5\n',
-    '{"format":"entsum-scorer"}\n', "{}", "{\n1 2\n",
-])
-def test_a_text_file_whose_first_word_begins_with_a_brace_is_text(tmp_path, text):
+@pytest.mark.parametrize("case", sorted(BRACE_TEXTS))
+def test_a_file_whose_first_byte_is_a_brace_is_read_as_a_store(tmp_path, case):
+    data, message = BRACE_TEXTS[case]
     path = tmp_path / "brace.vec"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     for vocab in (None, {"{ab", "cd"}):
-        assert load_outcome(load_vec_file, path, vocab)[0] == \
-            load_outcome(reference_load_vec_file, path, vocab)[0]
+        with pytest.raises(DataError) as err:
+            load_vec_file(path, vocab)
+        assert not isinstance(err.value, ParseError)
+        assert str(err.value).startswith(f"{path}: {message}"), str(err.value)
 
 
 # --------------------------------------------------------------------------
@@ -798,7 +815,7 @@ def reference_coverage_warnings(manifest, store):
                 if textual_form(r) in seen:
                     continue
                 seen.add(textual_form(r))
-                covered = sum(tok in store.vectors for tok in resource_tokens(r))
+                covered = sum(tok in store.vectors for tok in tokenize(textual_form(r)))
                 if covered == 0:
                     warnings.append(
                         f"all tokens unknown for {r.kind.value} "

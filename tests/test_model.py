@@ -4,6 +4,7 @@ import base64
 import itertools
 import json
 import random
+import re
 import struct
 
 import numpy as np
@@ -183,6 +184,8 @@ def test_config_validation():
         ModelConfig(embed_dim=4.0)
     with pytest.raises(ValueError):
         ModelConfig(context_hidden=(8, 2.5))
+    with pytest.raises(ValueError, match="must end in the same width, got 3 and 5"):
+        ModelConfig(candidate_hidden=(8, 3), context_hidden=(8, 5))
 
 
 def test_create_is_seed_deterministic():
@@ -727,7 +730,7 @@ def test_load_non_finite_parameter(tmp_path, bad):
 def test_load_architecture_config_disagreement(tmp_path):
     # a hostile size must fail on the byte count, before anything is allocated
     for key, value in [("embed_dim", 7), ("embed_dim", 10**9),
-                       ("scoring_hidden", [10**9, 10**9]), ("candidate_hidden", [8, 9])]:
+                       ("scoring_hidden", [10**9, 10**9]), ("candidate_hidden", [8, 8, 8])]:
         path = corrupt(tmp_path, lambda doc: doc["config"].update({key: value}))
         with pytest.raises(DataError, match="parameter bytes"):
             load_checkpoint(path)
@@ -737,6 +740,11 @@ def test_load_architecture_config_disagreement(tmp_path):
             load_checkpoint(path)
     path = corrupt(tmp_path, lambda doc: doc["config"].update(context_hidden=[8.0, 8.0]))
     with pytest.raises(DataError, match="context_hidden must be non-empty positive dims"):
+        load_checkpoint(path)
+    # the attention's cosines need encodings of one width
+    path = corrupt(tmp_path, lambda doc: doc["config"].update(candidate_hidden=[8, 9]))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: candidate_hidden and "
+                                        "context_hidden must end in the same width, got 9 and 8$"):
         load_checkpoint(path)
 
 

@@ -61,7 +61,7 @@ def random_mlp(dims, rng):
 
 
 def test_create_shapes_and_activations():
-    config = ModelConfig(embed_dim=2, candidate_hidden=(8, 3), context_hidden=(5,),
+    config = ModelConfig(embed_dim=2, candidate_hidden=(8, 3), context_hidden=(3,),
                          scoring_hidden=(4,))
     model = TripleScorer.create(config)
     mlps = (model.candidate_mlp, model.context_mlp, model.scoring_mlp)
@@ -103,7 +103,7 @@ def test_create_glorot_bounds():
 def test_create_deterministic_per_seed():
     # one generator draws each W in parameters() order: the order every
     # saved checkpoint was initialized in
-    config = ModelConfig(embed_dim=2, candidate_hidden=(3, 4), context_hidden=(2,),
+    config = ModelConfig(embed_dim=2, candidate_hidden=(3, 4), context_hidden=(4,),
                          scoring_hidden=(3,), seed=9)
     rng = np.random.default_rng(9)
     params = TripleScorer.create(config).parameters()
