@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, MalformedLine, MissingFile
 
@@ -179,45 +179,42 @@ _ESCAPES = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
     '"': '"', "'": "'", "\\": "\\",
 }
+# one escape: \u and \U with up to their 4 or 8 characters, else the one
+# character after the backslash, none when it ends the body
+_ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.?))")
 
 
 def _unescape_literal(body: str, line_no: int) -> str:
     if "\\" not in body:
         return body
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(body):
-            raise MalformedLine(line_no, "dangling escape in literal")
-        nxt = body[i + 1]
-        if nxt in _ESCAPES:
-            out.append(_ESCAPES[nxt])
-            i += 2
-        elif nxt == "u" or nxt == "U":
-            width = 4 if nxt == "u" else 8
-            hexpart = body[i + 2: i + 2 + width]
-            if len(hexpart) != width:
-                raise MalformedLine(line_no, "truncated unicode escape")
-            if not _HEX_RE.fullmatch(hexpart):
-                raise MalformedLine(line_no, f"bad unicode escape \\{nxt}{hexpart}")
-            code = int(hexpart, 16)
-            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                raise MalformedLine(
-                    line_no, f"unicode escape \\{nxt}{hexpart} is not a character"
-                )
-            out.append(chr(code))
-            i += 2 + width
-        else:
-            raise MalformedLine(line_no, f"unknown escape \\{nxt}")
-    return "".join(out)
+
+    def unescape(m: re.Match) -> str:
+        hex4, hex8, ch = m.groups()
+        if ch is not None:
+            if not ch:
+                raise MalformedLine(line_no, "dangling escape in literal")
+            if ch not in _ESCAPES:
+                raise MalformedLine(line_no, f"unknown escape {m.group()}")
+            return _ESCAPES[ch]
+        hexpart, width = (hex4, 4) if hex8 is None else (hex8, 8)
+        if len(hexpart) != width:
+            raise MalformedLine(line_no, "truncated unicode escape")
+        if not _HEX_RE.fullmatch(hexpart):
+            raise MalformedLine(line_no, f"bad unicode escape {m.group()}")
+        code = int(hexpart, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            raise MalformedLine(line_no, f"unicode escape {m.group()} is not a character")
+        return chr(code)
+
+    return _ESCAPE_RE.sub(unescape, body)
+
+
+_SPACES_RE = re.compile(r"[ \t]*")
 
 
 def _parse_term(line: str, pos: int, line_no: int) -> tuple[_Term, int]:
+    """The term after the spaces and tabs at ``pos``, and where it ends."""
+    pos = _SPACES_RE.match(line, pos).end()
     if pos >= len(line):
         raise MalformedLine(line_no, "statement ended early")
     ch = line[pos]
@@ -242,32 +239,23 @@ def _parse_term(line: str, pos: int, line_no: int) -> tuple[_Term, int]:
     raise MalformedLine(line_no, f"unexpected character {ch!r} at column {pos + 1}")
 
 
-def _skip_ws(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos] in " \t":
-        pos += 1
-    return pos
-
-
 def _parse_line(line: str, line_no: int) -> _Statement | None:
     """The statement on one line, term by term, or None for a blank line or
     a ``#`` comment; every ``MalformedLine`` comes from here."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    pos = _skip_ws(line, 0)
-    subject, pos = _parse_term(line, pos, line_no)
+    subject, pos = _parse_term(line, 0, line_no)
     if subject.kind is NodeKind.LITERAL:
         raise MalformedLine(line_no, "literal in subject position")
-    pos = _skip_ws(line, pos)
     predicate, pos = _parse_term(line, pos, line_no)
     if predicate.kind is not NodeKind.IRI:
         raise MalformedLine(line_no, "predicate must be an IRI")
-    pos = _skip_ws(line, pos)
     obj, pos = _parse_term(line, pos, line_no)
-    pos = _skip_ws(line, pos)
-    if pos >= len(line) or line[pos] != ".":
+    rest = line[pos:].lstrip(" \t")
+    if not rest.startswith("."):
         raise MalformedLine(line_no, "missing terminating '.'")
-    if line[pos + 1:].strip():
+    if rest[1:].strip():
         raise MalformedLine(line_no, "trailing content after '.'")
     return _Statement(line_no, subject, predicate, obj)
 
@@ -282,7 +270,7 @@ _new_statement = partial(tuple.__new__, _Statement)
 # has only one way to match at a given column.
 _WHOLE_BNODE = _BNODE_RE.pattern + r"(?![A-Za-z0-9._\-])"
 
-# A whole statement line, spaced as ``_skip_ws`` allows.  Groups: subject
+# A whole statement line, spaced as ``_parse_term`` allows.  Groups: subject
 # IRI or blank node; predicate IRI; object IRI, blank node, or literal body,
 # language tag and datatype.
 _STATEMENT_RE = re.compile(
@@ -399,19 +387,25 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
 # input files to a manifest
 # --------------------------------------------------------------------------
 
-def read_bytes(path: str | Path) -> bytes:
-    """The content of an input file.  A missing file raises ``MissingFile``;
-    any other failure to read it, also a name the OS cannot take (a NUL or
-    a lone surrogate in it), raises a ``DataError`` naming the path."""
+def open_input(path: str | Path) -> BinaryIO:
+    """An input file opened for binary reading.  A missing file raises
+    ``MissingFile``; any other failure to open it, also a name the OS cannot
+    take (a NUL or a lone surrogate in it), raises a ``DataError`` naming
+    the path."""
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        return open(path, "rb")
     except FileNotFoundError:
         raise MissingFile(path) from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
     except ValueError as exc:
         raise DataError(f"{path}: cannot read ({exc})") from None
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The content of an input file that ``open_input`` opens."""
+    with open_input(path) as f:
+        return f.read()
 
 
 def decode_text(data: bytes, path: str | Path) -> str:
@@ -540,6 +534,9 @@ def build_manifest(
     return DatasetManifest(name, tuple(entities), tuple(folds))
 
 
+# one spelling per k, so that "02" and "2" cannot merge two gold lists; 18
+# digits keep int() far from its digit limit
+_GOLD_KEY_RE = re.compile(r"[1-9][0-9]{0,17}")
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 _ABSENT = object()
 
@@ -587,12 +584,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         iri = _field(ent, "iri", f"{path} entity {i}", str)
         golds = []
         for k_str, summaries in _field(ent, "gold", iri, dict, {}).items():
-            try:
-                k = int(k_str)
-            except ValueError:
-                raise DataError(f"{iri}: gold key {k_str!r} is not an integer")
-            if k < 1:
-                raise DataError(f"{iri}: gold key {k} must be positive")
+            if not _GOLD_KEY_RE.fullmatch(k_str):
+                raise DataError(f"{iri}: gold key {k_str!r} is not a positive integer "
+                                "of at most 18 ASCII digits without a leading zero")
+            k = int(k_str)
             _check(summaries, list, f"{iri}: gold k={k}")
             if not summaries:
                 raise DataError(f"{iri}: empty gold list for k={k}")

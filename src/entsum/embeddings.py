@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetManifest, NodeKind, Resource
+from .dataset import DatasetManifest, NodeKind, Resource, open_input
 from .errors import DataError, ParseError
 from .framing import Framing, read_framed, write_framed
 
@@ -38,8 +38,9 @@ def textual_form(r: Resource) -> str:
     return r.raw
 
 
-_NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
-_CAMEL = re.compile(r"(?<=[a-z])(?=[A-Z])")
+# a run of characters outside ASCII letters and digits, or a camel-case
+# boundary between a lowercase and an uppercase ASCII letter
+_TOKEN_BREAK = re.compile(r"[^0-9A-Za-z]+|(?<=[a-z])(?=[A-Z])")
 
 
 def tokenize(s: str) -> list[str]:
@@ -47,13 +48,7 @@ def tokenize(s: str) -> list[str]:
 
     Numeric tokens survive as-is; empty chunks are dropped.
     """
-    tokens = []
-    for chunk in _NON_ALNUM.split(s):
-        if not chunk:
-            continue
-        for part in _CAMEL.split(chunk):
-            tokens.append(part.lower())
-    return tokens
+    return [p.lower() for p in _TOKEN_BREAK.split(s) if p]
 
 
 @dataclass
@@ -62,9 +57,6 @@ class EmbeddingStore:
 
     dim: int
     vectors: dict[str, np.ndarray]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -191,15 +183,30 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     optional ``count dim`` header, then ``word v1 ... v_dim`` per line.  A
     loaded vector must be finite; ``vocab`` restricts loading to its words.
 
-    A file whose first byte is ``{`` is a store, read by
-    ``framing.read_framed`` as one matrix whose rows ``vocab`` keeps by
-    index; a store that does not read is a ``DataError`` naming the file.
-    Every other file is text: fields are separated by spaces, a run counting
-    as one; words are lowercased, the first occurrence of a folded word
-    winning, which for frequency-ordered files keeps the most frequent
-    casing.  It is read as UTF-8, an undecodable byte reading as U+FFFD, and
-    only ``\\n`` ends a line.  Errors are reported for the first bad line of
-    the file.
+    The file opens as ``dataset.open_input`` opens any input.  One whose
+    first byte is ``{`` is a store, read by ``framing.read_framed`` as one
+    matrix whose rows ``vocab`` keeps by index; a store that does not read
+    is a ``DataError`` naming the file.  Every other file is text
+    (``_read_text``): fields are separated by spaces, a run counting as one;
+    words are lowercased, the first occurrence of a folded word winning,
+    which for frequency-ordered files keeps the most frequent casing.  It is
+    read as UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n``
+    ends a line.  The first bad line of the file is a ``ParseError`` that
+    names the file and the line.
+    """
+    path = Path(path)
+    with open_input(path) as fh:
+        if fh.peek(1)[:1] == b"{":
+            return _read_store(path, fh.read(), vocab)
+        try:
+            return _read_text(fh, vocab)
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)  # still a ParseError with its line_no
+            raise
+
+
+def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
+    """The store of the text vector file open as ``fh``.
 
     Text is scanned as bytes, in blocks of whole lines from ``_line_blocks``.
     numpy counts the spaces of a block's lines and strips one space from
@@ -216,76 +223,72 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     reader (``_parse_block``); every value is the one ``float`` gives, and
     ``1_0``, which only ``float`` reads, still loads as 10.0.
     """
-    path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     pending: list[tuple[int, str, str]] = []
     dim: int | None = None
     words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
     line_no = 0
-    with path.open("rb") as fh:
-        if fh.peek(1)[:1] == b"{":
-            return _read_store(path, fh.read(), vocab)
-        for buf, size in _line_blocks(fh):
-            a = np.frombuffer(buf, dtype=np.uint8, count=size)
-            ends = np.flatnonzero(a == 10)
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            sp = a == 32
-            doubled = np.zeros(len(ends), dtype=bool)
-            doubled[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
-            # ends - 1 of an empty first line is -1, the block's last newline;
-            # a line of one space is left with its start past its end
-            lead, trail = sp[starts], sp[ends - 1]
-            # counted in 4 bytes a byte, unless a count could reach 2**32
-            counts = np.add.reduceat(sp.view(np.uint8), starts,
-                                     dtype=np.uint32 if size < 2**32 else np.intp)
-            n_spaces = counts.astype(np.intp) - lead - trail
-            settle = np.zeros_like(doubled)
-            if words is not None and (dim or 0) > 0:
-                settle = ~doubled & (n_spaces == dim)
-            for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
-                                             n_spaces.tolist(), doubled.tolist(), settle.tolist()):
-                line_no += 1
-                line, word = buf, None
-                if settled:
-                    i = buf.find(b" ", s, e)
-                    word = words.get(buf[s:i].lower())
-                    if word is None and buf[s:i].isascii():
-                        continue
-                if word is None:
-                    if odd:
-                        line = b" ".join(p for p in buf[s:e].split(b" ") if p)
-                        s, e, n = 0, len(line), line.count(b" ")
-                    if s >= e:
-                        continue
-                    i = line.find(b" ", s, e) if n else e
-                    word = line[s:i].decode("utf-8", "replace")
-                    if line_no == 1 and n == 1:
-                        try:
-                            int(word)
-                            header_dim = int(line[i + 1:e].decode("utf-8", "replace"))
-                        except ValueError:
-                            pass
-                        else:
-                            dim = header_dim
-                            continue
-                    if dim is None and n:
-                        dim = n
-                    if not n or n != dim:
-                        if pending:  # an earlier kept line's error is reported first
-                            _parse_block(pending, dim, vectors)
-                        if not n:
-                            raise ParseError(line_no, "no vector components")
-                        raise ParseError(line_no, f"expected {dim} vector components, got {n}")
-                    word = word.lower()
-                    if vocab is not None and word not in vocab:
-                        continue
-                if word in vectors:
+    for buf, size in _line_blocks(fh):
+        a = np.frombuffer(buf, dtype=np.uint8, count=size)
+        ends = np.flatnonzero(a == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        sp = a == 32
+        doubled = np.zeros(len(ends), dtype=bool)
+        doubled[np.searchsorted(ends, np.flatnonzero(sp[1:] & sp[:-1]))] = True
+        # ends - 1 of an empty first line is -1, the block's last newline;
+        # a line of one space is left with its start past its end
+        lead, trail = sp[starts], sp[ends - 1]
+        # counted in 4 bytes a byte, unless a count could reach 2**32
+        counts = np.add.reduceat(sp.view(np.uint8), starts,
+                                 dtype=np.uint32 if size < 2**32 else np.intp)
+        n_spaces = counts.astype(np.intp) - lead - trail
+        settle = np.zeros_like(doubled)
+        if words is not None and (dim or 0) > 0:
+            settle = ~doubled & (n_spaces == dim)
+        for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
+                                         n_spaces.tolist(), doubled.tolist(), settle.tolist()):
+            line_no += 1
+            line, word = buf, None
+            if settled:
+                i = buf.find(b" ", s, e)
+                word = words.get(buf[s:i].lower())
+                if word is None and buf[s:i].isascii():
                     continue
-                vectors[word] = None  # queued: later casings of the word are dropped
-                pending.append((line_no, word, line[i + 1:e].decode("utf-8", "replace")))
-                if len(pending) >= PARSE_BLOCK:
-                    _parse_block(pending, dim, vectors)
-                    pending = []
+            if word is None:
+                if odd:
+                    line = b" ".join(p for p in buf[s:e].split(b" ") if p)
+                    s, e, n = 0, len(line), line.count(b" ")
+                if s >= e:
+                    continue
+                i = line.find(b" ", s, e) if n else e
+                word = line[s:i].decode("utf-8", "replace")
+                if line_no == 1 and n == 1:
+                    try:
+                        int(word)
+                        header_dim = int(line[i + 1:e].decode("utf-8", "replace"))
+                    except ValueError:
+                        pass
+                    else:
+                        dim = header_dim
+                        continue
+                if dim is None and n:
+                    dim = n
+                if not n or n != dim:
+                    if pending:  # an earlier kept line's error is reported first
+                        _parse_block(pending, dim, vectors)
+                    if not n:
+                        raise ParseError(line_no, "no vector components")
+                    raise ParseError(line_no, f"expected {dim} vector components, got {n}")
+                word = word.lower()
+                if vocab is not None and word not in vocab:
+                    continue
+            if word in vectors:
+                continue
+            vectors[word] = None  # queued: later casings of the word are dropped
+            pending.append((line_no, word, line[i + 1:e].decode("utf-8", "replace")))
+            if len(pending) >= PARSE_BLOCK:
+                _parse_block(pending, dim, vectors)
+                pending = []
     if pending:
         _parse_block(pending, dim, vectors)
     if dim is None:

@@ -173,12 +173,12 @@ class ScoredDescription:
     attention: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
 
-class EncodedDescription(Sequence):
+class EncodedDescription:
     """A description's triple ids in ascending order and the read-only
     n x 2d float64 matrix whose row i is the vector of ``ids[i]``.
 
-    It is a sequence of ``(id, row)`` pairs, so it goes wherever a list of
-    pairs goes; the scorer uses ``ids`` and ``matrix`` as they are."""
+    It has a length and iterates as ``(id, row)`` pairs, as a list of pairs
+    does; the scorer uses ``ids`` and ``matrix`` as they are."""
 
     __slots__ = ("ids", "matrix")
 
@@ -195,11 +195,6 @@ class EncodedDescription(Sequence):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(zip(self.ids[i], self.matrix[i]))
-        return self.ids[i], self.matrix[i]
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         return zip(self.ids, self.matrix)

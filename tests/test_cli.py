@@ -262,6 +262,12 @@ def set_aria_gold(value):
     return lambda doc: doc["entities"][0].update(gold=value)
 
 
+def copy_aria_gold_2(key):
+    # int() reads each key below as 2, so "02" used to merge a second list of
+    # Aria's size-2 golds into the first: 15 golds where there are 12
+    return lambda doc: doc["entities"][0]["gold"].update({key: doc["entities"][0]["gold"]["2"]})
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda doc: doc.update(entities={"iri": ARIA}), "field 'entities' must be a list"),
     (lambda doc: doc.update(entities=[1], folds=[]), "entity 0 must be an object"),
@@ -284,11 +290,14 @@ def set_aria_gold(value):
     (set_first_fold("valid", [None]), "every entry of 'valid' must be a string"),
     (set_first_fold("test", 5), "field 'test' must be a list"),
     (set_first_fold("test", [{"iri": BLUE}]), "every entry of 'test' must be a string"),
+    *[(copy_aria_gold_2(key), f"{ARIA}: gold key {key!r} is not a positive integer")
+      for key in ["\u0662", " 2 ", "0_2", "02"]],
 ], ids=[
     "entities-object", "entity-int", "entity-list", "iri-int", "desc_file-null",
     "gold-list", "gold-k-object", "gold-entry-string", "gold-file-int", "folds-object",
     "fold-int", "index-string", "index-float", "index-bool", "train-string",
     "train-entry-list", "valid-string", "valid-entry-null", "test-int", "test-entry-object",
+    "gold-key-arabic-indic", "gold-key-spaced", "gold-key-underscored", "gold-key-zero-led",
 ])
 def test_manifest_of_wrong_json_shape_is_a_data_error(capsys, tmp_path, mutate, fragment):
     path = patched_manifest(tmp_path, mutate)
@@ -385,7 +394,7 @@ def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     store = load_vec_file(out)
     assert len(store) == 40
     assert store.dim == 4
-    assert "unused" not in store
+    assert "unused" not in store.vectors
     header, payload = out.read_bytes().split(b"\n", 1)
     assert json.loads(header)["words"] == sorted(store.vectors)
     assert len(payload) == 40 * 4 * 8
@@ -480,6 +489,26 @@ def test_a_brace_led_file_that_is_no_store_exits_2(capsys, tmp_path, case):
         rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", str(path))
         assert (rc, stdout) == (2, ""), args[0]
         assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == [], args[0]
+
+
+@pytest.mark.parametrize("case", ["text", "missing", "directory"])
+def test_a_vector_file_that_does_not_read_names_itself(capsys, tmp_path, case):
+    path = tmp_path / "bad.vec"
+    if case == "text":
+        path.write_text("cat 1 2\ndog 3\n", encoding="utf-8")
+        message = f"{path}: unparseable line 2: expected 2 vector components, got 1"
+    elif case == "missing":
+        message = f"missing file: {path}"
+    else:
+        path.mkdir()
+        message = f"{path}: cannot read (Is a directory)"
+    out = tmp_path / "out"
+    out.mkdir()
+    for args in (["filter-vectors", "--out", str(out / "filtered.vec")],
+                 ["train", "--k", "2", "--max-epochs", "1", "--out", str(out)]):
+        rc, stdout, err = invoke(capsys, *args, "--manifest", MANIFEST, "--vectors", str(path))
+        assert (rc, stdout, err) == (2, "", f"error: {message}\n"), args[0]
         assert list(out.iterdir()) == [], args[0]
 
 

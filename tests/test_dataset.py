@@ -837,13 +837,16 @@ def test_manifest_missing_top_level_field(tmp_path, drop):
 
 
 def test_manifest_gold_key_must_be_positive_int(tmp_path):
-    doc = mini_doc()
-    doc["entities"][0]["gold"] = {"zero": [{"annotator": "a", "file": "g1.nt"}]}
-    with pytest.raises(DataError, match="gold key 'zero' is not an integer"):
-        load_manifest(write_corpus(tmp_path, doc, mini_files()))
-    doc["entities"][0]["gold"] = {"0": [{"annotator": "a", "file": "g1.nt"}]}
-    with pytest.raises(DataError, match="gold key 0 must be positive"):
-        load_manifest(write_corpus(tmp_path, doc, mini_files()))
+    # int() reads "\u0662", " 2 ", "0_2", "02" and "+2" as 2, so "02" beside
+    # "2" would merge two gold lists under k=2; 5,000 digits pass its limit
+    for key in ["zero", "0", "-1", "\u0662", " 2 ", "0_2", "02", "+2", "2.0", "9" * 5000]:
+        doc = mini_doc()
+        doc["entities"][0]["gold"] = {"2": [{"annotator": "a", "file": "g1.nt"}],
+                                      key: [{"annotator": "b", "file": "g1.nt"}]}
+        with pytest.raises(DataError, match=re.escape(f"gold key {key!r} is not a positive integer")):
+            load_manifest(write_corpus(tmp_path, doc, mini_files()))
+    doc["entities"][0]["gold"] = {"1" + "0" * 17: [{"annotator": "a", "file": "g1.nt"}]}
+    assert load_manifest(write_corpus(tmp_path, doc, mini_files())).gold_count == 2
 
 
 def test_manifest_gold_not_subset(tmp_path):

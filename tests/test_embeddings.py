@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import struct
 import threading
 import warnings
@@ -101,6 +102,32 @@ def test_labeled_literal_ignores_label_slot():
 )
 def test_tokenize(text, expected):
     assert tokenize(text) == expected
+
+
+def reference_tokenize(s):
+    """The two-pattern tokenizer that ``tokenize``'s single split replaced."""
+    tokens = []
+    for chunk in re.split(r"[^0-9A-Za-z]+", s):
+        if not chunk:
+            continue
+        for part in re.split(r"(?<=[a-z])(?=[A-Z])", chunk):
+            tokens.append(part.lower())
+    return tokens
+
+
+# ASCII letters and digits, separators, letters whose case mapping leaves
+# ASCII ("\u0130" lowercases to "i" and a combining dot, the Kelvin sign to
+# "k"), a titlecase letter, and a letter and digit outside ASCII
+TOKEN_ALPHABET = ["a", "z", "q", "A", "Z", "Q", "0", "9", " ", "-", "_", ".", "/", "#", "\t",
+                  "\n", "\u00e9", "\u00c9", "\u0130", "\u01c4", "\u01c5", "\u212a", "\u0662",
+                  "\u00df", "\u3000"]
+
+
+def test_tokenize_matches_the_two_pattern_reference_on_random_strings():
+    rng = random.Random(2024)
+    for _ in range(100_000):
+        s = "".join(rng.choices(TOKEN_ALPHABET, k=rng.randrange(13)))
+        assert tokenize(s) == reference_tokenize(s), s
 
 
 def test_resource_tokens_compose_form_and_split():
@@ -204,7 +231,8 @@ def test_dim_mismatch_reports_line(tmp_path):
     path = write_vec(tmp_path, "cat 1.0 2.0\ndog 3.0\n")
     with pytest.raises(ParseError, match="expected 2 vector components, got 1") as err:
         load_vec_file(path)
-    assert "line 2" in str(err.value)
+    assert str(err.value) == f"{path}: unparseable line 2: expected 2 vector components, got 1"
+    assert err.value.line_no == 2
 
 
 def test_header_dim_binds_later_lines(tmp_path):
@@ -310,8 +338,8 @@ def test_toy_store_contents(toy_store):
     assert toy_store.dim == 4
     # 42 lines fold to 41 words: the duplicated one keeps its first vector
     assert len(toy_store) == 41
-    assert "golden" in toy_store
-    assert "unused" in toy_store
+    assert "golden" in toy_store.vectors
+    assert "unused" in toy_store.vectors
     assert toy_store.vectors["type"].tolist() == [0.45, 0.13, 0.19, 0.4]
 
 
@@ -422,7 +450,8 @@ def load_outcome(loader, path, vocab):
     try:
         store = loader(path, vocab)
     except ParseError as exc:
-        return ("error", type(exc), exc.line_no, str(exc)), None
+        # load_vec_file's message starts with the path; the reference's does not
+        return ("error", type(exc), exc.line_no, str(exc).removeprefix(f"{path}: ")), None
     items = [(w, v.dtype, v.shape, v.flags.c_contiguous, v.tobytes())
              for w, v in store.vectors.items()]
     return ("store", store.dim, items), store

@@ -35,6 +35,15 @@ Through ``entsum train --max-epochs 1`` and ``entsum summarize`` it must end
 in exit 0, 2 or 3 without a traceback, and a failed ``train`` writes no
 checkpoint or report.
 
+Each train case mutates one file of a copy of the toy corpus as a tree
+case does, or, every other case, its vector file as a vector case does; a
+few more keep the corpus and give ``--lr`` a hostile value.  Through
+``entsum train --max-epochs 2`` every case must end in exit 0, 2 or 3
+without a traceback, and a failed run writes no checkpoint or report.  A
+run that succeeds writes the same bytes when run again, and ``entsum
+evaluate --checkpoints`` on its checkpoints writes its two reports byte for
+byte.
+
 Each manifest case takes the toy corpus's manifest JSON and mutates it the
 same ways, or puts a value of another type, size or depth in place of one of
 its nodes, or drops a key or list entry.  Each TSV case mutates a per-entity TSV the same
@@ -440,6 +449,75 @@ def test_train_and_summarize_on_mutated_stores_exit_cleanly(store, tmp_path, cap
     assert {kind for kind, _, _ in outcomes} == {*KINDS, RETYPE, BAD_WORD}
     assert {0, 2} <= {rc for _, command, rc in outcomes if command == "train"}
     assert {0, 2} <= {rc for _, command, rc in outcomes if command == "summarize"}
+
+
+TRAIN_CASES = 200
+# learning rates that overflow the parameters, alone or with the loss as
+# the early-stopping metric, and one so small it underflows every update
+HOSTILE_LR = [("1e300", "f1", 3), ("1e200", "loss", 3), ("1e-320", "f1", 0)]
+TRAIN_OUTPUT = re.compile(r"fold\d+\.ckpt|per_entity\.tsv|aggregate\.json")
+REPORTS = ("aggregate.json", "per_entity.tsv")
+
+
+def written(directory) -> dict:
+    """The name and bytes of each file in ``directory``, none if it is absent."""
+    if not directory.exists():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_train_on_mutated_corpora_and_hostile_rates_exits_cleanly(tmp_path, capsys):
+    root = tmp_path / "toymusic"
+    shutil.copytree(TOYMUSIC, root)
+    files = {path: path.read_bytes() for path in sorted(root.iterdir())}
+    vec = root / "toy.vec"
+    runs = [(case, []) for case in range(TRAIN_CASES)]
+    runs += [(lr, ["--lr", lr, "--early-stop", metric]) for lr, metric, _ in HOSTILE_LR]
+    outcomes = set()
+    for n, (case, flags) in enumerate(runs):
+        if isinstance(case, int) and case % 2:
+            kind, mutated = line_mutant(files[vec], case // 2, VEC_PIECES)
+            changed = {vec: mutated}
+        elif isinstance(case, int):
+            kind, changed = tree_mutant(files, case // 2)
+        else:
+            kind, changed = "lr", {}
+        for path, data in changed.items():
+            path.write_bytes(data)
+        common = ["--manifest", str(root / "manifest.json"), "--vectors", str(vec), "--k", "2"]
+        train = ["train", *common, *flags, "--max-epochs", "2", "--out"]
+        first, again, evaluated = (tmp_path / f"run{n}-{i}" for i in range(3))
+        try:
+            rc = cli.main([*train, str(first)])
+            _, err = capsys.readouterr()
+            if rc == 0:
+                rerun = cli.main([*train, str(again)]), capsys.readouterr().err
+                checked = cli.main(["evaluate", *common, "--checkpoints", str(first),
+                                    "--out", str(evaluated)]), capsys.readouterr().err
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        finally:
+            for path in changed:
+                path.write_bytes(files[path])
+        assert_clean_exit(rc, err, (case, kind))
+        files_written = written(first)
+        if rc == 0:
+            assert set(REPORTS) < set(files_written), (case, kind, sorted(files_written))
+            assert all(map(TRAIN_OUTPUT.fullmatch, files_written)), (case, kind, files_written)
+            assert rerun == (0, "") and written(again) == files_written, (case, kind, rerun)
+            assert checked == (0, ""), (case, kind, checked)
+            assert written(evaluated) == {name: files_written[name] for name in REPORTS}, \
+                (case, kind)
+        else:
+            assert files_written == {}, (case, kind, rc, sorted(files_written))
+        if kind == "lr":
+            assert rc == {lr: want for lr, _, want in HOSTILE_LR}[case], (case, rc, err)
+        for out in (first, again, evaluated):
+            shutil.rmtree(out, ignore_errors=True)
+        outcomes.add((kind, rc))
+    # every kind was tried, and some mutants still train while others fail
+    assert {kind for kind, _ in outcomes} == {*TREE_KINDS, *LINE_KINDS, "lr"}
+    assert {0, 2, 3} <= {rc for _, rc in outcomes}
 
 
 MANIFEST_CASES = 640
