@@ -14,16 +14,21 @@ The on-disk inputs are deliberately small UTF-8 text files:
 Terms (``Resource``) and triples (``Triple``) are immutable tuples; the
 parser guarantees their invariants, so building one checks nothing.
 Everything is immutable after ingestion and safe to share across threads.
+A resource's words come from ``tokenize(textual_form(r))``, and a manifest
+tokenizes the textual forms of its candidate triples once
+(``DatasetManifest.form_tokens``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
+from itertools import count
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -122,11 +127,79 @@ class FoldSpec:
     test: tuple[str, ...]
 
 
+def textual_form(r: Resource) -> str:
+    """Human-readable string of a resource.
+
+    Literals use their lexical form.  IRIs and blank nodes use their label
+    when one was found in the input data, otherwise the local name: the part
+    after the last '#', else after the last '/', else the whole raw string.
+    """
+    if r.kind is NodeKind.LITERAL:
+        return r.raw
+    if r.label is not None:
+        return r.label
+    if "#" in r.raw:
+        return r.raw.rsplit("#", 1)[1]
+    if "/" in r.raw:
+        return r.raw.rsplit("/", 1)[1]
+    return r.raw
+
+
+# a run of characters outside ASCII letters and digits, or a camel-case
+# boundary between a lowercase and an uppercase ASCII letter
+_TOKEN_BREAK = re.compile(r"[^0-9A-Za-z]+|(?<=[a-z])(?=[A-Z])")
+
+
+def tokenize(s: str) -> list[str]:
+    """Split on non-alphanumeric runs and camel-case boundaries, lowercased.
+
+    Numeric tokens survive as-is; empty chunks are dropped.  The chunks hold
+    ASCII letters and digits only, so they are lowercased and freed of the
+    empty ones together, by one ``lower`` and ``split`` of their join.
+    """
+    return " ".join(_TOKEN_BREAK.split(s)).lower().split()
+
+
+class FormTokens(NamedTuple):
+    """The distinct textual forms of a manifest's candidate properties and
+    values, each tokenized once.  Per form, in manifest order: the first
+    resource that has it (``resources``) and its number of tokens
+    (``counts``).  ``ids`` holds the forms' tokens one form after another,
+    as indices into ``words``, which lists each distinct token once."""
+
+    words: list[str]
+    resources: list[Resource]
+    counts: array
+    ids: array
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     name: str
     entities: tuple[EntityDescription, ...]
     folds: tuple[FoldSpec, ...]
+
+    @cached_property
+    def form_tokens(self) -> FormTokens:
+        """The manifest's ``FormTokens``, built on first use and kept with
+        the manifest.  Each distinct resource is formed once."""
+        resources = dict.fromkeys(r for entity in self.entities for t in entity.triples
+                                  for r in (t.predicate, t.val))
+        forms: dict[str, Resource] = {}
+        for r in resources:
+            forms.setdefault(textual_form(r), r)
+        # 512 forms at a time go through tokenize's steps together: each
+        # form's chunks joined on spaces as one line, the lines lowercased
+        # and split at once.  A new token takes the next id.  Tokenizing
+        # every form before taking ids raised the peak RSS by 2 MB
+        index: defaultdict[str, int] = defaultdict(count().__next__)
+        counts, ids = array("i"), array("i")
+        split, names = _TOKEN_BREAK.split, list(forms)
+        for start in range(0, len(names), 512):
+            text = "\n".join([" ".join(split(form)) for form in names[start:start + 512]]).lower()
+            counts.extend(map(len, map(str.split, text.split("\n"))))
+            ids.extend(map(index.__getitem__, text.split()))
+        return FormTokens(list(index), list(forms.values()), counts, ids)
 
     def entity(self, iri: str) -> EntityDescription:
         for e in self.entities:
@@ -261,9 +334,12 @@ def _parse_line(line: str, line_no: int) -> _Statement | None:
 
 
 # The tuple constructor itself: a NamedTuple's own ``__new__`` is a Python
-# function, called for every term of every statement
+# function, called for every term of every statement and every resource and
+# triple of a description
 _new_term = partial(tuple.__new__, _Term)
 _new_statement = partial(tuple.__new__, _Statement)
+_new_resource = partial(tuple.__new__, Resource)
+_new_triple = partial(tuple.__new__, Triple)
 
 # A blank node as ``_parse_term`` reads it: its id runs as far as it can, so
 # ``_:b0.`` is the id ``b0.`` with no terminating '.'.  An IRI or a literal
@@ -357,7 +433,7 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
         r = resources.get(term)
         if r is None:
             key = (term.kind, term.value)
-            r = resources[term] = Resource(term.kind, term.value, labels.get(key))
+            r = resources[term] = _new_resource((term.kind, term.value, labels.get(key)))
         return r
 
     triples: list[Triple] = []
@@ -375,7 +451,7 @@ def parse_description(text: str, entity_iri: str) -> ParsedDescription:
         # a self-referential statement keeps the object side as its value
         val = obj if subject_is_entity else subject
         tid = len(triples)
-        triples.append(Triple(tid, subject, predicate, obj, val))
+        triples.append(_new_triple((tid, subject, predicate, obj, val)))
         line_ids[lines[st.line_no - 1]] = first_id.setdefault(st.key(), tid)
 
     if not triples:
@@ -537,6 +613,17 @@ def build_manifest(
 # one spelling per k, so that "02" and "2" cannot merge two gold lists; 18
 # digits keep int() far from its digit limit
 _GOLD_KEY_RE = re.compile(r"[1-9][0-9]{0,17}")
+
+
+def gold_size(text: str, context: str) -> int:
+    """The summary size k that ``text`` spells, or a ``DataError`` that
+    starts with ``context`` when it is not k's one spelling."""
+    if not _GOLD_KEY_RE.fullmatch(text):
+        raise DataError(f"{context} {text!r} is not a positive integer "
+                        "of at most 18 ASCII digits without a leading zero")
+    return int(text)
+
+
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 _ABSENT = object()
 
@@ -584,10 +671,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         iri = _field(ent, "iri", f"{path} entity {i}", str)
         golds = []
         for k_str, summaries in _field(ent, "gold", iri, dict, {}).items():
-            if not _GOLD_KEY_RE.fullmatch(k_str):
-                raise DataError(f"{iri}: gold key {k_str!r} is not a positive integer "
-                                "of at most 18 ASCII digits without a leading zero")
-            k = int(k_str)
+            k = gold_size(k_str, f"{iri}: gold key")
             _check(summaries, list, f"{iri}: gold k={k}")
             if not summaries:
                 raise DataError(f"{iri}: empty gold list for k={k}")

@@ -1,54 +1,23 @@
-"""Textual forms of RDF resources and their mean-of-word-vector embeddings.
+"""Mean-of-word-vector embeddings of RDF resources, and vector files.
 
 A resource embeds as the arithmetic mean of the pre-trained vectors of the
-words in its textual form.  Words missing from the store are skipped and do
-not enter the denominator; a resource whose words are all unknown embeds to
-the zero vector.  Case is folded to lowercase on both sides for coverage.
+words in its textual form (``textual_form`` and ``tokenize``, defined in
+``dataset``).  Words missing from the store are skipped and do not enter the
+denominator; a resource whose words are all unknown embeds to the zero
+vector.  Case is folded to lowercase on both sides for coverage.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetManifest, NodeKind, Resource, open_input
+from .dataset import DatasetManifest, Resource, open_input, textual_form, tokenize
 from .errors import DataError, ParseError
 from .framing import Framing, read_framed, write_framed
-
-
-def textual_form(r: Resource) -> str:
-    """Human-readable string of a resource.
-
-    Literals use their lexical form.  IRIs and blank nodes use their label
-    when one was found in the input data, otherwise the local name: the part
-    after the last '#', else after the last '/', else the whole raw string.
-    """
-    if r.kind is NodeKind.LITERAL:
-        return r.raw
-    if r.label is not None:
-        return r.label
-    if "#" in r.raw:
-        return r.raw.rsplit("#", 1)[1]
-    if "/" in r.raw:
-        return r.raw.rsplit("/", 1)[1]
-    return r.raw
-
-
-# a run of characters outside ASCII letters and digits, or a camel-case
-# boundary between a lowercase and an uppercase ASCII letter
-_TOKEN_BREAK = re.compile(r"[^0-9A-Za-z]+|(?<=[a-z])(?=[A-Z])")
-
-
-def tokenize(s: str) -> list[str]:
-    """Split on non-alphanumeric runs and camel-case boundaries, lowercased.
-
-    Numeric tokens survive as-is; empty chunks are dropped.
-    """
-    return [p.lower() for p in _TOKEN_BREAK.split(s) if p]
 
 
 @dataclass
@@ -185,7 +154,8 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
 
     The file opens as ``dataset.open_input`` opens any input.  One whose
     first byte is ``{`` is a store, read by ``framing.read_framed`` as one
-    matrix whose rows ``vocab`` keeps by index; a store that does not read
+    matrix whose rows ``vocab`` keeps by index, from one copy of its bytes
+    unless it cannot seek; a store that does not read
     is a ``DataError`` naming the file.  Every other file is text
     (``_read_text``): fields are separated by spaces, a run counting as one;
     words are lowercased, the first occurrence of a folded word winning,
@@ -197,7 +167,12 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     path = Path(path)
     with open_input(path) as fh:
         if fh.peek(1)[:1] == b"{":
-            return _read_store(path, fh.read(), vocab)
+            if fh.seekable():  # one unbuffered read from the start: one copy
+                fh.raw.seek(0)
+                data = fh.raw.readall()
+            else:  # a pipe: what the peek buffered, then the rest
+                data = fh.read()
+            return _read_store(path, data, vocab)
         try:
             return _read_text(fh, vocab)
         except ParseError as exc:
@@ -318,49 +293,75 @@ def _savable_row(word: str, vec, dim: int) -> np.ndarray:
     return row
 
 
+# rows converted, checked and written together by save_vec_file
+SAVE_ROWS = 64
+
+
+def _savable_blocks(store: EmbeddingStore, words: list[str]):
+    """The rows of ``words``, SAVE_ROWS at a time, each block converted to
+    float64 and checked with one ``isfinite``.  A block with a bad word or
+    row is converted again row by row by ``_savable_row``, which raises for
+    its first bad word and otherwise gives the same rows.  From the first
+    block that converts to ``dim`` columns on, blocks go into its memory, so
+    no buffer is sized by ``dim`` before a row has shown it."""
+    dim, vectors = store.dim, store.vectors
+    buf = None
+    for start in range(0, len(words), SAVE_ROWS):
+        block = words[start:start + SAVE_ROWS]
+        try:
+            joined = "".join(block)
+            vecs = [vectors[w] for w in block]
+            rows = (np.stack(vecs, dtype=np.float64) if buf is None
+                    else np.stack(vecs, out=buf[:len(block)]))
+            good = (dim > 0 and all(block) and joined.lower() == joined
+                    and rows.shape == (len(block), dim) and np.isfinite(rows).all())
+        except (TypeError, ValueError, OverflowError):
+            good = False
+        if not good:
+            rows = np.array([_savable_row(word, vectors[word], dim) for word in block])
+        elif buf is None:
+            buf = rows
+        yield rows
+
+
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
-    """Write a vector store: ``dim`` and the sorted words, then each word's
-    vector converted to float64, checked and written in turn, which
-    ``load_vec_file`` reads back to the same bits.  An empty or not
-    lowercase word (the loader would fold it into another), and a vector that
-    does not convert to float64, is not of shape ``(dim,)``, has a non-finite
-    component or none at all raise ``DataError`` naming the first such word
-    in sorted order, as does a ``dim`` below 0; ``path`` is then left as it was."""
+    """Write a vector store: ``dim`` and the sorted words, then their
+    vectors converted to float64, checked and written in blocks of
+    ``SAVE_ROWS`` rows, which ``load_vec_file`` reads back to the same bits.
+    An empty or not lowercase word (the loader would fold it into another),
+    and a vector that does not convert to float64, is not of shape
+    ``(dim,)``, has a non-finite component or none at all raise
+    ``DataError`` naming the first such word in sorted order, as does a
+    ``dim`` below 0; ``path`` is then left as it was."""
     if type(store.dim) is not int or store.dim < 0:
         raise DataError(f"cannot save a store of dim {store.dim!r}")
     words = sorted(store.vectors)
     write_framed(path, VECTOR_STORE, {"dim": store.dim, "words": words},
-                 (_savable_row(word, store.vectors[word], store.dim) for word in words))
-
-
-def _distinct_forms(manifest: DatasetManifest) -> dict[str, Resource]:
-    """Each distinct textual form of a candidate triple's property or value,
-    mapped to the first resource that has it, in manifest order.  Each
-    distinct resource is formed once."""
-    resources = dict.fromkeys(r for entity in manifest.entities for t in entity.triples
-                              for r in (t.predicate, t.val))
-    forms: dict[str, Resource] = {}
-    for r in resources:
-        forms.setdefault(textual_form(r), r)
-    return forms
+                 _savable_blocks(store, words))
 
 
 def manifest_vocabulary(manifest: DatasetManifest) -> set[str]:
     """Every token the scorer could ask the store for: property and value
     tokens of every candidate triple."""
-    vocab: set[str] = set()
-    for form in _distinct_forms(manifest):
-        vocab.update(tokenize(form))
-    return vocab
+    return set(manifest.form_tokens.words)
 
 
 def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[str]:
     """Textual forms that embed to the zero vector under the given store,
-    one warning per distinct form, naming the first resource that has it."""
+    one warning per distinct form, naming the first resource that has it.
+    Each distinct token is looked up in the store once, and numpy counts
+    each form's known tokens."""
+    words, resources, counts, ids = manifest.form_tokens
+    known = np.fromiter(map(store.vectors.__contains__, words), dtype=bool, count=len(words))
+    # known tokens among the forms' tokens up to each one, and up to each form
+    seen = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(known[np.asarray(ids)], out=seen[1:])
+    counts = np.asarray(counts)
+    ends = np.cumsum(counts)
     warnings = []
-    for form, r in _distinct_forms(manifest).items():
-        if store.vectors.keys().isdisjoint(tokenize(form)):
-            warnings.append(
-                f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {form!r})"
-            )
+    for i in np.flatnonzero(seen[ends] == seen[ends - counts]).tolist():
+        r = resources[i]
+        warnings.append(
+            f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {textual_form(r)!r})"
+        )
     return warnings

@@ -24,6 +24,7 @@ from .dataset import (
     EntityDescription,
     FoldSpec,
     build_manifest,
+    gold_size,
     load_entity,
     read_text,
 )
@@ -33,7 +34,7 @@ COLLECTIONS = ("dbpedia", "lmdb")
 PARTS = ("train", "valid", "test")
 
 # <eid>_gold_top<k>_<annotator>.nt, fullmatched in ASCII digits only: \d
-# takes any Unicode digit
+# takes any Unicode digit.  k then has one spelling, as a manifest's gold key
 _GOLD_RE = re.compile(r"([0-9]+)_gold_top([0-9]+)_([0-9]+)\.nt")
 
 
@@ -61,14 +62,17 @@ def _read_elist(root: Path) -> dict[str, str]:
 
 
 def _load_entity(entity_dir: Path, eid: str, iri: str) -> EntityDescription:
-    """The entity with its gold files ``<eid>_gold_top<k>_<annotator>.nt``."""
+    """The entity with its gold files ``<eid>_gold_top<k>_<annotator>.nt``;
+    such a file whose k is not spelled as ``dataset.gold_size`` reads it is
+    a ``DataError`` naming the file."""
     # plain strings: a Path per file is several Python-level calls
     base = os.fspath(entity_dir)
     golds = []
     for name in sorted(os.listdir(base)):
         m = _GOLD_RE.fullmatch(name)
         if m and m.group(1) == eid:
-            golds.append((int(m.group(2)), m.group(3), os.path.join(base, name)))
+            path = os.path.join(base, name)
+            golds.append((gold_size(m.group(2), f"{path}: gold size"), m.group(3), path))
     return load_entity(iri, os.path.join(base, f"{eid}_desc.nt"), golds)
 
 

@@ -20,13 +20,15 @@ Framing = namedtuple("Framing", "marker version name kind unit sized_by")
 
 
 def write_framed(path: str | Path, framing: Framing, fields: dict, rows) -> None:
-    """Replace ``path`` with the header of ``fields``, then each of ``rows``
-    as it comes; an exception raised by ``rows`` leaves ``path`` as it was."""
+    """Replace ``path`` with the header of ``fields``, then each array of
+    ``rows`` as it comes, written from its own memory when it is already
+    contiguous little-endian float64; an exception raised by ``rows`` leaves
+    ``path`` as it was."""
     header = {**fields, "format": framing.marker, "version": framing.version}
     with atomic_writer(path) as fh:
         fh.buffer.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
         for row in rows:
-            fh.buffer.write(row.astype("<f8", copy=False).tobytes())
+            fh.buffer.write(np.ascontiguousarray(row, dtype="<f8"))
 
 
 def read_framed(path: str | Path, data: bytes, framing: Framing, parse):

@@ -43,8 +43,8 @@ from .nn import (
     Activation,
     DenseLayer,
     Mlp,
-    cosine,
     cosine_backward,
+    cosine_with_units,
     glorot_uniform,
     mse_loss,
     softmax,
@@ -297,12 +297,15 @@ class TripleScorer:
         """Scores for the rows of X plus what the backward pass needs:
         attention ``A = softmax(cosine(C, G))`` of the candidate encodings C
         over the context encodings G, pooled ``P = A @ G``, and the scoring
-        head on ``[C | P]``."""
+        head on ``[C | P]``; the cache keeps the unit rows of C and G that
+        ``cosine_backward`` takes."""
         C, cand_cache = self.candidate_mlp.forward(X)
         G, ctx_cache = self.context_mlp.forward(X)
-        A = softmax(cosine(C, G))
+        S, units = cosine_with_units(C, G)
+        A = softmax(S)
+        del S  # n x n, so a long description's peak memory holds no second one
         out, score_cache = self.scoring_mlp.forward(np.hstack([C, A @ G]))
-        return out[:, 0], (C, G, A, cand_cache, ctx_cache, score_cache)
+        return out[:, 0], (C, G, A, units, cand_cache, ctx_cache, score_cache)
 
     @np.errstate(**IGNORE_FLOAT_ERRORS)
     def score_description(
@@ -338,13 +341,13 @@ class TripleScorer:
         missing = [tid for tid in ids if tid not in targets]
         if missing:
             raise NumericError(f"no supervision target for triple ids {missing}")
-        scores, (C, G, A, cand_cache, ctx_cache, score_cache) = self._forward(X)
+        scores, (C, G, A, units, cand_cache, ctx_cache, score_cache) = self._forward(X)
         target_vec = np.array([targets[tid] for tid in ids], dtype=np.float64)
         loss, dscores = mse_loss(scores, target_vec)
 
         dJ, grads_s = self.scoring_mlp.backward(score_cache, dscores[:, None])
         dC, dP = np.hsplit(dJ, [C.shape[1]])
-        dC_cos, dG_cos = cosine_backward(C, G, softmax_backward(A, dP @ G.T))
+        dC_cos, dG_cos = cosine_backward(units, softmax_backward(A, dP @ G.T))
         # the encoders' input X is data, so their backward stops at the weights
         _, grads_c = self.candidate_mlp.backward(cand_cache, dC + dC_cos, input_grad=False)
         _, grads_d = self.context_mlp.backward(ctx_cache, A.T @ dP + dG_cos, input_grad=False)

@@ -107,22 +107,28 @@ def _unit_rows(U: np.ndarray, V: np.ndarray) -> list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
-    """``S[i, j]`` is the cosine of rows ``U[i]`` and ``V[j]``; two vectors
-    give a scalar.  A pair with a (near) zero norm gets 0, so that
+def cosine_with_units(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, list]:
+    """``S[i, j]``, the cosine of rows ``U[i]`` and ``V[j]``, and the unit
+    rows and norms of U and V (``_unit_rows``) that ``cosine_backward``
+    takes.  A pair with a (near) zero norm gets 0, so that
     all-unknown-token embeddings stay well defined."""
-    (Uh, _), (Vh, _) = _unit_rows(U, V)
+    units = _unit_rows(U, V)
+    (Uh, _), (Vh, _) = units
     # rounding can push a product an ulp past +-1 for (anti)parallel rows
-    S = np.clip(Uh @ Vh.T, -1.0, 1.0)
+    return np.clip(Uh @ Vh.T, -1.0, 1.0), units
+
+
+def cosine(U: np.ndarray, V: np.ndarray) -> np.ndarray | float:
+    """The cosines of ``cosine_with_units``; two vectors give a scalar."""
+    S, _ = cosine_with_units(U, V)
     return float(S[0, 0]) if np.ndim(U) == 1 else S
 
 
-def cosine_backward(
-    U: np.ndarray, V: np.ndarray, dS: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(dS * cosine(U, V))`` wrt the rows of U and V,
-    for the n x m float64 matrix ``dS``; zero for every row under the guard."""
-    (Uh, nu), (Vh, nv) = _unit_rows(U, V)
+def cosine_backward(units: list, dS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``sum(dS * S)`` wrt the rows of U and V, for the n x m
+    float64 matrix ``dS``, from the ``units`` that ``cosine_with_units(U,
+    V)`` returned with S; zero for every row under the guard."""
+    (Uh, nu), (Vh, nv) = units
     grads = []
     for Xh, norms, dXh in ((Uh, nu, dS @ Vh), (Vh, nv, dS.T @ Uh)):
         # back through X / |X|: drop the radial part, divide by the norm

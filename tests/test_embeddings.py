@@ -1,6 +1,7 @@
 """Textual forms, tokenization, vector files, mean-of-word embeddings."""
 
 import json
+import math
 import os
 import random
 import re
@@ -17,6 +18,7 @@ from entsum.dataset import (
     EntityDescription,
     NodeKind,
     Resource,
+    Triple,
     parse_description,
 )
 from entsum.embeddings import (
@@ -679,8 +681,10 @@ def test_save_is_deterministic(tmp_path):
     (EmbeddingStore(1, {"a": [1.0], "x": np.array(["x"], dtype=object)}), "x"),
     (EmbeddingStore(1, {"": [1.0], "a": [1.0]}), ""),
     (EmbeddingStore(1, {"a": [1.0], "b": [np.inf], "c d": [1.0]}), "b"),
+    # no buffer is sized by a dim that no row has
+    (EmbeddingStore(10 ** 12, {"a": [1.0]}), "a"),
 ], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
-        "overflow", "string", "empty-word", "inf-before-space-word"])
+        "overflow", "string", "empty-word", "inf-before-space-word", "huge-dim"])
 def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
     with pytest.raises(DataError) as err:
         save_vec_file(store, tmp_path / "out.vec")
@@ -894,3 +898,175 @@ def test_coverage_checks_an_iri_again_where_it_has_no_label():
         f"all tokens unknown for iri {zqxj!r} (textual form 'Zqxj')"
     ]
     assert coverage_warnings(manifest, store) == reference_coverage_warnings(manifest, store)
+
+
+# --------------------------------------------------------------------------
+# against the code that tokenized each form per pass and saved row by row
+# --------------------------------------------------------------------------
+
+def reference_distinct_forms(manifest):
+    resources = dict.fromkeys(r for entity in manifest.entities for t in entity.triples
+                              for r in (t.predicate, t.val))
+    forms = {}
+    for r in resources:
+        forms.setdefault(textual_form(r), r)
+    return forms
+
+
+def reference_manifest_vocabulary(manifest):
+    vocab = set()
+    for form in reference_distinct_forms(manifest):
+        vocab.update(tokenize(form))
+    return vocab
+
+
+def reference_form_coverage_warnings(manifest, store):
+    warnings = []
+    for form, r in reference_distinct_forms(manifest).items():
+        if store.vectors.keys().isdisjoint(tokenize(form)):
+            warnings.append(
+                f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {form!r})"
+            )
+    return warnings
+
+
+def reference_save_vec_file(store, path):
+    """The row-at-a-time save: header, then each checked row as it comes."""
+    if type(store.dim) is not int or store.dim < 0:
+        raise DataError(f"cannot save a store of dim {store.dim!r}")
+    words = sorted(store.vectors)
+    header = {"dim": store.dim, "words": words, "format": "entsum-vectors", "version": 1}
+    rows = (embeddings._savable_row(word, store.vectors[word], store.dim) for word in words)
+    data = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    data += b"".join(row.astype("<f8", copy=False).tobytes() for row in rows)
+    path.write_bytes(data)
+
+
+def save_outcome(save, store, path):
+    try:
+        save(store, path)
+    except DataError as exc:
+        return "error", str(exc), path.exists()
+    return "saved", path.read_bytes()
+
+
+# pieces of textual forms: camel case, digit runs, separators only, and
+# characters outside ASCII that lowercase to ASCII or to two characters
+FORM_PIECES = ["birthPlace", "HTMLParser", "x2Y", "1998", "--", " ", "_", "é", "İ", "K",
+               "Σ", "a", "B", "node", "Harbor_City", "", "42nd", "#", "/"]
+
+
+def random_resource(rng):
+    text = "".join(rng.choice(FORM_PIECES) for _ in range(rng.randrange(1, 4))) or "z"
+    kind = rng.choice([NodeKind.IRI, NodeKind.BLANK, NodeKind.LITERAL])
+    if kind is NodeKind.LITERAL:
+        return Resource(kind, text)
+    raw = rng.choice([f"http://ex.org/{rng.choice('ab')}/{text}", f"urn:x#{text}", text])
+    return Resource(kind, raw, rng.choice([None, None, text.upper(), "#"]))
+
+
+def random_manifest(rng, entities):
+    pool = [random_resource(rng) for _ in range(40)]
+    descs = []
+    for e in range(entities):
+        subject = Resource(NodeKind.IRI, f"http://ex.org/e{e}")
+        triples = tuple(Triple(i, subject, rng.choice(pool), val := rng.choice(pool), val)
+                        for i in range(rng.randrange(1, 12)))
+        descs.append(EntityDescription(subject, triples))
+    return DatasetManifest("random", tuple(descs), ())
+
+
+def test_vocabulary_and_coverage_match_the_per_form_passes_on_random_manifests():
+    rng = random.Random(2501)
+    for case in range(60):
+        manifest = random_manifest(rng, rng.randrange(0, 6))
+        vocab = reference_manifest_vocabulary(manifest)
+        assert manifest_vocabulary(manifest) == vocab, case
+        words = sorted(vocab)
+        stores = [
+            {w: None for w in words},
+            {w: None for i, w in enumerate(words) if i % 3},
+            {},
+            {w: None for w in rng.sample(words, len(words) // 2) + ["zz", "Birth", ""]},
+        ]
+        for vectors in stores:
+            store = EmbeddingStore(1, vectors)
+            assert coverage_warnings(manifest, store) == \
+                reference_form_coverage_warnings(manifest, store), case
+
+
+def test_forms_with_no_token_warn_under_every_store():
+    entity = Resource(NodeKind.IRI, "http://ex.org/e")
+    no_token = [lit("--"), lit("é"), iri("http://ex.org/p/", None), iri("urn:x#_", "İ")]
+    triples = tuple(Triple(i, entity, no_token[i], no_token[-1 - i], no_token[-1 - i])
+                    for i in range(4))
+    manifest = DatasetManifest("none", (EntityDescription(entity, triples),), ())
+    assert manifest_vocabulary(manifest) == set()
+    for store in (EmbeddingStore(1, {}), EmbeddingStore(1, {"": None, "p": None})):
+        assert coverage_warnings(manifest, store) == \
+            reference_form_coverage_warnings(manifest, store) != []
+
+
+def test_a_manifest_tokenizes_its_forms_once():
+    manifest = random_manifest(random.Random(11), 4)
+    tokens = manifest.form_tokens
+    assert manifest.form_tokens is tokens
+    assert len(tokens.resources) == len(tokens.counts) == len(reference_distinct_forms(manifest))
+    assert sum(tokens.counts) == len(tokens.ids)
+    assert [tokens.words[i] for i in tokens.ids] == \
+        [w for form in reference_distinct_forms(manifest) for w in tokenize(form)]
+
+
+def good_row(rng, dim):
+    """A row the store takes, as any of the types it converts."""
+    row = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
+    return rng.choice([np.array(row), np.array(row, dtype=np.float32), row,
+                       np.arange(dim) - rng.randrange(5), np.array(row, dtype=object)])
+
+
+# one fault each: a word the loader would fold, or a row it would refuse
+FAULTS = [
+    lambda word, row: (word.upper(), row),
+    lambda word, row: ("", row),
+    lambda word, row: (word, np.array([math.nan, 1.0, 2.0])),
+    lambda word, row: (word, [1.0, -math.inf, 2.0]),
+    lambda word, row: (word, np.array([1.0, 2.0])),
+    lambda word, row: (word, np.ones((1, 3))),
+    lambda word, row: (word, 1.0),
+    lambda word, row: (word, np.array(["x", 1, 2], dtype=object)),
+]
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 129])
+def test_blocked_save_matches_the_row_by_row_save(tmp_path, size):
+    rng = random.Random(size)
+    for case in range(40):
+        words = set()
+        while len(words) < size:
+            words.add("".join(rng.choice("abcé") for _ in range(rng.randrange(1, 5))))
+        vectors = {word: good_row(rng, 3) for word in sorted(words)}
+        for _ in range(min(case % 3, size)):  # no fault, one, or two
+            word = rng.choice(sorted(vectors))
+            bad_word, bad_row = rng.choice(FAULTS)(word, vectors.pop(word))
+            vectors[bad_word] = bad_row
+        store = EmbeddingStore(3, vectors)
+        want = save_outcome(reference_save_vec_file, store, tmp_path / "want.vec")
+        got = save_outcome(save_vec_file, store, tmp_path / "got.vec")
+        assert got == want, (size, case)
+        assert want[0] == ("saved" if case % 3 == 0 or not size else "error") or size == 0
+        for path in tmp_path.iterdir():
+            path.unlink()
+
+
+@pytest.mark.parametrize("store, word", [
+    # an uppercase word and a non-finite row in one block, in both orders
+    (EmbeddingStore(1, {"a": [np.nan], "aB": [1.0], **{f"b{i}": [1.0] for i in range(40)}}), "a"),
+    (EmbeddingStore(1, {"Ab": [1.0], "a": [np.inf], **{f"b{i}": [1.0] for i in range(40)}}), "Ab"),
+    # the first bad word in sorted order is in the second block
+    (EmbeddingStore(1, {**{f"a{i:02}": [1.0] for i in range(64)}, "b": [np.nan], "bC": [1.0]}),
+     "b"),
+])
+def test_blocked_save_names_the_first_bad_word_in_sorted_order(tmp_path, store, word):
+    want = save_outcome(reference_save_vec_file, store, tmp_path / "want.vec")
+    assert save_outcome(save_vec_file, store, tmp_path / "got.vec") == want
+    assert want[0] == "error" and repr(word) in want[1] and not want[2]

@@ -199,3 +199,18 @@ def test_gold_names_take_ascii_digits_and_end_in_nt(tmp_path):
                   "backup_gold_top5_7.nt", "2_gold_top5_8.nt", "01_gold_top5_9.nt"):
         (entity_dir / stray).write_text(gold, encoding="utf-8")
     assert [e.gold for e in load_esbm(tmp_path, "dbpedia").entities] == want
+
+
+@pytest.mark.parametrize("k", ["05", "0", "00", "1000000000000000000"])
+def test_a_gold_file_whose_k_is_not_spelled_as_a_gold_key_is_a_data_error(tmp_path, capsys, k):
+    # top05 used to be read as a second size-5 gold (41 golds, exit 0), and
+    # top0 failed as "summary by 0 has 2 triples for k=0", naming no file
+    build_esbm_tree(tmp_path)
+    assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("10 entities, 30 triples, 40 golds\n")
+    entity_dir = tmp_path / "dbpedia" / "1"
+    copy = entity_dir / f"1_gold_top{k}_0.nt"
+    copy.write_bytes((entity_dir / "1_gold_top5_0.nt").read_bytes())
+    assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {copy}: gold size {k!r} is not a positive "
+                                       "integer of at most 18 ASCII digits without a leading zero\n")

@@ -423,28 +423,54 @@ def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path)
     assert {"loaded", "refused"} <= {outcome for _, outcome in outcomes}
 
 
+REPORTS = ("aggregate.json", "per_entity.tsv")
+
+
+def written(directory) -> dict:
+    """The name and bytes of each file in ``directory``, none if it is absent."""
+    if not directory.exists():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def test_train_and_summarize_on_mutated_stores_exit_cleanly(store, tmp_path, capsys):
+    # a store that trains trains again to the same bytes, and evaluating its
+    # checkpoints writes the reports train wrote
     manifest = str(TOYMUSIC / "manifest.json")
-    path, out, ckpts = tmp_path / "store.vec", tmp_path / "out", tmp_path / "ckpts"
+    path, ckpts = tmp_path / "store.vec", tmp_path / "ckpts"
+    out, again, evaluated = tmp_path / "out", tmp_path / "again", tmp_path / "evaluated"
     assert cli.main(["train", "--manifest", manifest, "--vectors", str(TOYMUSIC / "toy.vec"),
                      "--k", "2", "--max-epochs", "1", "--out", str(ckpts)]) == 0
     capsys.readouterr()
     reports = ["aggregate.json", "fold0.ckpt", "fold1.ckpt", "per_entity.tsv"]
+    common = ["--manifest", manifest, "--vectors", str(path), "--k", "2"]
+    train = ["train", *common, "--max-epochs", "1", "--out"]
     outcomes = set()
     for case, (kind, data) in enumerate(store_mutants(store)):
         path.write_bytes(data)
-        for args in (["train", "--max-epochs", "1", "--out", str(out)],
-                     ["summarize", "--checkpoint", str(ckpts / "fold0.ckpt"), "--entity", ARIA]):
+        for args in ([*train, str(out)],
+                     ["summarize", *common, "--checkpoint", str(ckpts / "fold0.ckpt"),
+                      "--entity", ARIA]):
             try:
-                rc = cli.main([*args, "--manifest", manifest, "--vectors", str(path), "--k", "2"])
+                rc = cli.main(args)
+                err = capsys.readouterr().err
+                if args[0] == "train" and rc == 0:
+                    rerun = cli.main([*train, str(again)]), capsys.readouterr().err
+                    checked = cli.main(["evaluate", *common, "--checkpoints", str(out),
+                                        "--out", str(evaluated)]), capsys.readouterr().err
             except Exception as exc:
                 pytest.fail(f"case {case} ({kind}) {args[0]}: {type(exc).__name__}: {exc}")
-            stdout, err = capsys.readouterr()
             assert_clean_exit(rc, err, (case, kind, args[0]))
             if args[0] == "train":
-                written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-                assert written == (reports if rc == 0 else []), (case, kind, rc, written)
-                shutil.rmtree(out, ignore_errors=True)
+                files_written = written(out)
+                assert sorted(files_written) == (reports if rc == 0 else []), (case, kind, rc)
+                if rc == 0:
+                    assert rerun == (0, "") and written(again) == files_written, (case, kind)
+                    assert checked == (0, ""), (case, kind, checked)
+                    assert written(evaluated) == {name: files_written[name] for name in REPORTS}, \
+                        (case, kind)
+                for directory in (out, again, evaluated):
+                    shutil.rmtree(directory, ignore_errors=True)
             outcomes.add((kind, args[0], rc))
     assert {kind for kind, _, _ in outcomes} == {*KINDS, RETYPE, BAD_WORD}
     assert {0, 2} <= {rc for _, command, rc in outcomes if command == "train"}
@@ -456,14 +482,6 @@ TRAIN_CASES = 200
 # the early-stopping metric, and one so small it underflows every update
 HOSTILE_LR = [("1e300", "f1", 3), ("1e200", "loss", 3), ("1e-320", "f1", 0)]
 TRAIN_OUTPUT = re.compile(r"fold\d+\.ckpt|per_entity\.tsv|aggregate\.json")
-REPORTS = ("aggregate.json", "per_entity.tsv")
-
-
-def written(directory) -> dict:
-    """The name and bytes of each file in ``directory``, none if it is absent."""
-    if not directory.exists():
-        return {}
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def test_train_on_mutated_corpora_and_hostile_rates_exits_cleanly(tmp_path, capsys):

@@ -19,6 +19,7 @@ from entsum.nn import (
     adam_step,
     cosine,
     cosine_backward,
+    cosine_with_units,
     glorot_uniform,
     grad_check,
     mse_loss,
@@ -428,7 +429,7 @@ def test_cosine_backward_matches_numeric():
             U[rng.integers(n)] = 0.0
             V[rng.integers(m)] = 0.0
         dS = rng.normal(size=(n, m))
-        dU, dV = cosine_backward(U, V, dS)
+        dU, dV = cosine_backward(cosine_with_units(U, V)[1], dS)
         assert (dU.shape, dV.shape) == (U.shape, V.shape)
         for X, dX in ((U, dU), (V, dV)):
             for r in np.flatnonzero(np.any(X != 0.0, axis=1)):
@@ -443,18 +444,19 @@ def test_cosine_backward_matches_numeric():
 
 
 def test_cosine_backward_zero_at_guard():
-    du, dv = cosine_backward(np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0]]), np.array([[1.0]]))
+    du, dv = cosine_backward(cosine_with_units(np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0]]))[1],
+                             np.array([[1.0]]))
     assert np.all(du == 0.0)
     assert np.all(dv == 0.0)
     # in a batch the guarded rows get zero gradient and add none to the others
     U = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
     V = np.array([[1.0, 2.0, 3.0], [1e-13, 0.0, 0.0], [-1.0, 0.0, 2.0]])
     dS = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    dU, dV = cosine_backward(U, V, dS)
+    dU, dV = cosine_backward(cosine_with_units(U, V)[1], dS)
     assert np.all(dU[0] == 0.0)
     assert np.all(dV[1] == 0.0)
-    du0, dv0 = cosine_backward(U[1:], V[:1], dS[1:, :1])
-    du2, dv2 = cosine_backward(U[1:], V[2:], dS[1:, 2:])
+    du0, dv0 = cosine_backward(cosine_with_units(U[1:], V[:1])[1], dS[1:, :1])
+    du2, dv2 = cosine_backward(cosine_with_units(U[1:], V[2:])[1], dS[1:, 2:])
     assert np.allclose(dU[1:], du0 + du2, atol=1e-12)
     assert np.allclose(dV[:1], dv0, atol=1e-12)
     assert np.allclose(dV[2:], dv2, atol=1e-12)

@@ -7,9 +7,11 @@ whose ``__path__`` is the source directory, which skips ``__init__`` and so
 numpy, and prints one JSON summary: the toy manifest, an ESBM tree, and the
 outcome of parsing each of ``STATEMENTS``, which hold every escape and give
 every ``MalformedLine`` reason a line can reach (a literal read from a line
-cannot end in a lone backslash, so none dangles).  The summary under 3.10
-must equal the one under the suite's interpreter.  No bytecode is written.  The test skips when
-no 3.10 interpreter runs.
+cannot end in a lone backslash, so none dangles), the tokens of each of
+``TOKEN_STRINGS`` and the two manifests' form tokens, the path every command
+takes to its vocabulary.  The summary under 3.10 must equal the one under
+the suite's interpreter.  No bytecode is written.  The test skips when no
+3.10 interpreter runs.
 """
 
 import glob
@@ -23,6 +25,8 @@ from pathlib import Path
 import pytest
 
 import entsum
+from entsum.dataset import load_manifest
+from entsum.embeddings import manifest_vocabulary
 
 from conftest import TOYMUSIC, build_esbm_tree
 
@@ -60,10 +64,15 @@ STATEMENTS = [
     f'{E} {P} "x\\U00110000" .',
 ]
 
+# camel case, digit runs, separators only, the empty string, and letters
+# outside ASCII, two of which lowercase to ASCII
+TOKEN_STRINGS = ["birthPlace", "HTMLParser2Go", "top10Albums", "x2Y", "1998-05-01", "3rd",
+                 "--", " _/#", "", "é", "İstanbul", "\u212aelvin", "naïveCafé", "aΣb"]
+
 PROBE = """
 import json, sys, types
 
-source, toy_manifest, esbm_root, statements = sys.argv[1:]
+source, toy_manifest, esbm_root, statements, token_strings = sys.argv[1:]
 package = types.ModuleType("entsum")
 package.__path__ = [source]
 sys.modules["entsum"] = package
@@ -71,8 +80,11 @@ from entsum import atomic, dataset, errors, esbm
 
 
 def manifest_summary(m):
+    tokens = m.form_tokens
     return {
         "name": m.name,
+        "form_tokens": [tokens.words, [[r.kind.value, r.raw, r.label] for r in tokens.resources],
+                        list(tokens.counts), list(tokens.ids)],
         "entities": [
             [e.entity.raw,
              [[t.id, t.subject.raw, t.predicate.raw, t.val.kind.value, t.val.raw, t.val.label]
@@ -98,6 +110,7 @@ print(json.dumps({
     "toy": manifest_summary(dataset.load_manifest(toy_manifest)),
     "esbm": manifest_summary(esbm.load_esbm(esbm_root)),
     "statements": [parsed(line) for line in json.loads(statements)],
+    "tokens": [dataset.tokenize(s) for s in json.loads(token_strings)],
 }, sort_keys=True))
 """
 
@@ -127,7 +140,7 @@ def python_3_10() -> str | None:
 
 def summary(exe: str, esbm_root: Path) -> dict:
     done = runs(exe, PROBE, str(SOURCE), str(TOYMUSIC / "manifest.json"), str(esbm_root),
-                json.dumps(STATEMENTS))
+                json.dumps(STATEMENTS), json.dumps(TOKEN_STRINGS))
     assert done is not None and done.returncode == 0, done and done.stderr
     return json.loads(done.stdout)
 
@@ -144,3 +157,9 @@ def test_stdlib_modules_read_the_same_under_python_3_10(tmp_path):
     outcomes = here["statements"]
     assert [len(s) for s in outcomes[:9]] == [1] * 7 + [0, 0]
     assert len({s["error"] for s in outcomes[9:]}) == len(outcomes) - 9 == 16
+    # a camel-case break needs a lowercase letter before the capital
+    assert here["tokens"] == [["birth", "place"], ["htmlparser2go"], ["top10albums"], ["x2y"],
+                              ["1998", "05", "01"], ["3rd"], [], [], [], [], ["stanbul"],
+                              ["elvin"], ["na", "ve", "caf"], ["a", "b"]]
+    assert set(here["toy"]["form_tokens"][0]) == set(manifest_vocabulary(load_manifest(
+        TOYMUSIC / "manifest.json")))
