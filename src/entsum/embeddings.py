@@ -10,7 +10,6 @@ vector.  Case is folded to lowercase on both sides for coverage.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,59 @@ from .errors import DataError, ParseError
 from .framing import Framing, read_framed, write_framed
 
 
-@dataclass
 class EmbeddingStore:
-    """Word to vector map with a fixed dimensionality; words stored lowercase."""
+    """Words and their vectors, checked when built, whoever builds them:
+    ``words`` distinct, non-empty and lowercase (the loader folds case),
+    ``index`` each word's row of ``matrix``, a read-only float64
+    ``len(words) x dim`` array, ``dim >= 1``, every component finite.  A
+    float64 ``matrix`` is kept and made read-only, another real one is
+    converted and a complex one refused.  A failure is a ``DataError``
+    naming the first bad word."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    __slots__ = ("words", "index", "matrix", "dim")
+
+    def __init__(self, words, matrix) -> None:
+        self.words = words = tuple(words)
+        self.index = index = {}
+        for i, word in enumerate(words):
+            if (type(word) is not str or not word or word.lower() != word
+                    or index.setdefault(word, i) != i):
+                raise DataError(f"words must be distinct, non-empty lowercase strings: {word!r}")
+        self.matrix = _store_matrix(words, matrix)
+        self.dim = self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
+
+
+def _store_matrix(words: tuple, matrix) -> np.ndarray:
+    """``matrix`` checked and made the read-only float64 matrix of ``words``."""
+    def refuse(i: int, problem: str) -> DataError:
+        named = f"vector of {words[i]!r} (row {i})" if i < len(words) else f"vector row {i}"
+        return DataError(f"{named}: {problem}")
+
+    try:  # rows of different lengths, or not two axes
+        m = np.asarray(matrix)
+        rows, dim = m.shape
+    except ValueError:
+        raise refuse(0, "the vectors do not form a matrix") from None
+    if rows != len(words) or dim < 1:
+        raise refuse(0 if dim < 1 else min(rows, len(words)),
+                     f"{rows} vectors of dim {dim} for {len(words)} words")
+    if m.dtype.kind == "c":
+        raise refuse(0, "complex vector component")
+    if m.dtype != np.float64:  # converted a row at a time, to name the first that does not
+        m, given = np.empty((rows, dim)), m
+        for i, row in enumerate(given):
+            try:
+                m[i] = row
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise refuse(i, f"component not convertible to float64 ({exc})") from None
+    m.flags.writeable = False
+    finite = np.isfinite(m).all(axis=1)
+    if not finite.all():
+        raise refuse(int(finite.argmin()), "non-finite vector component")
+    return m
 
 
 def embed_resource(r: Resource, store: EmbeddingStore) -> np.ndarray:
@@ -38,12 +81,13 @@ def embed_resource(r: Resource, store: EmbeddingStore) -> np.ndarray:
     not shrink magnitudes.  Accumulation runs in token order to keep results
     reproducible bit for bit.
     """
+    index, matrix = store.index, store.matrix
     acc = np.zeros(store.dim, dtype=np.float64)
     covered = 0
     for tok in tokenize(textual_form(r)):
-        vec = store.vectors.get(tok)
-        if vec is not None:
-            acc += vec
+        i = index.get(tok)
+        if i is not None:
+            acc += matrix[i]
             covered += 1
     if covered > 0:
         acc /= covered
@@ -68,8 +112,8 @@ def _parse_line(line_no: int, rest: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _parse_block(block: list, dim: int, vectors: dict[str, np.ndarray]) -> None:
-    """Parse queued ``(line_no, word, rest)`` lines into ``vectors``.
+def _parse_block(block: list, dim: int) -> np.ndarray:
+    """The rows of queued ``(line_no, word, rest)`` lines, one per line.
 
     numpy's text reader parses each field with the same C function as
     ``float``, so a block it accepts gets ``float``'s values.  A block it
@@ -90,13 +134,11 @@ def _parse_block(block: list, dim: int, vectors: dict[str, np.ndarray]) -> None:
         except (ValueError, Warning):
             pass
     if rows is None or rows.shape != (len(block), dim):
-        for line_no, word, rest in block:
-            vectors[word] = _parse_line(line_no, rest, dim)
-        return
+        return np.array([_parse_line(line_no, rest, dim) for line_no, _, rest in block])
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise ParseError(block[int(finite.argmin())][0], "non-finite vector component")
-    vectors.update(zip((word for _, word, _ in block), rows))
+    return rows
 
 
 # bytes read per block by load_vec_file's line scan; a line longer than
@@ -128,23 +170,25 @@ VECTOR_STORE = Framing(marker="entsum-vectors", version=1, name="vector store",
 
 
 def _read_store(path: Path, data: bytes, vocab: set[str] | None) -> EmbeddingStore:
-    """Store ``path``, whose content is ``data``, as one matrix of the rows ``vocab`` keeps."""
+    """Store ``path``, whose content is ``data``, as one matrix of the rows
+    ``vocab`` keeps: a view of ``data`` when it keeps them all."""
     def parse(doc: dict) -> tuple[tuple[int, list[str]], int]:
         words, dim = doc.get("words"), doc.get("dim")
         if type(words) is not list:
             raise DataError(f"{path}: words is not a JSON list")
-        least = 1 if words else 0
-        if type(dim) is not int or dim < least:
-            raise DataError(f"{path}: dim {dim!r} is not an integer >= {least}")
-        if (any(type(w) is not str or not w or w.lower() != w for w in words)
-                or len(set(words)) < len(words)):
-            raise DataError(f"{path}: words must be distinct, non-empty lowercase strings")
+        if type(dim) is not int or dim < 1:
+            raise DataError(f"{path}: dim {dim!r} is not an integer >= 1")
         return (dim, words), len(words) * dim
 
     (dim, words), values = read_framed(path, data, VECTOR_STORE, parse)
+    try:
+        store = EmbeddingStore(words, values.reshape(len(words), dim))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     kept = [i for i, word in enumerate(words) if vocab is None or word in vocab]
-    rows = values.reshape(len(words), dim)[kept].astype(np.float64, copy=False)
-    return EmbeddingStore(dim, dict(zip([words[i] for i in kept], rows)))
+    if len(kept) < len(words):
+        store = EmbeddingStore([words[i] for i in kept], store.matrix[kept])
+    return store
 
 
 def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
@@ -153,16 +197,16 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
     loaded vector must be finite; ``vocab`` restricts loading to its words.
 
     The file opens as ``dataset.open_input`` opens any input.  One whose
-    first byte is ``{`` is a store, read by ``framing.read_framed`` as one
-    matrix whose rows ``vocab`` keeps by index, from one copy of its bytes
-    unless it cannot seek; a store that does not read
-    is a ``DataError`` naming the file.  Every other file is text
-    (``_read_text``): fields are separated by spaces, a run counting as one;
-    words are lowercased, the first occurrence of a folded word winning,
-    which for frequency-ordered files keeps the most frequent casing.  It is
-    read as UTF-8, an undecodable byte reading as U+FFFD, and only ``\\n``
-    ends a line.  The first bad line of the file is a ``ParseError`` that
-    names the file and the line.
+    first byte is ``{`` is a store, read by ``framing.read_framed`` from one
+    copy of its bytes unless it cannot seek: its matrix is a view of them
+    when ``vocab`` keeps every word, else one copy of the rows it keeps; a
+    store that does not read is a ``DataError`` naming the file.  Every
+    other file is text (``_read_text``): fields are separated by spaces, a
+    run counting as one; words are lowercased, the first occurrence of a
+    folded word winning, which for frequency-ordered files keeps the most
+    frequent casing.  It is read as UTF-8, an undecodable byte reading as
+    U+FFFD, and only ``\\n`` ends a line.  The first bad line of the file is
+    a ``ParseError`` that names the file and the line.
     """
     path = Path(path)
     with open_input(path) as fh:
@@ -198,9 +242,21 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
     reader (``_parse_block``); every value is the one ``float`` gives, and
     ``1_0``, which only ``float`` reads, still loads as 10.0.
     """
-    vectors: dict[str, np.ndarray] = {}
+    kept: list[str] = []  # words queued or parsed, in file order
+    seen: set[str] = set()
     pending: list[tuple[int, str, str]] = []
+    matrix = None  # row i holds the vector of kept[i] once it is parsed
     dim: int | None = None
+
+    def put(rows: np.ndarray) -> None:  # the rows of the last words queued
+        nonlocal matrix
+        if matrix is None:
+            matrix = np.empty((len(vocab) if vocab is not None else 0, dim))
+        end = len(kept)
+        if end > len(matrix):  # only without a vocabulary, which bounds the kept words
+            matrix = np.concatenate((matrix, np.empty((end + len(matrix), dim))))
+        matrix[end - len(rows):end] = rows
+
     words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
     line_no = 0
     for buf, size in _line_blocks(fh):
@@ -218,7 +274,7 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
                                  dtype=np.uint32 if size < 2**32 else np.intp)
         n_spaces = counts.astype(np.intp) - lead - trail
         settle = np.zeros_like(doubled)
-        if words is not None and (dim or 0) > 0:
+        if words is not None and dim:
             settle = ~doubled & (n_spaces == dim)
         for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
                                          n_spaces.tolist(), doubled.tolist(), settle.tolist()):
@@ -244,100 +300,43 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
                     except ValueError:
                         pass
                     else:
+                        if header_dim < 1:
+                            raise ParseError(1, f"header dim {header_dim} is below 1")
                         dim = header_dim
                         continue
                 if dim is None and n:
                     dim = n
                 if not n or n != dim:
                     if pending:  # an earlier kept line's error is reported first
-                        _parse_block(pending, dim, vectors)
+                        _parse_block(pending, dim)
                     if not n:
                         raise ParseError(line_no, "no vector components")
                     raise ParseError(line_no, f"expected {dim} vector components, got {n}")
                 word = word.lower()
                 if vocab is not None and word not in vocab:
                     continue
-            if word in vectors:
+            if word in seen:  # a later casing of a word already kept
                 continue
-            vectors[word] = None  # queued: later casings of the word are dropped
+            seen.add(word)
+            kept.append(word)
             pending.append((line_no, word, line[i + 1:e].decode("utf-8", "replace")))
             if len(pending) >= PARSE_BLOCK:
-                _parse_block(pending, dim, vectors)
+                put(_parse_block(pending, dim))
                 pending = []
     if pending:
-        _parse_block(pending, dim, vectors)
+        put(_parse_block(pending, dim))
     if dim is None:
         raise ParseError(1, "empty vector file")
-    return EmbeddingStore(dim, vectors)
-
-
-def _cannot_save(word: str, problem: str) -> DataError:
-    return DataError(f"cannot save {word!r}: {problem}")
-
-
-def _savable_row(word: str, vec, dim: int) -> np.ndarray:
-    """``vec`` converted to float64, or ``DataError`` if the store reader
-    would refuse the word or the vector."""
-    if not word:
-        raise _cannot_save(word, "a word must be non-empty")
-    if word.lower() != word:
-        raise _cannot_save(word, "the loader lowercases words, so a word must be lowercase")
-    try:
-        row = np.asarray(vec, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _cannot_save(word, f"component not convertible to float64 ({exc})") from None
-    if row.shape != (dim,) or not dim:
-        raise _cannot_save(word, f"vector of shape {row.shape} in a store of dim {dim}")
-    if not np.isfinite(row).all():
-        raise _cannot_save(word, "non-finite vector component")
-    return row
-
-
-# rows converted, checked and written together by save_vec_file
-SAVE_ROWS = 64
-
-
-def _savable_blocks(store: EmbeddingStore, words: list[str]):
-    """The rows of ``words``, SAVE_ROWS at a time, each block converted to
-    float64 and checked with one ``isfinite``.  A block with a bad word or
-    row is converted again row by row by ``_savable_row``, which raises for
-    its first bad word and otherwise gives the same rows.  From the first
-    block that converts to ``dim`` columns on, blocks go into its memory, so
-    no buffer is sized by ``dim`` before a row has shown it."""
-    dim, vectors = store.dim, store.vectors
-    buf = None
-    for start in range(0, len(words), SAVE_ROWS):
-        block = words[start:start + SAVE_ROWS]
-        try:
-            joined = "".join(block)
-            vecs = [vectors[w] for w in block]
-            rows = (np.stack(vecs, dtype=np.float64) if buf is None
-                    else np.stack(vecs, out=buf[:len(block)]))
-            good = (dim > 0 and all(block) and joined.lower() == joined
-                    and rows.shape == (len(block), dim) and np.isfinite(rows).all())
-        except (TypeError, ValueError, OverflowError):
-            good = False
-        if not good:
-            rows = np.array([_savable_row(word, vectors[word], dim) for word in block])
-        elif buf is None:
-            buf = rows
-        yield rows
+    return EmbeddingStore(kept, np.empty((0, dim)) if matrix is None else matrix[:len(kept)])
 
 
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
-    """Write a vector store: ``dim`` and the sorted words, then their
-    vectors converted to float64, checked and written in blocks of
-    ``SAVE_ROWS`` rows, which ``load_vec_file`` reads back to the same bits.
-    An empty or not lowercase word (the loader would fold it into another),
-    and a vector that does not convert to float64, is not of shape
-    ``(dim,)``, has a non-finite component or none at all raise
-    ``DataError`` naming the first such word in sorted order, as does a
-    ``dim`` below 0; ``path`` is then left as it was."""
-    if type(store.dim) is not int or store.dim < 0:
-        raise DataError(f"cannot save a store of dim {store.dim!r}")
-    words = sorted(store.vectors)
+    """Write a vector store: a header of ``dim`` and the sorted words, then
+    their rows in that order, which ``load_vec_file`` reads back to the same
+    bits."""
+    words = sorted(store.words)
     write_framed(path, VECTOR_STORE, {"dim": store.dim, "words": words},
-                 _savable_blocks(store, words))
+                 map(store.matrix.__getitem__, map(store.index.__getitem__, words)))
 
 
 def manifest_vocabulary(manifest: DatasetManifest) -> set[str]:
@@ -352,7 +351,7 @@ def coverage_warnings(manifest: DatasetManifest, store: EmbeddingStore) -> list[
     Each distinct token is looked up in the store once, and numpy counts
     each form's known tokens."""
     words, resources, counts, ids = manifest.form_tokens
-    known = np.fromiter(map(store.vectors.__contains__, words), dtype=bool, count=len(words))
+    known = np.fromiter(map(store.index.__contains__, words), dtype=bool, count=len(words))
     # known tokens among the forms' tokens up to each one, and up to each form
     seen = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(known[np.asarray(ids)], out=seen[1:])

@@ -51,6 +51,18 @@ def toy_store() -> EmbeddingStore:
     return load_vec_file(TOYMUSIC / "toy.vec")
 
 
+def store_of(mapping: dict, dim: int) -> EmbeddingStore:
+    """The store of ``mapping``'s words and their rows, of width ``dim``."""
+    store = EmbeddingStore(mapping, [*mapping.values()] or np.empty((0, dim)))
+    assert store.dim == dim, (store.dim, dim)
+    return store
+
+
+def vectors_of(store: EmbeddingStore) -> dict:
+    """Each word of ``store`` and its row, in the store's order."""
+    return dict(zip(store.words, store.matrix))
+
+
 def small_config(seed: int = 0) -> ModelConfig:
     """Toy-sized scorer: 12-dim triple vectors, 8-wide hidden layers."""
     return ModelConfig(
@@ -88,7 +100,7 @@ def synthetic_store(rng: np.random.Generator, n: int, dim: int) -> EmbeddingStor
     for i in range(n):
         vocab[f"p{i}"] = rng.normal(size=dim)
         vocab[f"v{i}"] = rng.normal(size=dim)
-    return EmbeddingStore(dim, vocab)
+    return store_of(vocab, dim)
 
 
 def memorization_corpus(seed: int, n: int = 10, dim: int = 6, k: int = 5):

@@ -6,12 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from entsum import atomic
-from entsum.embeddings import EmbeddingStore, save_vec_file
+from entsum import atomic, embeddings, framing
+from entsum.embeddings import save_vec_file
 from entsum.evaluation import make_report, write_aggregate_json, write_per_entity_tsv
 from entsum.model import TripleScorer, save_checkpoint
 
-from conftest import small_config
+from conftest import small_config, store_of
 
 PREVIOUS = b"previous content\n"
 
@@ -22,17 +22,20 @@ def _previous_file(tmp_path, name):
     return path
 
 
-def test_interrupted_vec_save_keeps_previous_file(tmp_path):
-    # the second word's vector fails to convert, after the header and the
+def test_interrupted_vec_save_keeps_previous_file(tmp_path, monkeypatch):
+    # the write fails at the second word's row, after the header and the
     # first word's row have been written to the temporary file
     calls = []
 
-    class FailingVector:
-        def __array__(self, *args, **kwargs):
+    def write_framed(path, framing_, fields, rows):
+        def first_row_then_fail():
+            yield next(iter(rows))
             calls.append(sorted(p.name for p in tmp_path.iterdir()))
             raise OSError("write failed")
+        framing.write_framed(path, framing_, fields, first_row_then_fail())
 
-    store = EmbeddingStore(1, {"a": np.array([1.0]), "b": FailingVector()})
+    monkeypatch.setattr(embeddings, "write_framed", write_framed)
+    store = store_of({"a": np.array([1.0]), "b": np.array([2.0])}, 1)
     path = _previous_file(tmp_path, "store.vec")
     with pytest.raises(OSError, match="write failed"):
         save_vec_file(store, path)
@@ -47,7 +50,7 @@ WRITERS = {
     "checkpoint": lambda p: save_checkpoint(TripleScorer.create(small_config()), p),
     "per_entity": lambda p: write_per_entity_tsv(REPORTS, p),
     "aggregate": lambda p: write_aggregate_json("toy", 2, REPORTS, p),
-    "vectors": lambda p: save_vec_file(EmbeddingStore(1, {"a": np.array([1.0])}), p),
+    "vectors": lambda p: save_vec_file(store_of({"a": np.array([1.0])}, 1), p),
 }
 
 

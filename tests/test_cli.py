@@ -394,9 +394,9 @@ def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     store = load_vec_file(out)
     assert len(store) == 40
     assert store.dim == 4
-    assert "unused" not in store.vectors
+    assert "unused" not in store.index
     header, payload = out.read_bytes().split(b"\n", 1)
-    assert json.loads(header)["words"] == sorted(store.vectors)
+    assert json.loads(header)["words"] == sorted(store.words)
     assert len(payload) == 40 * 4 * 8
 
 
@@ -865,6 +865,33 @@ def test_nonfinite_vector_file_is_a_data_error(capsys, tmp_path, command):
     assert err.startswith("error:")
     assert "line 2" in err and "non-finite" in err
     assert not (tmp_path / "o").exists()
+
+
+# vector files whose width is below 1, and the start of each one's error
+NO_WIDTH_VECTORS = {
+    "text-header-0-minus-1": (b"0 -1\n", "unparseable line 1: header dim -1 is below 1"),
+    "text-header-0-0": (b"0 0\n", "unparseable line 1: header dim 0 is below 1"),
+    "store-dim-0": (b'{"dim":0,"format":"entsum-vectors","version":1,"words":[]}\n',
+                    "dim 0 is not an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_WIDTH_VECTORS))
+@pytest.mark.parametrize("command", ["ingest", "train", "filter-vectors"])
+def test_a_vector_file_of_width_below_1_exits_2(capsys, tmp_path, command, case):
+    # each loaded as a store of dim -1 or 0: ingest exited 0, train ended in
+    # a ValueError traceback and filter-vectors wrote a store of dim 0
+    data, message = NO_WIDTH_VECTORS[case]
+    path, out = tmp_path / "bad.vec", tmp_path / "out"
+    path.write_bytes(data)
+    args = [command, "--manifest", MANIFEST, "--vectors", str(path)]
+    if command != "ingest":
+        args += ["--out", str(out)]
+    if command == "train":
+        args += ["--k", "2", "--max-epochs", "1"]
+    rc, _, err = invoke(capsys, *args)
+    assert (rc, err) == (2, f"error: {path}: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("chosen", ["x", [1], float("inf"), 7.9, "7", True, -1])

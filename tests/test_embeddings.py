@@ -1,7 +1,6 @@
 """Textual forms, tokenization, vector files, mean-of-word embeddings."""
 
 import json
-import math
 import os
 import random
 import re
@@ -33,7 +32,7 @@ from entsum.embeddings import (
 )
 from entsum.errors import DataError, ParseError
 
-from conftest import BRACE_TEXTS, TOYMUSIC
+from conftest import BRACE_TEXTS, TOYMUSIC, store_of, vectors_of
 
 
 def iri(raw, label=None):
@@ -146,40 +145,35 @@ def test_resource_tokens_compose_form_and_split():
 # mean-of-word embedding
 # --------------------------------------------------------------------------
 
-def make_store(dim, **vectors):
-    return EmbeddingStore(dim, {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()})
-
-
 def test_mean_over_known_tokens_only():
-    store = make_store(2, birth=[1.0, 0.0], place=[0.0, 1.0])
+    store = store_of({"birth": [1.0, 0.0], "place": [0.0, 1.0]}, 2)
     vec = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
     assert vec.tolist() == [0.5, 0.5]
 
 
 def test_unknown_tokens_do_not_enter_denominator():
-    store = make_store(2, birth=[1.0, 0.0])
+    store = store_of({"birth": [1.0, 0.0]}, 2)
     vec = embed_resource(iri("http://ex.org/voc#birthPlace"), store)
     # one covered word of two, mean over the covered one only
     assert vec.tolist() == [1.0, 0.0]
 
 
 def test_all_unknown_embeds_to_zero():
-    store = make_store(3, other=[1.0, 1.0, 1.0])
+    store = store_of({"other": [1.0, 1.0, 1.0]}, 3)
     vec = embed_resource(lit("xyzzy"), store)
     assert vec.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_empty_token_list_embeds_to_zero():
-    store = make_store(2, a=[1.0, 1.0])
+    store = store_of({"a": [1.0, 1.0]}, 2)
     vec = embed_resource(lit("---"), store)
     assert vec.tolist() == [0.0, 0.0]
 
 
 def test_toy_store_mean_recomputed(toy_store):
     vec = embed_resource(lit("Golden Note Prize"), toy_store)
-    expected = (
-        toy_store.vectors["golden"] + toy_store.vectors["note"] + toy_store.vectors["prize"]
-    ) / 3
+    vectors = vectors_of(toy_store)
+    expected = (vectors["golden"] + vectors["note"] + vectors["prize"]) / 3
     assert vec.tolist() == expected.tolist()
 
 
@@ -187,11 +181,11 @@ def test_accumulation_order_is_token_order():
     # fixed order makes the mean reproducible bit for bit
     rng = np.random.default_rng(5)
     words = [f"w{i}" for i in range(7)]
-    store = EmbeddingStore(4, {w: rng.normal(size=4) for w in words})
+    store = store_of({w: rng.normal(size=4) for w in words}, 4)
     text = " ".join(words)
     acc = np.zeros(4)
     for w in words:
-        acc += store.vectors[w]
+        acc += store.matrix[store.index[w]]
     acc /= len(words)
     vec = embed_resource(lit(text), store)
     assert vec.tolist() == acc.tolist()
@@ -212,7 +206,7 @@ def test_load_with_header(tmp_path):
     store = load_vec_file(path)
     assert store.dim == 3
     assert len(store) == 2
-    assert store.vectors["cat"].tolist() == [1.0, 2.0, 3.0]
+    assert store.matrix[store.index["cat"]].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_without_header(tmp_path):
@@ -226,7 +220,7 @@ def test_case_folded_first_occurrence_wins(tmp_path):
     path = write_vec(tmp_path, "Cat 1.0\ncat 2.0\nCAT 3.0\n")
     store = load_vec_file(path)
     assert len(store) == 1
-    assert store.vectors["cat"].tolist() == [1.0]
+    assert store.matrix[store.index["cat"]].tolist() == [1.0]
 
 
 def test_dim_mismatch_reports_line(tmp_path):
@@ -279,7 +273,7 @@ def test_block_read_into_another_shape_goes_through_float(tmp_path, monkeypatch)
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:])
     store = load_vec_file(write_vec(tmp_path, "cat 1.0 2.0\ndog 3.0 4.0\n"))
-    assert {w: v.tolist() for w, v in store.vectors.items()} == {"cat": [1.0, 2.0], "dog": [3.0, 4.0]}
+    assert {w: v.tolist() for w, v in vectors_of(store).items()} == {"cat": [1.0, 2.0], "dog": [3.0, 4.0]}
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -313,14 +307,14 @@ def test_blank_lines_skipped(tmp_path):
 def test_vocab_filter_restricts_loading(tmp_path):
     path = write_vec(tmp_path, "3 2\ncat 1.0 2.0\ndog 3.0 4.0\neel 5.0 6.0\n")
     store = load_vec_file(path, vocab={"cat", "eel"})
-    assert sorted(store.vectors) == ["cat", "eel"]
+    assert sorted(store.words) == ["cat", "eel"]
     assert store.dim == 2
 
 
 def test_vocab_filter_folds_case(tmp_path):
     path = write_vec(tmp_path, "Cat 1.0 2.0\ndog 3.0 4.0\n")
     store = load_vec_file(path, vocab={"cat"})
-    assert sorted(store.vectors) == ["cat"]
+    assert sorted(store.words) == ["cat"]
 
 
 def test_large_dim_file_loads(tmp_path):
@@ -340,9 +334,9 @@ def test_toy_store_contents(toy_store):
     assert toy_store.dim == 4
     # 42 lines fold to 41 words: the duplicated one keeps its first vector
     assert len(toy_store) == 41
-    assert "golden" in toy_store.vectors
-    assert "unused" in toy_store.vectors
-    assert toy_store.vectors["type"].tolist() == [0.45, 0.13, 0.19, 0.4]
+    assert "golden" in toy_store.index
+    assert "unused" in toy_store.index
+    assert toy_store.matrix[toy_store.index["type"]].tolist() == [0.45, 0.13, 0.19, 0.4]
 
 
 def test_toy_duplicate_first_wins(toy_store):
@@ -351,7 +345,7 @@ def test_toy_duplicate_first_wins(toy_store):
         if line.startswith("note "):
             first = [float(v) for v in line.split()[1:]]
             break
-    assert toy_store.vectors["note"].tolist() == first
+    assert toy_store.matrix[toy_store.index["note"]].tolist() == first
 
 
 def reference_load_vec_file(path, vocab=None):
@@ -372,6 +366,8 @@ def reference_load_vec_file(path, vocab=None):
                     pass
                 else:
                     dim = int(parts[1])
+                    if dim < 1:
+                        raise ParseError(1, f"header dim {dim} is below 1")
                     continue
             word, values = parts[0], parts[1:]
             if not values:
@@ -394,7 +390,7 @@ def reference_load_vec_file(path, vocab=None):
             vectors[word] = vec
     if dim is None:
         raise ParseError(1, "empty vector file")
-    return EmbeddingStore(dim, vectors)
+    return store_of(vectors, dim)
 
 
 VEC_WORDS = ["cat", "Cat", "CAT", "dog", "Dog", "eel", "naïve", "NAÏVE", "x_y", "1998"]
@@ -455,7 +451,7 @@ def load_outcome(loader, path, vocab):
         # load_vec_file's message starts with the path; the reference's does not
         return ("error", type(exc), exc.line_no, str(exc).removeprefix(f"{path}: ")), None
     items = [(w, v.dtype, v.shape, v.flags.c_contiguous, v.tobytes())
-             for w, v in store.vectors.items()]
+             for w, v in vectors_of(store).items()]
     return ("store", store.dim, items), store
 
 
@@ -517,7 +513,7 @@ def test_loader_matches_reference_on_random_files(tmp_path, monkeypatch):
             expected, _ = load_outcome(reference_load_vec_file, path, vocab)
             got, store = load_outcome(load_vec_file, path, vocab)
             assert got == expected and len(store) > parse_block
-        assert store.vectors[f"w{parse_block + 5}"][123] == 10.0  # "1_0", full load
+        assert store.matrix[store.index[f"w{parse_block + 5}"], 123] == 10.0  # "1_0", full load
 
 
 # lines placed after a scan block of out-of-vocabulary lines, where the scan
@@ -559,19 +555,22 @@ def test_scan_filter_edges_match_reference(tmp_path, monkeypatch, edge):
         if isinstance(outcome, int):
             assert got[2] == text.count("\n") - len(lines) + outcome + 1
         else:
-            assert {w: v.tolist() for w, v in store.vectors.items()} == outcome
+            assert {w: v.tolist() for w, v in vectors_of(store).items()} == outcome
 
 
 def test_scan_filter_is_off_under_a_zero_width_header(tmp_path, monkeypatch):
-    # every line after "3 0" is an error, however many spaces it holds
+    # a header width below 1 is refused at line 1, before any later line
+    # reaches the scan filter, however many spaces it holds
     path = tmp_path / "zero.vec"
-    path.write_bytes(b"3 0\npad\ncat\n")
-    for scan_block in (1, 3, 7, embeddings.SCAN_BLOCK):
-        monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
-        for vocab in ({"cat"}, None):
-            expected, _ = load_outcome(reference_load_vec_file, path, vocab)
-            assert expected == ("error", ParseError, 2, "unparseable line 2: no vector components")
-            assert load_outcome(load_vec_file, path, vocab)[0] == expected, scan_block
+    for width in ("0", "-1"):
+        path.write_bytes(f"3 {width}\npad\ncat\n".encode())
+        for scan_block in (1, 3, 7, embeddings.SCAN_BLOCK):
+            monkeypatch.setattr(embeddings, "SCAN_BLOCK", scan_block)
+            for vocab in ({"cat"}, None):
+                expected, _ = load_outcome(reference_load_vec_file, path, vocab)
+                assert expected == ("error", ParseError, 1,
+                                    f"unparseable line 1: header dim {width} is below 1")
+                assert load_outcome(load_vec_file, path, vocab)[0] == expected, scan_block
 
 
 NUMERIC_PIECES = list("0123456789.eE+-_,#x") + [
@@ -624,22 +623,18 @@ def test_numpy_reader_accepts_only_what_float_reads_the_same():
 # --------------------------------------------------------------------------
 
 def test_save_load_round_trip_exact(tmp_path):
-    store = make_store(
-        3,
-        a=[0.1, 1.0 / 3.0, 1e-17],
-        b=[-0.0, 2.5, -1234.5678],
-    )
+    store = store_of({"a": [0.1, 1.0 / 3.0, 1e-17], "b": [-0.0, 2.5, -1234.5678]}, 3)
     path = tmp_path / "out.vec"
     save_vec_file(store, path)
     back = load_vec_file(path)
     assert back.dim == 3
-    assert sorted(back.vectors) == ["a", "b"]
-    for w in store.vectors:
-        assert back.vectors[w].tolist() == store.vectors[w].tolist()
+    assert sorted(back.words) == ["a", "b"]
+    for w, v in vectors_of(store).items():
+        assert back.matrix[back.index[w]].tolist() == v.tolist()
 
 
 def test_save_writes_header_and_sorted_words(tmp_path):
-    store = make_store(2, b=[1.0, -0.0], a=[2.0, 0.5])
+    store = store_of({"b": [1.0, -0.0], "a": [2.0, 0.5]}, 2)
     path = tmp_path / "out.vec"
     save_vec_file(store, path)
     assert path.read_bytes() == (
@@ -648,46 +643,47 @@ def test_save_writes_header_and_sorted_words(tmp_path):
 
 
 def test_save_converts_any_numeric_dtype_as_before(tmp_path):
-    store = EmbeddingStore(3, {
+    vectors = {
         "f32": np.array([0.1, -2.5, 1e-20], dtype=np.float32),
         "i64": np.array([1, -2, 3]),
         "obj": np.array([0.1, 2, "1.5"], dtype=object),
-    })
+    }
     path = tmp_path / "out.vec"
-    save_vec_file(store, path)
+    save_vec_file(store_of(vectors, 3), path)
     back = load_vec_file(path)
-    assert {w: v.tobytes() for w, v in back.vectors.items()} == \
-        {w: np.asarray(v, dtype=np.float64).tobytes() for w, v in store.vectors.items()}
+    assert {w: v.tobytes() for w, v in vectors_of(back).items()} == \
+        {w: np.asarray(v, dtype=np.float64).tobytes() for w, v in vectors.items()}
 
 
 def test_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(3)
-    store = EmbeddingStore(5, {f"w{i}": rng.normal(size=5) for i in range(20)})
+    store = store_of({f"w{i}": rng.normal(size=5) for i in range(20)}, 5)
     p1, p2 = tmp_path / "one.vec", tmp_path / "two.vec"
     save_vec_file(store, p1)
     save_vec_file(store, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("store, word", [
-    (EmbeddingStore(3, {"a": [1.0, 2.0], "b": [np.nan, 1.0, 2.0]}), "a"),
-    (EmbeddingStore(3, {"a": [1.0, 2.0, 3.0], "b": [np.nan, 1.0, 2.0]}), "b"),
-    (EmbeddingStore(2, {"a": [1.0, 2.0], "b": np.array([1.0, np.inf])}), "b"),
-    (EmbeddingStore(1, {"f32": np.array([-np.inf], dtype=np.float32)}), "f32"),
-    (EmbeddingStore(2, {"a": np.ones((1, 2))}), "a"),
-    (EmbeddingStore(1, {"a": np.float64(1.0)}), "a"),
-    (EmbeddingStore(0, {"a": np.zeros(0)}), "a"),
-    (EmbeddingStore(1, {"big": np.array([10 ** 400], dtype=object)}), "big"),
-    (EmbeddingStore(1, {"a": [1.0], "x": np.array(["x"], dtype=object)}), "x"),
-    (EmbeddingStore(1, {"": [1.0], "a": [1.0]}), ""),
-    (EmbeddingStore(1, {"a": [1.0], "b": [np.inf], "c d": [1.0]}), "b"),
-    # no buffer is sized by a dim that no row has
-    (EmbeddingStore(10 ** 12, {"a": [1.0]}), "a"),
+@pytest.mark.parametrize("build, word", [
+    (lambda: store_of({"a": [1.0, 2.0], "b": [np.nan, 1.0, 2.0]}, 3), "a"),
+    (lambda: store_of({"a": [1.0, 2.0, 3.0], "b": [np.nan, 1.0, 2.0]}, 3), "b"),
+    (lambda: store_of({"a": [1.0, 2.0], "b": np.array([1.0, np.inf])}, 2), "b"),
+    (lambda: store_of({"f32": np.array([-np.inf], dtype=np.float32)}, 1), "f32"),
+    (lambda: store_of({"a": np.ones((1, 2))}, 2), "a"),
+    (lambda: store_of({"a": np.float64(1.0)}, 1), "a"),
+    (lambda: store_of({"a": np.zeros(0)}, 0), "a"),
+    (lambda: store_of({"big": np.array([10 ** 400], dtype=object)}, 1), "big"),
+    (lambda: store_of({"a": [1.0], "x": np.array(["x"], dtype=object)}, 1), "x"),
+    (lambda: store_of({"": [1.0], "a": [1.0]}, 1), ""),
+    (lambda: store_of({"a": [1.0], "b": [np.inf], "c d": [1.0]}, 1), "b"),
+    # a matrix of a huge dim and no row for its word allocates nothing
+    (lambda: EmbeddingStore(["a"], np.empty((0, 10 ** 12))), "a"),
 ], ids=["short", "nan", "inf", "float32-inf", "matrix", "scalar", "zero-dim",
         "overflow", "string", "empty-word", "inf-before-space-word", "huge-dim"])
-def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
+def test_save_refuses_a_store_the_loader_would_reject(tmp_path, build, word):
+    # the store is refused where it is built, so no file is written
     with pytest.raises(DataError) as err:
-        save_vec_file(store, tmp_path / "out.vec")
+        save_vec_file(build(), tmp_path / "out.vec")
     assert repr(word) in str(err.value)
     assert list(tmp_path.iterdir()) == []  # no target and no temporary file
 
@@ -695,29 +691,35 @@ def test_save_refuses_a_store_the_loader_would_reject(tmp_path, store, word):
 def test_save_refuses_a_word_the_loader_would_lowercase(tmp_path):
     # "Cat" and "cat" would load back as one word, "Dog" as "dog", and the
     # header would still say three words
-    store = EmbeddingStore(1, {"Cat": [1.0], "cat": [2.0], "Dog": [3.0]})
     path = tmp_path / "out.vec"
     with pytest.raises(DataError, match="lowercase") as err:
-        save_vec_file(store, path)
+        save_vec_file(store_of({"Cat": [1.0], "cat": [2.0], "Dog": [3.0]}, 1), path)
     assert repr("Cat") in str(err.value)
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []
 
 
-def test_save_refuses_a_negative_dim(tmp_path):
-    # a text header "0 -1" loads so; the store reader takes no negative dim
-    with pytest.raises(DataError, match=r"cannot save a store of dim -1"):
-        save_vec_file(EmbeddingStore(-1, {}), tmp_path / "out.vec")
-    assert list(tmp_path.iterdir()) == []
+def test_a_complex_vector_is_refused_not_cast():
+    with pytest.raises(DataError, match="complex vector component") as err:
+        EmbeddingStore(("a",), [[1 + 1j, 2]])
+    assert repr("a") in str(err.value)
+
+
+def test_a_store_matrix_is_read_only():
+    given = np.array([[1.0, 2.0]])
+    store = EmbeddingStore(["a"], given)
+    assert store.matrix is given and not given.flags.writeable
+    converted = EmbeddingStore(["a"], [[1, 2]])
+    assert converted.matrix.dtype == np.float64 and not converted.matrix.flags.writeable
 
 
 def test_store_keeps_words_a_text_line_could_not_hold(tmp_path):
     # the JSON header escapes a space, a newline and a lone surrogate
-    store = make_store(1, **{"b c": [1.0], "b\nc": [2.0], "b\ud800": [3.0], "naïve": [4.0]})
+    store = store_of({"b c": [1.0], "b\nc": [2.0], "b\ud800": [3.0], "naïve": [4.0]}, 1)
     path = tmp_path / "out.vec"
     save_vec_file(store, path)
-    assert {w: v.tolist() for w, v in load_vec_file(path).vectors.items()} == \
-        {w: v.tolist() for w, v in store.vectors.items()}
+    assert {w: v.tolist() for w, v in vectors_of(load_vec_file(path)).items()} == \
+        {w: v.tolist() for w, v in vectors_of(store).items()}
 
 
 STORE_WORDS = ["ant", "bee", "cat"]
@@ -730,15 +732,17 @@ def store_bytes(**fields):
             + np.arange(6, dtype="<f8").tobytes())
 
 
-@pytest.mark.parametrize("vocab", [None, {"cat", "ant", "dog"}, set()])
+@pytest.mark.parametrize("vocab", [None, {"cat", "ant", "dog"}, set(), {*STORE_WORDS, "dog"}])
 def test_store_loads_one_matrix_and_vocabulary_rows_by_index(tmp_path, vocab):
     path = tmp_path / "store.vec"
     path.write_bytes(store_bytes())
     store = load_vec_file(path, vocab)
     kept = [i for i, w in enumerate(STORE_WORDS) if vocab is None or w in vocab]
-    assert store.dim == 2 and list(store.vectors) == [STORE_WORDS[i] for i in kept]
-    assert [v.tolist() for v in store.vectors.values()] == [[2.0 * i, 2.0 * i + 1] for i in kept]
-    assert all(v.dtype == np.float64 and v.flags.writeable for v in store.vectors.values())
+    assert store.dim == 2 and store.words == tuple(STORE_WORDS[i] for i in kept)
+    assert store.matrix.tolist() == [[2.0 * i, 2.0 * i + 1] for i in kept]
+    assert store.matrix.dtype == np.float64 and not store.matrix.flags.writeable
+    # every row kept: a view of the bytes read; some dropped: one copy of the kept
+    assert store.matrix.flags.owndata == (len(kept) < len(STORE_WORDS))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -829,10 +833,9 @@ def test_coverage_warnings_toymusic(toy_manifest, toy_store):
 
 
 def test_coverage_warnings_empty_when_covered(toy_manifest, toy_store):
-    patched = EmbeddingStore(
+    patched = store_of(
+        dict(vectors_of(toy_store), **{"2005": np.zeros(4) + 0.1, "english": np.zeros(4) + 0.2}),
         toy_store.dim,
-        dict(toy_store.vectors,
-             **{"2005": np.zeros(4) + 0.1, "english": np.zeros(4) + 0.2}),
     )
     assert coverage_warnings(toy_manifest, patched) == []
 
@@ -848,7 +851,7 @@ def reference_coverage_warnings(manifest, store):
                 if textual_form(r) in seen:
                     continue
                 seen.add(textual_form(r))
-                covered = sum(tok in store.vectors for tok in tokenize(textual_form(r)))
+                covered = sum(tok in store.index for tok in tokenize(textual_form(r)))
                 if covered == 0:
                     warnings.append(
                         f"all tokens unknown for {r.kind.value} "
@@ -858,10 +861,9 @@ def reference_coverage_warnings(manifest, store):
 
 
 def test_coverage_warnings_match_mean_vector_definition(toy_manifest, toy_store):
-    words = sorted(toy_store.vectors)
-    thinned = EmbeddingStore(
-        toy_store.dim, {w: toy_store.vectors[w] for i, w in enumerate(words) if i % 5}
-    )
+    vectors = vectors_of(toy_store)
+    thinned = store_of({w: vectors[w] for i, w in enumerate(sorted(vectors)) if i % 5},
+                       toy_store.dim)
     warnings = coverage_warnings(toy_manifest, thinned)
     assert len(warnings) > len(coverage_warnings(toy_manifest, toy_store))
     assert warnings == reference_coverage_warnings(toy_manifest, thinned)
@@ -869,7 +871,7 @@ def test_coverage_warnings_match_mean_vector_definition(toy_manifest, toy_store)
 
 def test_coverage_deduplicates_resources(toy_manifest):
     # empty store: every distinct textual form warns exactly once
-    empty = EmbeddingStore(4, {})
+    empty = store_of({}, 4)
     warnings = coverage_warnings(toy_manifest, empty)
     assert len(warnings) == len(set(warnings))
     mentioned = [w for w in warnings if "Harbor_City" in w]
@@ -892,7 +894,7 @@ def test_coverage_checks_an_iri_again_where_it_has_no_label():
         ]
     ]
     manifest = DatasetManifest("two", tuple(entities), ())
-    store = make_store(2, knows=[1.0, 0.0], alice=[0.0, 1.0], smith=[1.0, 1.0])
+    store = store_of({"knows": [1.0, 0.0], "alice": [0.0, 1.0], "smith": [1.0, 1.0]}, 2)
     assert embed_resource(entities[1].triples[0].val, store).tolist() == [0.0, 0.0]
     assert coverage_warnings(manifest, store) == [
         f"all tokens unknown for iri {zqxj!r} (textual form 'Zqxj')"
@@ -901,7 +903,7 @@ def test_coverage_checks_an_iri_again_where_it_has_no_label():
 
 
 # --------------------------------------------------------------------------
-# against the code that tokenized each form per pass and saved row by row
+# against the code that tokenized each form per pass
 # --------------------------------------------------------------------------
 
 def reference_distinct_forms(manifest):
@@ -923,31 +925,11 @@ def reference_manifest_vocabulary(manifest):
 def reference_form_coverage_warnings(manifest, store):
     warnings = []
     for form, r in reference_distinct_forms(manifest).items():
-        if store.vectors.keys().isdisjoint(tokenize(form)):
+        if store.index.keys().isdisjoint(tokenize(form)):
             warnings.append(
                 f"all tokens unknown for {r.kind.value} {r.raw!r} (textual form {form!r})"
             )
     return warnings
-
-
-def reference_save_vec_file(store, path):
-    """The row-at-a-time save: header, then each checked row as it comes."""
-    if type(store.dim) is not int or store.dim < 0:
-        raise DataError(f"cannot save a store of dim {store.dim!r}")
-    words = sorted(store.vectors)
-    header = {"dim": store.dim, "words": words, "format": "entsum-vectors", "version": 1}
-    rows = (embeddings._savable_row(word, store.vectors[word], store.dim) for word in words)
-    data = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    data += b"".join(row.astype("<f8", copy=False).tobytes() for row in rows)
-    path.write_bytes(data)
-
-
-def save_outcome(save, store, path):
-    try:
-        save(store, path)
-    except DataError as exc:
-        return "error", str(exc), path.exists()
-    return "saved", path.read_bytes()
 
 
 # pieces of textual forms: camel case, digit runs, separators only, and
@@ -984,13 +966,13 @@ def test_vocabulary_and_coverage_match_the_per_form_passes_on_random_manifests()
         assert manifest_vocabulary(manifest) == vocab, case
         words = sorted(vocab)
         stores = [
-            {w: None for w in words},
-            {w: None for i, w in enumerate(words) if i % 3},
-            {},
-            {w: None for w in rng.sample(words, len(words) // 2) + ["zz", "Birth", ""]},
+            words,
+            [w for i, w in enumerate(words) if i % 3],
+            [],
+            rng.sample(words, len(words) // 2) + ["zz"],
         ]
-        for vectors in stores:
-            store = EmbeddingStore(1, vectors)
+        for store_words in stores:
+            store = store_of({w: [1.0] for w in store_words}, 1)
             assert coverage_warnings(manifest, store) == \
                 reference_form_coverage_warnings(manifest, store), case
 
@@ -1002,7 +984,7 @@ def test_forms_with_no_token_warn_under_every_store():
                     for i in range(4))
     manifest = DatasetManifest("none", (EntityDescription(entity, triples),), ())
     assert manifest_vocabulary(manifest) == set()
-    for store in (EmbeddingStore(1, {}), EmbeddingStore(1, {"": None, "p": None})):
+    for store in (store_of({}, 1), store_of({"p": [1.0]}, 1)):
         assert coverage_warnings(manifest, store) == \
             reference_form_coverage_warnings(manifest, store) != []
 
@@ -1015,58 +997,3 @@ def test_a_manifest_tokenizes_its_forms_once():
     assert sum(tokens.counts) == len(tokens.ids)
     assert [tokens.words[i] for i in tokens.ids] == \
         [w for form in reference_distinct_forms(manifest) for w in tokenize(form)]
-
-
-def good_row(rng, dim):
-    """A row the store takes, as any of the types it converts."""
-    row = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
-    return rng.choice([np.array(row), np.array(row, dtype=np.float32), row,
-                       np.arange(dim) - rng.randrange(5), np.array(row, dtype=object)])
-
-
-# one fault each: a word the loader would fold, or a row it would refuse
-FAULTS = [
-    lambda word, row: (word.upper(), row),
-    lambda word, row: ("", row),
-    lambda word, row: (word, np.array([math.nan, 1.0, 2.0])),
-    lambda word, row: (word, [1.0, -math.inf, 2.0]),
-    lambda word, row: (word, np.array([1.0, 2.0])),
-    lambda word, row: (word, np.ones((1, 3))),
-    lambda word, row: (word, 1.0),
-    lambda word, row: (word, np.array(["x", 1, 2], dtype=object)),
-]
-
-
-@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 129])
-def test_blocked_save_matches_the_row_by_row_save(tmp_path, size):
-    rng = random.Random(size)
-    for case in range(40):
-        words = set()
-        while len(words) < size:
-            words.add("".join(rng.choice("abcé") for _ in range(rng.randrange(1, 5))))
-        vectors = {word: good_row(rng, 3) for word in sorted(words)}
-        for _ in range(min(case % 3, size)):  # no fault, one, or two
-            word = rng.choice(sorted(vectors))
-            bad_word, bad_row = rng.choice(FAULTS)(word, vectors.pop(word))
-            vectors[bad_word] = bad_row
-        store = EmbeddingStore(3, vectors)
-        want = save_outcome(reference_save_vec_file, store, tmp_path / "want.vec")
-        got = save_outcome(save_vec_file, store, tmp_path / "got.vec")
-        assert got == want, (size, case)
-        assert want[0] == ("saved" if case % 3 == 0 or not size else "error") or size == 0
-        for path in tmp_path.iterdir():
-            path.unlink()
-
-
-@pytest.mark.parametrize("store, word", [
-    # an uppercase word and a non-finite row in one block, in both orders
-    (EmbeddingStore(1, {"a": [np.nan], "aB": [1.0], **{f"b{i}": [1.0] for i in range(40)}}), "a"),
-    (EmbeddingStore(1, {"Ab": [1.0], "a": [np.inf], **{f"b{i}": [1.0] for i in range(40)}}), "Ab"),
-    # the first bad word in sorted order is in the second block
-    (EmbeddingStore(1, {**{f"a{i:02}": [1.0] for i in range(64)}, "b": [np.nan], "bC": [1.0]}),
-     "b"),
-])
-def test_blocked_save_names_the_first_bad_word_in_sorted_order(tmp_path, store, word):
-    want = save_outcome(reference_save_vec_file, store, tmp_path / "want.vec")
-    assert save_outcome(save_vec_file, store, tmp_path / "got.vec") == want
-    assert want[0] == "error" and repr(word) in want[1] and not want[2]

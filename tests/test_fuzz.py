@@ -35,6 +35,13 @@ Through ``entsum train --max-epochs 1`` and ``entsum summarize`` it must end
 in exit 0, 2 or 3 without a traceback, and a failed ``train`` writes no
 checkpoint or report.
 
+Each constructor case takes that store's words and matrix and uppercases,
+empties or repeats a word, makes the matrix complex, object, float32 or
+integer, gives it a wrong shape, or puts NaN or an infinity in it.  Every
+mutant must either raise a ``DataError`` from ``EmbeddingStore`` or build a
+store that ``save_vec_file`` and ``load_vec_file`` give back word for word
+and bit for bit.
+
 Each train case mutates one file of a copy of the toy corpus as a tree
 case does, or, every other case, its vector file as a vector case does; a
 few more keep the corpus and give ``--lr`` a hostile value.  Through
@@ -53,6 +60,7 @@ a run that fails prints nothing on stdout.
 """
 
 import json
+import math
 import random
 import re
 import shutil
@@ -62,11 +70,11 @@ import numpy as np
 import pytest
 
 from entsum import cli
-from entsum.embeddings import load_vec_file, manifest_vocabulary, save_vec_file
+from entsum.embeddings import EmbeddingStore, load_vec_file, manifest_vocabulary, save_vec_file
 from entsum.errors import DataError
 from entsum.model import ModelConfig, TripleScorer, load_checkpoint, save_checkpoint
 
-from conftest import ARIA, TOYMUSIC, build_esbm_tree
+from conftest import ARIA, TOYMUSIC, build_esbm_tree, vectors_of
 
 CASES = 240
 # a C0 or C1 control character or DEL
@@ -336,8 +344,8 @@ def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_
             assert [p.name for p in out_dir.iterdir()] == ["filtered.vec"], (case, kind)
             want, got = load_vec_file(path, vocab), load_vec_file(out)
             assert got.dim == want.dim, (case, kind)
-            assert {w: v.tobytes() for w, v in got.vectors.items()} == \
-                {w: v.tobytes() for w, v in want.vectors.items()}, (case, kind)
+            assert {w: v.tobytes() for w, v in vectors_of(got).items()} == \
+                {w: v.tobytes() for w, v in vectors_of(want).items()}, (case, kind)
         else:
             assert rc == 2 and err.startswith("error:"), (case, kind, rc, err)
             assert err.endswith("\n") and not CONTROL.search(err[:-1]), (case, kind, err)
@@ -413,14 +421,83 @@ def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path)
             assert kind != BAD_WORD, case
             header = json.loads(data[:data.index(b"\n")])
             assert type(loaded.dim) is int and loaded.dim == header["dim"], (case, kind)
-            assert list(loaded.vectors) == [w for w in header["words"]
-                                            if words is None or w in words], (case, kind)
-            for v in loaded.vectors.values():
-                assert v.dtype == np.float64 and v.shape == (loaded.dim,), (case, kind)
-                assert np.isfinite(v).all(), (case, kind)
+            assert list(loaded.words) == [w for w in header["words"]
+                                          if words is None or w in words], (case, kind)
+            matrix = loaded.matrix
+            assert matrix.dtype == np.float64 and matrix.shape == (len(loaded), loaded.dim), \
+                (case, kind)
+            assert np.isfinite(matrix).all() and not matrix.flags.writeable, (case, kind)
             outcomes.add((kind, "loaded"))
     assert {kind for kind, _ in outcomes} == {*KINDS, RETYPE, BAD_WORD}
     assert {"loaded", "refused"} <= {outcome for _, outcome in outcomes}
+
+
+CTOR_CASES = 300
+CTOR_KINDS = ("uppercase-word", "empty-word", "duplicate-word", "complex", "object", "float32",
+              "int", "wrong-shape", "nan", "inf")
+# object components: numbers and a numeric string convert, the rest do not
+OBJECT_VALUES = [1, 2.5, "2.5", True, None, "x", 10 ** 400, 1j, [1.0]]
+
+
+def constructor_mutant(words: tuple, matrix: np.ndarray, case: int):
+    """The kind, words and matrix of mutation ``case`` of a store's words
+    and matrix, made for ``EmbeddingStore``."""
+    rng = random.Random(case)
+    kind = CTOR_KINDS[case % len(CTOR_KINDS)]
+    words, matrix = list(words), np.array(matrix)
+    i, j = rng.randrange(len(words)), rng.randrange(matrix.shape[1])
+    if kind == "uppercase-word":
+        words[i] = words[i].upper()
+    elif kind == "empty-word":
+        words[i] = ""
+    elif kind == "duplicate-word":
+        words[i] = words[rng.randrange(len(words))]
+    elif kind == "complex":
+        matrix = matrix + rng.choice([0j, 1j])
+    elif kind == "object":
+        matrix = matrix.astype(object)
+        matrix[i, j] = rng.choice(OBJECT_VALUES)
+    elif kind == "float32":
+        matrix = matrix.astype(np.float32)
+    elif kind == "int":
+        matrix = np.round(matrix * 100).astype(rng.choice([np.int8, np.int64, np.uint16]))
+    elif kind == "wrong-shape":
+        matrix = rng.choice([matrix[:-1], np.vstack([matrix, matrix[:1]]), matrix[:, :0],
+                             matrix[..., None], matrix.ravel(), [*matrix[:-1], matrix[-1, :-1]]])
+    else:
+        matrix[i, j] = rng.choice([math.nan, math.inf, -math.inf] if kind == "nan"
+                                  else [math.inf, -math.inf])
+    return kind, words, matrix
+
+
+def test_store_constructor_mutants_refuse_or_round_trip(store, tmp_path):
+    # a mutant that builds saves and loads back to the same words and bits
+    path = tmp_path / "store.vec"
+    path.write_bytes(store)
+    base = load_vec_file(path)
+    outcomes = set()
+    for case in range(CTOR_CASES):
+        kind, words, matrix = constructor_mutant(base.words, base.matrix, case)
+        try:
+            built = EmbeddingStore(words, matrix)
+        except DataError:
+            outcomes.add((kind, "refused"))
+            continue
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
+        assert built.matrix.dtype == np.float64 and not built.matrix.flags.writeable, case
+        save_vec_file(built, path)
+        back = load_vec_file(path)
+        assert back.dim == built.dim and back.words == tuple(sorted(built.words)), (case, kind)
+        assert back.matrix.tobytes() == \
+            built.matrix[[built.index[w] for w in back.words]].tobytes(), (case, kind)
+        outcomes.add((kind, "built"))
+    assert {kind for kind, _ in outcomes} == set(CTOR_KINDS)
+    refused = {kind for kind, outcome in outcomes if outcome == "refused"}
+    built = {kind for kind, outcome in outcomes if outcome == "built"}
+    assert refused >= {"uppercase-word", "empty-word", "duplicate-word", "complex", "object",
+                       "wrong-shape", "nan", "inf"}
+    assert built >= {"object", "float32", "int"} and not built & {"empty-word", "complex", "inf"}
 
 
 REPORTS = ("aggregate.json", "per_entity.tsv")

@@ -34,7 +34,7 @@ from entsum.nn import (
     softmax,
 )
 
-from conftest import random_vectors, small_config
+from conftest import random_vectors, small_config, store_of
 
 ENT = Resource(NodeKind.IRI, "http://ex.org/e", None)
 
@@ -56,33 +56,24 @@ def encode_triple(t: Triple, store: EmbeddingStore) -> np.ndarray:
 
 
 def test_encode_concatenates_prop_and_val():
-    store = EmbeddingStore(
-        2,
-        {
-            "knows": np.array([1.0, 0.0]),
-            "tim": np.array([0.0, 1.0]),
-        },
-    )
+    store = store_of({"knows": np.array([1.0, 0.0]), "tim": np.array([0.0, 1.0])}, 2)
     vec = encode_triple(triple_of("http://ex.org/knows", "Tim"), store)
     assert vec.tolist() == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_encode_all_unknown_is_zero_vector():
-    store = EmbeddingStore(2, {"other": np.array([1.0, 1.0])})
+    store = store_of({"other": np.array([1.0, 1.0])}, 2)
     vec = encode_triple(triple_of("http://ex.org/xq", "zz"), store)
     assert vec.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_encode_multi_word_sides_take_means():
-    store = EmbeddingStore(
-        1,
-        {
-            "birth": np.array([1.0]),
-            "place": np.array([3.0]),
-            "harbor": np.array([5.0]),
-            "city": np.array([7.0]),
-        },
-    )
+    store = store_of({
+        "birth": np.array([1.0]),
+        "place": np.array([3.0]),
+        "harbor": np.array([5.0]),
+        "city": np.array([7.0]),
+    }, 1)
     vec = encode_triple(triple_of("http://ex.org/birthPlace", "Harbor City"), store)
     assert vec.tolist() == [2.0, 6.0]
 
@@ -121,7 +112,7 @@ def test_encode_description_is_bit_identical_to_encode_triple(toy_manifest, toy_
     known = {w: np.random.default_rng(i).normal(size=5)
              for i, w in enumerate(["alpha", "gamma", "omega", "label", "3", "7"])}
     for descs, store in [(toy_manifest.entities, toy_store),
-                         (generated, EmbeddingStore(5, known))]:
+                         (generated, store_of(known, 5))]:
         for desc in descs:
             pairs = encode_description(desc, store)
             for (_, vec), t in zip(pairs, desc.triples, strict=True):
@@ -254,7 +245,7 @@ def test_empty_description_rejected():
 
 def test_empty_encoding_rejected_like_an_empty_list():
     model = TripleScorer.create(small_config())
-    enc = encode_description(EntityDescription(ENT, ()), EmbeddingStore(6, {}))
+    enc = encode_description(EntityDescription(ENT, ()), store_of({}, 6))
     assert len(enc) == 0 and enc.matrix.shape == (0, 12)
     for vectors in (enc, []):
         with pytest.raises(NumericError, match="^cannot score an empty description$"):
@@ -487,7 +478,7 @@ def test_encoding_gives_the_bytes_of_a_shuffled_list():
     rng = random.Random(23)
     np_rng = np.random.default_rng(23)
     words = ["alpha", "beta", "gamma", "delta", "omega", "zeta", "label", "3", "7"]
-    store = EmbeddingStore(6, {w: np_rng.normal(size=6) for w in words})
+    store = store_of({w: np_rng.normal(size=6) for w in words}, 6)
     model = TripleScorer.create(small_config(seed=5))
     for i in range(8):
         desc = generated_description(rng, f"http://ex.org/e{i}", rng.randint(1, 40))
