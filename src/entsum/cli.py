@@ -217,6 +217,8 @@ def _write_reports(report_dir: Path, dataset: str, k: int, reports) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     manifest = _load_dataset(args)
     store = _load_store(args, manifest)
+    if len(store) == 0:  # a width that no row bears out would size the model
+        raise DataError(f"{args.vectors}: no vector for any word of the dataset")
     model_cfg = ModelConfig(embed_dim=store.dim, seed=args.seed)
     train_cfg = TrainConfig(
         k=args.k,
@@ -256,6 +258,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for fold in manifest.folds:
             path = args.checkpoints / f"fold{fold.index}.ckpt"
             model, meta = _load_scorer(path, store, args.k)
+            trained_fold = meta.get("fold", fold.index)
+            if type(trained_fold) is not int or trained_fold != fold.index:
+                raise DataError(
+                    f"{path}: checkpoint was trained for fold {trained_fold!r}, "
+                    f"not fold {fold.index}"
+                )
             chosen = meta.get("chosen_epoch", 0)
             if type(chosen) is not int or chosen < 0:
                 raise DataError(f"{path}: chosen_epoch {chosen!r} is not an integer >= 0")

@@ -10,6 +10,7 @@ key order, repr-precision floats, no timestamps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -112,13 +113,46 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> SignificanceResult:
         if mean == 0.0:
             return SignificanceResult(0.0, 1.0, n)
         raise DataError(f"all {n} differences equal {mean}; t statistic undefined")
-    t = mean / (sd / np.sqrt(n))
-    # imported here: scipy.stats more than triples the memory of every
-    # command, and only the --compare t-test needs it
-    from scipy import stats
+    t = float(mean / (sd / np.sqrt(n)))
+    return SignificanceResult(t, _two_sided_t_p(t, n - 1), n)
 
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))
-    return SignificanceResult(float(t), p, n)
+
+def _two_sided_t_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2),
+    from the ``I_x(a, b) = 1 - I_{1-x}(b, a)`` side on which its continued
+    fraction converges fast (Numerical Recipes, section 6.4)."""
+    t2 = t * t
+    x = df / (df + t2)
+    if x == 0.0:  # t^2 overflowed, so p is below 1e-154
+        return 0.0
+    y = t2 / (df + t2)  # 1 - x without its rounding error
+    if y == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):  # df up to 1e13 needs under 140 terms
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
 
 
 def format_significance(result: SignificanceResult) -> str:

@@ -894,6 +894,58 @@ def test_a_vector_file_of_width_below_1_exits_2(capsys, tmp_path, command, case)
     assert not out.exists()
 
 
+# vector files that hold a vector for no word of toymusic: in the first two
+# nothing bears out the header's width of 10^12
+NO_WORD_VECTORS = {
+    "store-dim-10^12": b'{"dim":1000000000000,"format":"entsum-vectors","version":1,"words":[]}\n',
+    "text-header-0-10^12": b"0 1000000000000\n",
+    "text-other-word": b"1 4\nelsewhere 0.1 0.2 0.3 0.4\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_WORD_VECTORS))
+def test_train_refuses_vectors_for_no_word_of_the_dataset(capsys, tmp_path, case):
+    # the first two used to size the model's weights by the header's width
+    # and end in a MemoryError traceback
+    path, out = tmp_path / "none.vec", tmp_path / "out"
+    path.write_bytes(NO_WORD_VECTORS[case])
+    rc, stdout, err = invoke(capsys, "train", "--manifest", MANIFEST, "--vectors", str(path),
+                             "--k", "2", "--max-epochs", "1", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: {path}: no vector for any word of the dataset\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fold1", ["copy", b'"1"', b"1.0", b"true", b"null", None])
+def test_evaluate_refuses_a_checkpoint_trained_for_another_fold(capsys, train_dir, tmp_path,
+                                                                 fold1):
+    # a copy of fold 0's checkpoint as fold 1's used to score fold 1's test
+    # entity with the model that trained on it, and exit 0; a checkpoint
+    # with no fold still loads
+    ckpts, out = tmp_path / "ckpts", tmp_path / "out"
+    ckpts.mkdir()
+    shutil.copy(train_dir / "fold0.ckpt", ckpts / "fold0.ckpt")
+    data = (train_dir / "fold1.ckpt").read_bytes()
+    assert data.count(b'"fold":1,') == 1
+    if fold1 == "copy":
+        data = (train_dir / "fold0.ckpt").read_bytes()
+    else:
+        data = data.replace(b'"fold":1,', b"" if fold1 is None else b'"fold":' + fold1 + b",")
+    (ckpts / "fold1.ckpt").write_bytes(data)
+    rc, stdout, err = invoke(capsys, "evaluate", "--manifest", MANIFEST, "--vectors", VEC,
+                             "--k", "2", "--checkpoints", str(ckpts), "--out", str(out))
+    if fold1 is None:
+        assert (rc, err) == (0, "")
+        assert (out / "per_entity.tsv").read_bytes() == \
+            (train_dir / "per_entity.tsv").read_bytes()
+        return
+    trained = 0 if fold1 == "copy" else json.loads(fold1)
+    assert (rc, stdout) == (2, "")
+    assert err == (f"error: {ckpts / 'fold1.ckpt'}: checkpoint was trained for fold "
+                   f"{trained!r}, not fold 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chosen", ["x", [1], float("inf"), 7.9, "7", True, -1])
 def test_evaluate_rejects_a_chosen_epoch_that_is_not_an_integer(capsys, tmp_path, chosen):
     # the first three used to end in a ValueError, TypeError or OverflowError

@@ -15,6 +15,7 @@ import entsum
 from entsum.dataset import GoldSummary
 from entsum.errors import DataError
 from entsum.evaluation import (
+    _two_sided_t_p,
     f1_against_golds,
     format_significance,
     gold_membership_counts,
@@ -26,7 +27,7 @@ from entsum.evaluation import (
     write_per_entity_tsv,
 )
 
-from conftest import ARIA, BLUE, synthetic_entity
+from conftest import ARIA, BLUE, TOYMUSIC, synthetic_entity
 
 
 def golds(*id_sets):
@@ -207,15 +208,64 @@ def test_ttest_matches_scipy_reference():
         assert abs(ours.p_value - float(ref.pvalue)) < 1e-10
 
 
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # only paired_ttest needs scipy.stats, which costs every command tens of
-    # megabytes and most of a second when it is imported with the package
+def test_t_p_value_matches_scipy_over_a_grid():
+    # tails down to 3.6e-105 at t = 50, df = 174; scipy's own p underflows
+    # to 0.0 past about 1e-308, and so does ours
+    smallest = 1.0
+    for df in (1, 2, 3, 5, 10, 30, 100, 174, 1000):
+        for t in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 50.0, 1e3, 1e8):
+            ref = 2.0 * float(stats.t.sf(t, df))
+            for signed in (t, -t):
+                p = _two_sided_t_p(signed, df)
+                assert p == ref == 0.0 or math.isclose(p, ref, rel_tol=1e-10, abs_tol=0.0), \
+                    (signed, df, p, ref)
+            if ref > 0.0:
+                smallest = min(smallest, ref)
+    assert smallest < 1e-270
+    assert math.isclose(_two_sided_t_p(50.0, 174), 3.6326463594781736e-105, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("df, closed_form", [
+    # Cauchy: 2 atan(1/t) / pi
+    (1, lambda t: 2.0 * math.atan2(1.0, t) / math.pi),
+    # 1 - t / sqrt(2 + t^2), written without the cancellation
+    (2, lambda t: 2.0 / ((math.hypot(math.sqrt(2.0), t) + t) * math.hypot(math.sqrt(2.0), t))),
+])
+def test_t_p_value_matches_closed_forms_from_tiny_to_huge_t(df, closed_form):
+    # below t = 0.5 scipy's own p is off by up to 1e-9 at df = 1
+    for exponent in range(-12, 151, 3):
+        t = 1.7 * 10.0 ** exponent
+        assert math.isclose(_two_sided_t_p(t, df), closed_form(t), rel_tol=1e-12, abs_tol=0.0), t
+
+
+@pytest.mark.parametrize("df", [1, 2, 174, 10**6])
+def test_t_p_value_is_exactly_one_at_t_zero(df):
+    assert _two_sided_t_p(0.0, df) == 1.0
+    assert _two_sided_t_p(-0.0, df) == 1.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 174, 10**6])
+def test_t_p_value_is_zero_once_t_squared_overflows(df):
+    assert _two_sided_t_p(1e200, df) == 0.0
+    assert _two_sided_t_p(-1e200, df) == 0.0
+    assert _two_sided_t_p(math.inf, df) == 0.0
+
+
+def test_the_compare_path_imports_no_scipy(tmp_path):
+    # the p-value is computed with math, so evaluate --compare, the one
+    # command that runs the t-test, loads no scipy module at all
+    compare = tmp_path / "other.tsv"
+    compare.write_text(f"fold\tentity\tf1\n0\t{ARIA}\t0.3\n1\t{BLUE}\t0.2\n",
+                       encoding="utf-8")
     src = str(Path(entsum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import entsum, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = ("import sys; from entsum import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    args = ["evaluate", "--manifest", str(TOYMUSIC / "manifest.json"), "--k", "2",
+            "--oracle", "--compare", str(compare)]
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-2:] == ["t=15, p=0.0423786, n=2", "0 []"]
 
 
 def test_format_significance():

@@ -11,7 +11,7 @@ the header's value for value and type for type, or raise a ``DataError``.
 Through ``entsum summarize`` it must end in exit 0 or 2 without a traceback;
 exit 3 is the one other outcome, for parameters that load finite but
 overflow a score.  Through ``entsum evaluate --checkpoints``, with the
-mutant as one fold's checkpoint, the same holds, and a run that fails prints
+mutant of a checkpoint saved for one fold as that fold's, the same holds, and a run that fails prints
 nothing on stdout and leaves no report or temporary file.
 
 Each tree case takes a small ESBM tree and truncates one of its description,
@@ -194,17 +194,23 @@ def test_summarize_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys)
 
 def test_evaluate_on_mutated_checkpoints_exits_cleanly(saved, tmp_path, capsys):
     # each mutant stands in for one fold's checkpoint, the other fold's is
-    # intact; a failed run prints nothing and writes no report or temporary
+    # intact; both start from a checkpoint whose meta names the fold they
+    # stand in for; a failed run prints nothing and writes no report or
+    # temporary
     ckpts, out = tmp_path / "ckpts", tmp_path / "out"
     ckpts.mkdir()
     args = ["evaluate", "--manifest", str(TOYMUSIC / "manifest.json"),
             "--vectors", str(TOYMUSIC / "toy.vec"), "--k", "2",
             "--checkpoints", str(ckpts), "--out", str(out)]
+    assert saved.count(b'"fold":0') == 1
+    by_fold = [saved, saved.replace(b'"fold":0', b'"fold":1')]
+    mutants = [checkpoint_mutants(data) for data in by_fold]
     outcomes = set()
-    for case, (kind, data) in enumerate(checkpoint_mutants(saved)):
+    for case in range(len(mutants[0])):
         fold = case % 2
+        kind, data = mutants[fold][case]
         (ckpts / f"fold{fold}.ckpt").write_bytes(data)
-        (ckpts / f"fold{1 - fold}.ckpt").write_bytes(saved)
+        (ckpts / f"fold{1 - fold}.ckpt").write_bytes(by_fold[1 - fold])
         try:
             rc = cli.main(args)
         except Exception as exc:
