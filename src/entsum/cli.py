@@ -163,9 +163,14 @@ def _load_dataset(args: argparse.Namespace) -> DatasetManifest:
 
 
 def _load_store(args: argparse.Namespace, manifest: DatasetManifest) -> EmbeddingStore:
+    """The vectors of the dataset's words in ``--vectors``: one at least,
+    since a width that no row bears out would size the model."""
     if args.vectors is None:
         raise UsageError("--vectors is required for this command")
-    return load_vec_file(args.vectors, vocab=manifest_vocabulary(manifest))
+    store = load_vec_file(args.vectors, vocab=manifest_vocabulary(manifest))
+    if len(store) == 0:
+        raise DataError(f"{args.vectors}: no vector for any word of the dataset")
+    return store
 
 
 def _load_scorer(path: Path, store: EmbeddingStore, k: int) -> tuple[TripleScorer, dict]:
@@ -187,24 +192,24 @@ def _load_scorer(path: Path, store: EmbeddingStore, k: int) -> tuple[TripleScore
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     manifest = _load_dataset(args)
+    warnings = (coverage_warnings(manifest, _load_store(args, manifest))
+                if args.vectors is not None else [])
     print(
         f"{len(manifest.entities)} entities, {manifest.triple_count} triples, "
         f"{manifest.gold_count} golds"
     )
     print(f"folds: {len(manifest.folds)}")
-    if args.vectors is not None:
-        store = _load_store(args, manifest)
-        for warning in coverage_warnings(manifest, store):
-            print(f"warning: {warning}")
+    for warning in warnings:
+        print(f"warning: {warning}")
     return EXIT_OK
 
 
 def cmd_filter_vectors(args: argparse.Namespace) -> int:
     manifest = _load_dataset(args)
-    vocab = manifest_vocabulary(manifest)
-    store = load_vec_file(args.vectors, vocab=vocab)
+    store = _load_store(args, manifest)
     save_vec_file(store, args.out)
-    print(f"kept {len(store)} of {len(vocab)} vocabulary words -> {args.out}")
+    print(f"kept {len(store)} of {len(manifest_vocabulary(manifest))} vocabulary words "
+          f"-> {args.out}")
     return EXIT_OK
 
 
@@ -217,8 +222,6 @@ def _write_reports(report_dir: Path, dataset: str, k: int, reports) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     manifest = _load_dataset(args)
     store = _load_store(args, manifest)
-    if len(store) == 0:  # a width that no row bears out would size the model
-        raise DataError(f"{args.vectors}: no vector for any word of the dataset")
     model_cfg = ModelConfig(embed_dim=store.dim, seed=args.seed)
     train_cfg = TrainConfig(
         k=args.k,

@@ -22,21 +22,16 @@ from .framing import Framing, read_framed, write_framed
 class EmbeddingStore:
     """Words and their vectors, checked when built, whoever builds them:
     ``words`` distinct, non-empty and lowercase (the loader folds case),
-    ``index`` each word's row of ``matrix``, a read-only float64
-    ``len(words) x dim`` array, ``dim >= 1``, every component finite.  A
-    float64 ``matrix`` is kept and made read-only, another real one is
-    converted and a complex one refused.  A failure is a ``DataError``
-    naming the first bad word."""
+    ``index`` each word's row of ``matrix``, a float64 ``len(words) x dim``
+    array, made read-only, ``dim >= 1``, every component finite.  A matrix of
+    another dtype is refused, not converted.  A failure is a ``DataError``
+    naming the first bad word, or the dtype."""
 
     __slots__ = ("words", "index", "matrix", "dim")
 
     def __init__(self, words, matrix) -> None:
         self.words = words = tuple(words)
-        self.index = index = {}
-        for i, word in enumerate(words):
-            if (type(word) is not str or not word or word.lower() != word
-                    or index.setdefault(word, i) != i):
-                raise DataError(f"words must be distinct, non-empty lowercase strings: {word!r}")
+        self.index = _word_index(words)
         self.matrix = _store_matrix(words, matrix)
         self.dim = self.matrix.shape[1]
 
@@ -44,8 +39,19 @@ class EmbeddingStore:
         return len(self.words)
 
 
+def _word_index(words: tuple) -> dict:
+    """Each of ``words`` and its position, refusing the first word that is
+    no distinct, non-empty lowercase string."""
+    index = {}
+    for i, word in enumerate(words):
+        if (type(word) is not str or not word or word.lower() != word
+                or index.setdefault(word, i) != i):
+            raise DataError(f"words must be distinct, non-empty lowercase strings: {word!r}")
+    return index
+
+
 def _store_matrix(words: tuple, matrix) -> np.ndarray:
-    """``matrix`` checked and made the read-only float64 matrix of ``words``."""
+    """``matrix`` checked as the float64 matrix of ``words`` and made read-only."""
     def refuse(i: int, problem: str) -> DataError:
         named = f"vector of {words[i]!r} (row {i})" if i < len(words) else f"vector row {i}"
         return DataError(f"{named}: {problem}")
@@ -58,15 +64,8 @@ def _store_matrix(words: tuple, matrix) -> np.ndarray:
     if rows != len(words) or dim < 1:
         raise refuse(0 if dim < 1 else min(rows, len(words)),
                      f"{rows} vectors of dim {dim} for {len(words)} words")
-    if m.dtype.kind == "c":
-        raise refuse(0, "complex vector component")
-    if m.dtype != np.float64:  # converted a row at a time, to name the first that does not
-        m, given = np.empty((rows, dim)), m
-        for i, row in enumerate(given):
-            try:
-                m[i] = row
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise refuse(i, f"component not convertible to float64 ({exc})") from None
+    if m.dtype != np.float64:
+        raise DataError(f"vector components of dtype {str(m.dtype)!r}, not float64")
     m.flags.writeable = False
     finite = np.isfinite(m).all(axis=1)
     if not finite.all():
@@ -169,9 +168,10 @@ VECTOR_STORE = Framing(marker="entsum-vectors", version=1, name="vector store",
                        kind="vector store", unit="vector component", sized_by="header")
 
 
-def _read_store(path: Path, data: bytes, vocab: set[str] | None) -> EmbeddingStore:
+def _read_store(path: Path, data: bytes, vocab: set[str]) -> EmbeddingStore:
     """Store ``path``, whose content is ``data``, as one matrix of the rows
-    ``vocab`` keeps: a view of ``data`` when it keeps them all."""
+    ``vocab`` keeps: a view of ``data`` when it keeps them all.  Every word
+    of the file is checked, also those ``vocab`` drops."""
     def parse(doc: dict) -> tuple[tuple[int, list[str]], int]:
         words, dim = doc.get("words"), doc.get("dim")
         if type(words) is not list:
@@ -181,20 +181,23 @@ def _read_store(path: Path, data: bytes, vocab: set[str] | None) -> EmbeddingSto
         return (dim, words), len(words) * dim
 
     (dim, words), values = read_framed(path, data, VECTOR_STORE, parse)
+    matrix = values.reshape(len(words), dim).astype(np.float64, copy=False)
+    # a word that is no string is never kept, so the check below names it
+    kept = [i for i, word in enumerate(words) if type(word) is str and word in vocab]
     try:
-        store = EmbeddingStore(words, values.reshape(len(words), dim))
+        if len(kept) < len(words):
+            _word_index(words)
+            words, matrix = [words[i] for i in kept], matrix[kept]
+        return EmbeddingStore(words, matrix)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    kept = [i for i, word in enumerate(words) if vocab is None or word in vocab]
-    if len(kept) < len(words):
-        store = EmbeddingStore([words[i] for i in kept], store.matrix[kept])
-    return store
 
 
-def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingStore:
-    """Read a vector store that ``save_vec_file`` wrote, or a text file: an
-    optional ``count dim`` header, then ``word v1 ... v_dim`` per line.  A
-    loaded vector must be finite; ``vocab`` restricts loading to its words.
+def load_vec_file(path: str | Path, vocab: set[str]) -> EmbeddingStore:
+    """The vectors of the words of ``vocab`` in a vector store that
+    ``save_vec_file`` wrote, or in a text file: an optional ``count dim``
+    header, then ``word v1 ... v_dim`` per line.  A loaded vector must be
+    finite.
 
     The file opens as ``dataset.open_input`` opens any input.  One whose
     first byte is ``{`` is a store, read by ``framing.read_framed`` from one
@@ -224,7 +227,7 @@ def load_vec_file(path: str | Path, vocab: set[str] | None = None) -> EmbeddingS
             raise
 
 
-def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
+def _read_text(fh, vocab: set[str]) -> EmbeddingStore:
     """The store of the text vector file open as ``fh``.
 
     Text is scanned as bytes, in blocks of whole lines from ``_line_blocks``.
@@ -234,30 +237,26 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
     a row is collapsed first.  Splitting on bytes is exact: ``\\n`` and
     spaces never occur inside a multi-byte UTF-8 sequence, and decoding with
     ``errors="replace"`` never folds an ASCII byte into a replacement
-    character.  Given ``vocab``, once the width is known, a block's lines of
-    that width with no two spaces in a row and an ASCII word are settled
-    from their bytes, since ``bytes.lower`` folds ASCII as ``str.lower``
-    does: kept if the lowercased word is in ``vocab``, dropped otherwise.
+    character.  Once the width is known, a block's lines of that width with
+    no two spaces in a row and an ASCII word are settled from their bytes,
+    since ``bytes.lower`` folds ASCII as ``str.lower`` does: kept if the
+    lowercased word is in ``vocab``, dropped otherwise.
     Kept lines are parsed in blocks of ``PARSE_BLOCK`` by numpy's text
     reader (``_parse_block``); every value is the one ``float`` gives, and
     ``1_0``, which only ``float`` reads, still loads as 10.0.
     """
-    kept: list[str] = []  # words queued or parsed, in file order
-    seen: set[str] = set()
+    kept: dict[str, None] = {}  # words queued or parsed, in file order
     pending: list[tuple[int, str, str]] = []
-    matrix = None  # row i holds the vector of kept[i] once it is parsed
+    matrix = None  # row i holds the vector of the i-th word kept once it is parsed
     dim: int | None = None
 
     def put(rows: np.ndarray) -> None:  # the rows of the last words queued
         nonlocal matrix
-        if matrix is None:
-            matrix = np.empty((len(vocab) if vocab is not None else 0, dim))
-        end = len(kept)
-        if end > len(matrix):  # only without a vocabulary, which bounds the kept words
-            matrix = np.concatenate((matrix, np.empty((end + len(matrix), dim))))
-        matrix[end - len(rows):end] = rows
+        if matrix is None:  # the vocabulary bounds the kept words
+            matrix = np.empty((len(vocab), dim))
+        matrix[len(kept) - len(rows):len(kept)] = rows
 
-    words = None if vocab is None else {w.encode(): w for w in vocab if w.isascii()}
+    words = {w.encode(): w for w in vocab if w.isascii()}
     line_no = 0
     for buf, size in _line_blocks(fh):
         a = np.frombuffer(buf, dtype=np.uint8, count=size)
@@ -273,9 +272,7 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
         counts = np.add.reduceat(sp.view(np.uint8), starts,
                                  dtype=np.uint32 if size < 2**32 else np.intp)
         n_spaces = counts.astype(np.intp) - lead - trail
-        settle = np.zeros_like(doubled)
-        if words is not None and dim:
-            settle = ~doubled & (n_spaces == dim)
+        settle = ~doubled & (n_spaces == dim) if dim else np.zeros_like(doubled)
         for s, e, n, odd, settled in zip((starts + lead).tolist(), (ends - trail).tolist(),
                                          n_spaces.tolist(), doubled.tolist(), settle.tolist()):
             line_no += 1
@@ -313,12 +310,11 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
                         raise ParseError(line_no, "no vector components")
                     raise ParseError(line_no, f"expected {dim} vector components, got {n}")
                 word = word.lower()
-                if vocab is not None and word not in vocab:
+                if word not in vocab:
                     continue
-            if word in seen:  # a later casing of a word already kept
+            if word in kept:  # a later casing of a word already kept
                 continue
-            seen.add(word)
-            kept.append(word)
+            kept[word] = None
             pending.append((line_no, word, line[i + 1:e].decode("utf-8", "replace")))
             if len(pending) >= PARSE_BLOCK:
                 put(_parse_block(pending, dim))
@@ -333,7 +329,7 @@ def _read_text(fh, vocab: set[str] | None) -> EmbeddingStore:
 def save_vec_file(store: EmbeddingStore, path: str | Path) -> None:
     """Write a vector store: a header of ``dim`` and the sorted words, then
     their rows in that order, which ``load_vec_file`` reads back to the same
-    bits."""
+    bits under a vocabulary of those words."""
     words = sorted(store.words)
     write_framed(path, VECTOR_STORE, {"dim": store.dim, "words": words},
                  map(store.matrix.__getitem__, map(store.index.__getitem__, words)))

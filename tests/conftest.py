@@ -18,7 +18,7 @@ from entsum.dataset import (
     Triple,
     load_manifest,
 )
-from entsum.embeddings import EmbeddingStore, load_vec_file
+from entsum.embeddings import EmbeddingStore, load_vec_file, manifest_vocabulary
 from entsum.model import ModelConfig
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -47,8 +47,8 @@ def toy_manifest() -> DatasetManifest:
 
 
 @pytest.fixture(scope="session")
-def toy_store() -> EmbeddingStore:
-    return load_vec_file(TOYMUSIC / "toy.vec")
+def toy_store(toy_manifest) -> EmbeddingStore:
+    return load_vec_file(TOYMUSIC / "toy.vec", manifest_vocabulary(toy_manifest))
 
 
 def store_of(mapping: dict, dim: int) -> EmbeddingStore:

@@ -19,7 +19,7 @@ from entsum.evaluation import (
     paired_ttest,
     read_per_entity_tsv,
 )
-from entsum.embeddings import load_vec_file
+from entsum.embeddings import load_vec_file, manifest_vocabulary
 from entsum.framing import write_framed
 from entsum.model import (
     CHECKPOINT,
@@ -379,10 +379,6 @@ def test_bad_numeric_argument_is_a_usage_error(capsys, tmp_path, command, flag, 
 # filter-vectors
 # --------------------------------------------------------------------------
 
-# a 4-dimensional store without words: the header line and nothing after it
-EMPTY_STORE = b'{"dim":4,"format":"entsum-vectors","version":1,"words":[]}\n'
-
-
 def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     out = tmp_path / "filtered.vec"
     rc, stdout, _ = invoke(
@@ -391,16 +387,16 @@ def test_filter_vectors_restricts_to_vocabulary(capsys, tmp_path):
     )
     assert rc == 0
     assert stdout == f"kept 40 of 42 vocabulary words -> {out}\n"
-    store = load_vec_file(out)
+    header, payload = out.read_bytes().split(b"\n", 1)
+    store = load_vec_file(out, {*json.loads(header)["words"], "unused"})
     assert len(store) == 40
     assert store.dim == 4
     assert "unused" not in store.index
-    header, payload = out.read_bytes().split(b"\n", 1)
     assert json.loads(header)["words"] == sorted(store.words)
     assert len(payload) == 40 * 4 * 8
 
 
-def test_filter_vectors_no_overlap_writes_header_only(capsys, tmp_path):
+def test_filter_vectors_no_overlap_exits_2(capsys, tmp_path):
     root = tmp_path / "data"
     root.mkdir()
     (root / "e1.nt").write_text(
@@ -421,14 +417,13 @@ def test_filter_vectors_no_overlap_writes_header_only(capsys, tmp_path):
         ],
     }), encoding="utf-8")
     out = tmp_path / "filtered.vec"
-    rc, stdout, _ = invoke(
+    rc, stdout, err = invoke(
         capsys, "filter-vectors", "--manifest", str(root / "m.json"),
         "--vectors", VEC, "--out", str(out),
     )
-    assert rc == 0
-    assert stdout.startswith("kept 0 of 2 ")
-    assert out.read_bytes() == EMPTY_STORE
-    assert len(load_vec_file(out)) == 0
+    # it printed "kept 0 of 2" and wrote a store of no words
+    assert (rc, stdout, err) == (2, "", f"error: {VEC}: no vector for any word of the dataset\n")
+    assert not out.exists()
 
 
 def test_filter_vectors_empty_vocabulary(capsys, tmp_path):
@@ -451,13 +446,13 @@ def test_filter_vectors_empty_vocabulary(capsys, tmp_path):
         ],
     }), encoding="utf-8")
     out = tmp_path / "filtered.vec"
-    rc, stdout, _ = invoke(
+    rc, stdout, err = invoke(
         capsys, "filter-vectors", "--manifest", str(root / "m.json"),
         "--vectors", VEC, "--out", str(out),
     )
-    assert rc == 0
-    assert stdout.startswith("kept 0 of 0 ")
-    assert out.read_bytes() == EMPTY_STORE
+    # it printed "kept 0 of 0" and wrote a store of no words
+    assert (rc, stdout, err) == (2, "", f"error: {VEC}: no vector for any word of the dataset\n")
+    assert not out.exists()
 
 
 # files whose first byte is "{" but that are no vector store, each made
@@ -521,7 +516,7 @@ def test_filtered_store_scores_identically(capsys, tmp_path, toy_manifest, toy_s
         "--vectors", VEC, "--out", str(out),
     )
     assert rc == 0
-    filtered = load_vec_file(out)
+    filtered = load_vec_file(out, manifest_vocabulary(toy_manifest))
     model = TripleScorer.create(ModelConfig(
         embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8),
         scoring_hidden=(8, 8), seed=0,
@@ -900,6 +895,7 @@ NO_WORD_VECTORS = {
     "store-dim-10^12": b'{"dim":1000000000000,"format":"entsum-vectors","version":1,"words":[]}\n',
     "text-header-0-10^12": b"0 1000000000000\n",
     "text-other-word": b"1 4\nelsewhere 0.1 0.2 0.3 0.4\n",
+    "text-headerless-zzqx": b"zzqx 0.1 0.2 0.3 0.4\n",
 }
 
 
@@ -913,6 +909,28 @@ def test_train_refuses_vectors_for_no_word_of_the_dataset(capsys, tmp_path, case
                              "--k", "2", "--max-epochs", "1", "--out", str(out))
     assert (rc, stdout) == (2, "")
     assert err == f"error: {path}: no vector for any word of the dataset\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(NO_WORD_VECTORS))
+@pytest.mark.parametrize("command", ["ingest", "filter-vectors", "evaluate", "summarize"])
+def test_every_command_refuses_vectors_for_no_word_of_the_dataset(capsys, train_dir, tmp_path,
+                                                                  command, case):
+    # train's refusal, made where every command loads its vectors: ingest
+    # exited 0 with one warning per form, filter-vectors wrote a store of no
+    # words, and evaluate scored all-zero encodings for a 4-wide file
+    path, out = tmp_path / "none.vec", tmp_path / "out"
+    path.write_bytes(NO_WORD_VECTORS[case])
+    args = {
+        "ingest": [],
+        "filter-vectors": ["--out", str(out)],
+        "evaluate": ["--k", "2", "--checkpoints", str(train_dir), "--out", str(out)],
+        "summarize": ["--k", "2", "--checkpoint", str(train_dir / "fold0.ckpt"),
+                      "--entity", ARIA],
+    }[command]
+    rc, stdout, err = invoke(capsys, command, "--manifest", MANIFEST, "--vectors", str(path),
+                             *args)
+    assert (rc, stdout, err) == (2, "", f"error: {path}: no vector for any word of the dataset\n")
     assert not out.exists()
 
 

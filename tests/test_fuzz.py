@@ -37,10 +37,11 @@ checkpoint or report.
 
 Each constructor case takes that store's words and matrix and uppercases,
 empties or repeats a word, makes the matrix complex, object, float32 or
-integer, gives it a wrong shape, or puts NaN or an infinity in it.  Every
-mutant must either raise a ``DataError`` from ``EmbeddingStore`` or build a
-store that ``save_vec_file`` and ``load_vec_file`` give back word for word
-and bit for bit.
+integer, gives it a wrong shape, puts NaN or an infinity in it, or keeps it
+float64 in another memory layout.  Every mutant must either raise a
+``DataError`` from ``EmbeddingStore`` or build a store that
+``save_vec_file`` and ``load_vec_file`` give back word for word and bit for
+bit; a matrix of another dtype never builds.
 
 Each train case mutates one file of a copy of the toy corpus as a tree
 case does, or, every other case, its vector file as a vector case does; a
@@ -348,7 +349,7 @@ def test_filter_vectors_on_mutated_vector_files_exits_cleanly(toy_manifest, tmp_
         if rc == 0:
             assert err == "", (case, kind, err)
             assert [p.name for p in out_dir.iterdir()] == ["filtered.vec"], (case, kind)
-            want, got = load_vec_file(path, vocab), load_vec_file(out)
+            want, got = load_vec_file(path, vocab), load_vec_file(out, vocab)
             assert got.dim == want.dim, (case, kind)
             assert {w: v.tobytes() for w, v in vectors_of(got).items()} == \
                 {w: v.tobytes() for w, v in vectors_of(want).items()}, (case, kind)
@@ -411,12 +412,14 @@ def store(toy_manifest, tmp_path_factory) -> bytes:
 
 
 def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path):
+    # under the manifest's vocabulary, which keeps every word of the intact
+    # store, and under half of it
     path = tmp_path / "store.vec"
     vocab = manifest_vocabulary(toy_manifest)
     outcomes = set()
     for case, (kind, data) in enumerate(store_mutants(store)):
         path.write_bytes(data)
-        for words in (None, vocab):
+        for words in (vocab, set(sorted(vocab)[::2])):
             try:
                 loaded = load_vec_file(path, words)
             except DataError:
@@ -427,8 +430,7 @@ def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path)
             assert kind != BAD_WORD, case
             header = json.loads(data[:data.index(b"\n")])
             assert type(loaded.dim) is int and loaded.dim == header["dim"], (case, kind)
-            assert list(loaded.words) == [w for w in header["words"]
-                                          if words is None or w in words], (case, kind)
+            assert list(loaded.words) == [w for w in header["words"] if w in words], (case, kind)
             matrix = loaded.matrix
             assert matrix.dtype == np.float64 and matrix.shape == (len(loaded), loaded.dim), \
                 (case, kind)
@@ -440,7 +442,7 @@ def test_mutated_stores_load_or_raise_data_errors(store, toy_manifest, tmp_path)
 
 CTOR_CASES = 300
 CTOR_KINDS = ("uppercase-word", "empty-word", "duplicate-word", "complex", "object", "float32",
-              "int", "wrong-shape", "nan", "inf")
+              "int", "wrong-shape", "nan", "inf", "strided")
 # object components: numbers and a numeric string convert, the rest do not
 OBJECT_VALUES = [1, 2.5, "2.5", True, None, "x", 10 ** 400, 1j, [1.0]]
 
@@ -467,6 +469,9 @@ def constructor_mutant(words: tuple, matrix: np.ndarray, case: int):
         matrix = matrix.astype(np.float32)
     elif kind == "int":
         matrix = np.round(matrix * 100).astype(rng.choice([np.int8, np.int64, np.uint16]))
+    elif kind == "strided":  # float64 still, in another memory layout
+        matrix = rng.choice([np.asfortranarray(matrix), matrix[:, ::-1], matrix[::-2]])
+        words = words[::2] if len(matrix) < len(words) else words
     elif kind == "wrong-shape":
         matrix = rng.choice([matrix[:-1], np.vstack([matrix, matrix[:1]]), matrix[:, :0],
                              matrix[..., None], matrix.ravel(), [*matrix[:-1], matrix[-1, :-1]]])
@@ -476,11 +481,11 @@ def constructor_mutant(words: tuple, matrix: np.ndarray, case: int):
     return kind, words, matrix
 
 
-def test_store_constructor_mutants_refuse_or_round_trip(store, tmp_path):
+def test_store_constructor_mutants_refuse_or_round_trip(store, toy_manifest, tmp_path):
     # a mutant that builds saves and loads back to the same words and bits
     path = tmp_path / "store.vec"
     path.write_bytes(store)
-    base = load_vec_file(path)
+    base = load_vec_file(path, manifest_vocabulary(toy_manifest))
     outcomes = set()
     for case in range(CTOR_CASES):
         kind, words, matrix = constructor_mutant(base.words, base.matrix, case)
@@ -493,7 +498,7 @@ def test_store_constructor_mutants_refuse_or_round_trip(store, tmp_path):
             pytest.fail(f"case {case} ({kind}): {type(exc).__name__}: {exc}")
         assert built.matrix.dtype == np.float64 and not built.matrix.flags.writeable, case
         save_vec_file(built, path)
-        back = load_vec_file(path)
+        back = load_vec_file(path, set(built.words))
         assert back.dim == built.dim and back.words == tuple(sorted(built.words)), (case, kind)
         assert back.matrix.tobytes() == \
             built.matrix[[built.index[w] for w in back.words]].tobytes(), (case, kind)
@@ -501,9 +506,10 @@ def test_store_constructor_mutants_refuse_or_round_trip(store, tmp_path):
     assert {kind for kind, _ in outcomes} == set(CTOR_KINDS)
     refused = {kind for kind, outcome in outcomes if outcome == "refused"}
     built = {kind for kind, outcome in outcomes if outcome == "built"}
-    assert refused >= {"uppercase-word", "empty-word", "duplicate-word", "complex", "object",
-                       "wrong-shape", "nan", "inf"}
-    assert built >= {"object", "float32", "int"} and not built & {"empty-word", "complex", "inf"}
+    # a matrix of another dtype is refused whatever its values
+    assert refused == set(CTOR_KINDS) - {"strided"}
+    assert "strided" in built and not built & {"empty-word", "complex", "object", "float32",
+                                               "int", "wrong-shape", "nan", "inf"}
 
 
 REPORTS = ("aggregate.json", "per_entity.tsv")
