@@ -250,6 +250,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # the oracle reads no model, so a model's file beside it is a mistake
+    # that would otherwise pass unread
+    for flag, value in (("--checkpoints", args.checkpoints), ("--vectors", args.vectors)):
+        if args.oracle and value is not None:
+            raise UsageError(f"evaluate --oracle reads no {flag}")
     manifest = _load_dataset(args)
     if args.oracle:
         reports = oracle_reports(manifest, args.k)

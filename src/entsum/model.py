@@ -246,6 +246,11 @@ class TripleScorer:
         # the encoders end in ReLU, the scoring head in one linear unit
         self.scoring_mlp.layers[-1].activation = Activation.LINEAR
 
+    def __reduce__(self):
+        # pickled as its config and ``flat``, so that the unpickled layers
+        # are views of the unpickled ``flat`` again, not copies of their own
+        return type(self), (self.config, self.flat)
+
     @classmethod
     def create(cls, config: ModelConfig) -> "TripleScorer":
         """Seeded initialization: every weight matrix, in ``parameters()``

@@ -11,6 +11,9 @@ reproduces results bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
@@ -238,6 +241,85 @@ TrainFn = Callable[
 ]
 
 
+def _cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order; none where the
+    platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return sorted(getaffinity(0)) if getaffinity else []
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one thread, counting the threads of native
+    libraries such as a BLAS pool; False where ``/proc`` does not list them."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+# one fold's trained model and its test report
+FoldOutcome = tuple[TrainResult, EvalReport]
+
+
+def _work(run: Callable[[int], FoldOutcome], positions: range, cpu: int,
+          read_fd: int, write_fd: int):
+    """A worker's whole life: pinned to ``cpu``, it runs the folds at
+    ``positions`` up to its first failure, pickles ``{position: outcome}``
+    into ``write_fd`` and leaves through ``os._exit``, so it never returns
+    into its parent's stack.  It exits 0 only once the pickle is written."""
+    status = 1
+    try:
+        os.close(read_fd)
+        os.sched_setaffinity(0, {cpu})
+        outcomes = {}
+        for i in positions:
+            try:
+                outcomes[i] = run(i)
+            except Exception:  # the parent runs this fold again and raises its error
+                break
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """A forked process that trains some folds (see ``_work``)."""
+
+    def __init__(self, run: Callable[[int], FoldOutcome], positions: range, cpu: int):
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            _work(run, positions, cpu, read_fd, write_fd)
+        # closed before the next fork, so that only this worker holds the
+        # write end and its exit ends the pipe
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def collect(self) -> dict[int, FoldOutcome]:
+        """Wait for the worker and return the outcomes it finished; none
+        unless it exited 0."""
+        data = self.pipe.read()
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return pickle.loads(data) if status == 0 else {}
+
+    def stop(self) -> None:
+        """Kill and reap the worker, unless ``collect`` has reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def cross_validate(
     manifest: DatasetManifest,
     model_cfg: ModelConfig,
@@ -245,23 +327,77 @@ def cross_validate(
     store: EmbeddingStore,
     train_fn: TrainFn = train_fold,
 ) -> CrossValReport:
-    """Train one model per fold, in fold order, and evaluate it on that
-    fold's test set.  Each entity is encoded once and shared by all folds."""
+    """Train one model per fold and evaluate it on that fold's test set.
+    Each entity is encoded once and shared by all folds.
+
+    The folds are dealt round-robin to this process and one forked worker
+    per further CPU of ``_cpus()``, up to one process per fold, each pinned
+    to its own CPU while they train: on two CPUs this process trains folds
+    0, 2 and 4 and the worker 1 and 3.  ``train_fn`` and ``evaluate_fold``
+    run in whichever process trains the fold, and a worker sends its
+    outcomes back pickled.
+
+    No worker is forked while this process runs another thread: forking a
+    threaded process is unsafe, and a BLAS pool restarted after the fork
+    shares its process's pinned CPU (on two CPUs a cv-esbm run took 6.8 s
+    so, against 0.33 s in one process).
+
+    Outputs do not depend on the worker count: the folds are walked in
+    order at the end, and a fold without an outcome (its worker failed or
+    stopped at an earlier failure) runs again here, so the first failing
+    fold raises its own error, as in one process.
+    """
     encoded = encode_entities(
         manifest, (iri for f in manifest.folds for iri in (*f.train, *f.valid, *f.test)), store
     )
-    reports, results = [], []
-    for fold in manifest.folds:
-        # the manifest loader guarantees this; re-check before evaluating
+    folds = manifest.folds
+    for fold in folds:
+        # the manifest loader guarantees this; re-check before training
         leaked = set(fold.test) & set(fold.train)
         if leaked:
             raise AssertionError(f"fold {fold.index} trains on test entity {leaked}")
+
+    def run(i: int) -> FoldOutcome:
+        fold = folds[i]
         result = train_fn(manifest, fold, model_cfg, train_cfg, store, encoded)
-        results.append(result)
-        reports.append(evaluate_fold(
+        return result, evaluate_fold(
             result.model, manifest, fold, train_cfg.k, store, result.chosen_epoch, encoded
-        ))
-    return CrossValReport(reports, results)
+        )
+
+    cpus = _cpus() if _single_threaded() else []
+    lanes = max(1, min(len(cpus), len(folds)))
+    outcomes: dict[int, FoldOutcome] = {}
+    failed: tuple[int, Exception] | None = None  # the first of this process's folds to fail
+    workers: list[_Worker] = []
+    mask = os.sched_getaffinity(0) if lanes > 1 else None
+    try:
+        for lane in range(1, lanes):
+            try:
+                workers.append(_Worker(run, range(lane, len(folds), lanes), cpus[lane]))
+            except OSError:  # a worker that cannot be forked leaves its folds to the walk
+                break
+        if workers:
+            os.sched_setaffinity(0, {cpus[0]})
+        for i in range(0, len(folds), lanes):
+            try:
+                outcomes[i] = run(i)
+            except Exception as exc:
+                failed = i, exc
+                break
+        for worker in workers:
+            outcomes.update(worker.collect())
+    finally:
+        for worker in workers:
+            worker.stop()
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+    for i in range(len(folds)):
+        if i not in outcomes:
+            if failed is not None and failed[0] == i:
+                raise failed[1]
+            outcomes[i] = run(i)
+    return CrossValReport([outcomes[i][1] for i in range(len(folds))],
+                          [outcomes[i][0] for i in range(len(folds))])
 
 
 def oracle_reports(manifest: DatasetManifest, k: int) -> list[EvalReport]:

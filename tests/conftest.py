@@ -3,7 +3,14 @@ and builders for randomized descriptions."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads, as the benchmark does: a BLAS
+# pool is a second thread, and cross_validate forks no fold worker from a
+# threaded process, so the worker tests would run every fold in process
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from entsum.dataset import (
     load_manifest,
 )
 from entsum.embeddings import EmbeddingStore, load_vec_file, manifest_vocabulary
+from entsum import training
 from entsum.model import ModelConfig
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -49,6 +57,30 @@ def toy_manifest() -> DatasetManifest:
 @pytest.fixture(scope="session")
 def toy_store(toy_manifest) -> EmbeddingStore:
     return load_vec_file(TOYMUSIC / "toy.vec", manifest_vocabulary(toy_manifest))
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make ``cross_validate`` see ``count`` CPUs: the first ``count`` of this
+    process's mask, repeated on a host with fewer, so that every process
+    can be pinned to its CPU."""
+    cpus = (sorted(os.sched_getaffinity(0)) * count)[:count]
+    monkeypatch.setattr(training, "_cpus", lambda: cpus)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the processes ``os.fork`` starts from now on, as the
+    parent sees them."""
+    forked: list[int] = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
 
 
 def store_of(mapping: dict, dim: int) -> EmbeddingStore:

@@ -29,7 +29,7 @@ from entsum.model import (
     save_checkpoint,
 )
 
-from conftest import ARIA, BLUE, BRACE_TEXTS, TOYMUSIC, build_esbm_tree
+from conftest import ARIA, BLUE, BRACE_TEXTS, TOYMUSIC, build_esbm_tree, count_forks, use_cpus
 
 MANIFEST = str(TOYMUSIC / "manifest.json")
 VEC = str(TOYMUSIC / "toy.vec")
@@ -590,6 +590,23 @@ def test_train_reruns_are_byte_identical(train_dir, capsys, tmp_path):
         assert (again / name).read_bytes() == (train_dir / name).read_bytes()
 
 
+def test_train_outputs_do_not_depend_on_the_cpu_count(capsys, tmp_path, monkeypatch):
+    forked = count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        rc, stdout, err = invoke(
+            capsys, "train", "--manifest", MANIFEST, "--vectors", VEC,
+            "--k", "2", "--seed", "0", "--max-epochs", "3", "--out", str(out),
+        )
+        assert rc == 0, err
+        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert len(forked) == 1  # the two-CPU run trained fold 1 in a worker
+    assert sorted(runs[0][1]) == ["aggregate.json", "fold0.ckpt", "fold1.ckpt", "per_entity.tsv"]
+    assert runs[0] == runs[1]
+
+
 def test_train_seed_changes_checkpoints(train_dir, capsys, tmp_path):
     other = tmp_path / "other"
     rc, _, _ = invoke(
@@ -699,6 +716,25 @@ def test_evaluate_needs_checkpoints_or_oracle(capsys):
     rc, _, err = invoke(capsys, "evaluate", "--manifest", MANIFEST, "--k", "2")
     assert rc == 1
     assert "needs --checkpoints or --oracle" in err
+
+
+@pytest.mark.parametrize("flag, value, out", [
+    ("--vectors", "nonexistent.vec", False),
+    ("--vectors", VEC, True),
+    ("--checkpoints", "nonexistent", True),
+])
+def test_evaluate_oracle_refuses_a_model_file(capsys, tmp_path, monkeypatch, flag, value, out):
+    # the first case is the command as a user would type it in the repository
+    monkeypatch.chdir(TOYMUSIC.parents[2])
+    args = ["evaluate", "--manifest", "tests/data/toymusic/manifest.json", "--k", "2",
+            "--oracle", flag, value]
+    if out:
+        args += ["--out", str(tmp_path / "oracle")]
+    rc, stdout, err = invoke(capsys, *args)
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"usage error: evaluate --oracle reads no {flag}\n"
+    assert not (tmp_path / "oracle").exists()
 
 
 def test_evaluate_compare_runs_significance_test(train_dir, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import base64
 import itertools
 import json
+import pickle
 import random
 import re
 import struct
@@ -211,9 +212,15 @@ def test_parameters_are_views_of_flat(tmp_path):
     model = TripleScorer.create(small_config(seed=1))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+    # a cross-validation worker sends its models back pickled
+    unpickled = pickle.loads(pickle.dumps(model))
+    assert unpickled.config == model.config
+    assert np.array_equal(unpickled.flat, model.flat)
+    assert unpickled.scoring_mlp.layers[-1].activation is Activation.LINEAR
     assert_parameters_are_views_of_flat(model)
     loaded, _ = load_checkpoint(path)
     assert_parameters_are_views_of_flat(loaded)
+    assert_parameters_are_views_of_flat(unpickled)
 
 
 def test_scorer_is_built_around_the_given_vector():

@@ -1,5 +1,9 @@
 """Per-fold training, early stopping, cross-validation, the oracle baseline."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,7 @@ from entsum.training import (
     train_fold,
 )
 
-from conftest import ARIA, BLUE, memorization_corpus
+from conftest import ARIA, BLUE, count_forks, memorization_corpus, use_cpus
 
 TOY_MODEL = ModelConfig(
     embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8),
@@ -252,7 +256,8 @@ def test_constant_scores_select_lowest_ids(toy_manifest, toy_store):
     assert abs(cv.mean_f1 - 5.0 / 12.0) < 1e-12
 
 
-def test_stub_train_fn_sees_each_fold_once(toy_manifest, toy_store):
+def test_stub_train_fn_sees_each_fold_once(toy_manifest, toy_store, monkeypatch):
+    use_cpus(monkeypatch, 1)  # one process, so every call lands in ``calls``
     calls = []
 
     def spy_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded):
@@ -264,6 +269,185 @@ def test_stub_train_fn_sees_each_fold_once(toy_manifest, toy_store):
         train_fn=spy_train_fn,
     )
     assert calls == [0, 1]
+
+
+def pid_logging_train_fn(log):
+    """A constant ``train_fn`` that appends ``<fold> <pid>`` to ``log`` in
+    whichever process trains the fold."""
+
+    def train_fn(manifest, fold, model_cfg, train_cfg, store, encoded):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{fold.index} {os.getpid()}\n")
+        return constant_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded)
+
+    return train_fn
+
+
+def logged_folds(log):
+    """``(fold, pid)`` pairs in the order they were logged."""
+    return [tuple(map(int, line.split())) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def test_stub_train_fn_sees_each_fold_once_across_processes(
+    toy_manifest, toy_store, monkeypatch, tmp_path
+):
+    use_cpus(monkeypatch, 2)
+    log = tmp_path / "folds.log"
+    cv = cross_validate(
+        toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
+        train_fn=pid_logging_train_fn(log),
+    )
+    logged = logged_folds(log)
+    assert sorted(index for index, _ in logged) == [0, 1]
+    # fold 0 here, fold 1 in a worker, and the reports in fold order
+    assert dict(logged)[0] == os.getpid() != dict(logged)[1]
+    assert [r.fold_index for r in cv.reports] == [0, 1]
+
+
+@pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1), (3, 1)])
+def test_one_worker_per_further_cpu_up_to_the_fold_count(
+    toy_manifest, toy_store, monkeypatch, cpus, forks
+):
+    use_cpus(monkeypatch, cpus)
+    forked = count_forks(monkeypatch)
+    cross_validate(toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
+                   train_fn=constant_train_fn)
+    assert len(forked) == forks
+
+
+def test_folds_run_here_while_another_thread_is_alive(
+    toy_manifest, toy_store, monkeypatch, tmp_path
+):
+    use_cpus(monkeypatch, 2)
+    log = tmp_path / "folds.log"
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        cross_validate(toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
+                       train_fn=pid_logging_train_fn(log))
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert logged_folds(log) == [(0, os.getpid()), (1, os.getpid())]
+
+
+def test_a_worker_that_cannot_be_forked_leaves_its_folds_here(
+    toy_manifest, toy_store, monkeypatch, tmp_path
+):
+    use_cpus(monkeypatch, 2)
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    log = tmp_path / "folds.log"
+    cv = cross_validate(toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
+                        train_fn=pid_logging_train_fn(log))
+    assert logged_folds(log) == [(0, os.getpid()), (1, os.getpid())]
+    assert [r.fold_index for r in cv.reports] == [0, 1]
+
+
+def test_the_folds_of_a_worker_that_dies_run_here(toy_manifest, toy_store, monkeypatch, tmp_path):
+    use_cpus(monkeypatch, 2)
+    log = tmp_path / "folds.log"
+    logging_train_fn = pid_logging_train_fn(log)
+    parent = os.getpid()
+
+    def dying_train_fn(*args):
+        if os.getpid() != parent:
+            os._exit(3)  # as a worker killed mid-fold, having sent nothing
+        return logging_train_fn(*args)
+
+    cv = cross_validate(toy_manifest, TOY_MODEL, TrainConfig(k=2, max_epochs=1), toy_store,
+                        train_fn=dying_train_fn)
+    assert logged_folds(log) == [(0, parent), (1, parent)]
+    assert [r.fold_index for r in cv.reports] == [0, 1]
+
+
+def three_fold_manifest(toy_manifest):
+    """The toy corpus with a third fold, so that on two CPUs this process
+    trains folds 0 and 2 and a worker fold 1."""
+    return DatasetManifest(
+        name=toy_manifest.name,
+        entities=toy_manifest.entities,
+        folds=(*toy_manifest.folds, FoldSpec(index=2, train=(ARIA,), valid=(), test=(BLUE,))),
+    )
+
+
+def failing_train_fn(failing):
+    """A constant ``train_fn`` whose folds in ``failing`` raise."""
+
+    def train_fn(manifest, fold, model_cfg, train_cfg, store, encoded):
+        if fold.index in failing:
+            raise NumericError(f"fold {fold.index} diverged")
+        return constant_train_fn(manifest, fold, model_cfg, train_cfg, store, encoded)
+
+    return train_fn
+
+
+def cv_error(monkeypatch, cpus, *args, **kwargs):
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(NumericError) as info:
+        cross_validate(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("failing, expected", [
+    ({1}, "fold 1 diverged"),  # a worker's fold
+    ({2}, "fold 2 diverged"),  # this process's fold after the worker's fold succeeded
+    ({1, 2}, "fold 1 diverged"),  # the earlier fold, a worker's, wins
+    ({0, 1}, "fold 0 diverged"),
+])
+def test_a_failing_fold_raises_as_in_one_process(
+    toy_manifest, toy_store, monkeypatch, failing, expected
+):
+    args = (three_fold_manifest(toy_manifest), TOY_MODEL, TrainConfig(k=2, max_epochs=1),
+            toy_store)
+    kwargs = {"train_fn": failing_train_fn(failing)}
+    assert cv_error(monkeypatch, 1, *args, **kwargs) == expected
+    assert cv_error(monkeypatch, 2, *args, **kwargs) == expected
+
+
+def test_a_diverging_model_raises_as_in_one_process(toy_manifest, toy_store, monkeypatch):
+    args = (toy_manifest, TOY_MODEL, TrainConfig(k=2, lr=1e200, max_epochs=5), toy_store)
+    one = cv_error(monkeypatch, 1, *args)
+    assert one.startswith("fold 0, epoch ")
+    assert cv_error(monkeypatch, 2, *args) == one
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_cross_validate(toy_manifest, toy_store, monkeypatch):
+    mask = os.sched_getaffinity(0)
+    use_cpus(monkeypatch, 2)
+    cfg = TrainConfig(k=2, max_epochs=1)
+    cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store, train_fn=constant_train_fn)
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == mask
+    with pytest.raises(NumericError):
+        cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store, train_fn=failing_train_fn({1}))
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == mask
+
+    # an interrupt here kills the worker, which would otherwise sleep on
+    parent = os.getpid()
+
+    def interrupted_train_fn(manifest, fold, *rest):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store, train_fn=interrupted_train_fn)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == mask
 
 
 @pytest.mark.parametrize("metric", list(EarlyStopMetric))
