@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from entsum import dataset
 from entsum.dataset import (
     _BNODE_RE,
     _IRI_RE,
@@ -607,6 +608,68 @@ def test_gold_matching_matches_reference_on_fixed_files(gold, error, message):
     want = outcome(reference_match_gold, first_id, gold, E, "g.nt")
     assert want[:2] == (error, message)
     assert outcome(_match_gold_statements, parse_description(text, E), gold, E, "g.nt") == want
+
+
+def counting_parser(monkeypatch):
+    """Route ``dataset.parse_statements`` through a wrapper; the returned
+    list gets the number of statements of each call."""
+    calls = []
+    parse = dataset.parse_statements
+
+    def counted(lines):
+        statements = parse(lines)
+        calls.append(len(statements))
+        return statements
+
+    monkeypatch.setattr(dataset, "parse_statements", counted)
+    return calls
+
+
+QUICK_DESC = [f'<{E}> <http://ex.org/p> "x" .', f'<{OTHER}> <http://ex.org/p> "y" .',
+              f"<{E}> <http://ex.org/q> <{OTHER}> ."]
+
+
+# ``parses``: the parses of gold lines that returned statements.  A line
+# that repeats a description line is never parsed again, and a malformed
+# line raises out of its parse
+@pytest.mark.parametrize("gold, want, parses", [
+    # every line a description line: one lookup each
+    ([QUICK_DESC[2], QUICK_DESC[0]], frozenset({0, 1}), 0),
+    ([QUICK_DESC[2], QUICK_DESC[2]], frozenset({1}), 0),
+    # a description line that does not mention the entity, between two that do
+    (QUICK_DESC, (DataError, f"g.nt: statement on line 2 does not occur in the "
+                             f"description of <{E}>", None), 0),
+    # blank and comment lines skip
+    (["", QUICK_DESC[0], "# note", QUICK_DESC[2], "  "], frozenset({0, 1}), 1),
+    # spaced unlike its description line, matched by its terms
+    ([f'\t<{E}>  <http://ex.org/p>\t"x" . '], frozenset({0}), 1),
+    # the malformed line after an unmatched one is reported first
+    ([QUICK_DESC[1], "<broken"], (MalformedLine, "malformed statement on line 2: bad IRI "
+                                                 "at column 1", 2), 0),
+], ids=["verbatim", "duplicate", "not-mentioning", "blank-and-comment", "respaced",
+        "malformed-after-unmatched"])
+def test_gold_quick_path_agrees_with_the_full_parse(monkeypatch, gold, want, parses):
+    text = "\n".join(gold)
+    parsed = parse_description("\n".join(QUICK_DESC), E)
+    _, first_id = reference_parse_description("\n".join(QUICK_DESC), E)
+    assert outcome(reference_match_gold, first_id, text, E, "g.nt") == want
+    calls = counting_parser(monkeypatch)
+    assert outcome(_match_gold_statements, parsed, text, E, "g.nt") == want
+    assert len(calls) == parses
+
+
+def test_loading_a_tree_parses_each_description_statement_once(monkeypatch, tmp_path):
+    # the benchmark's dataset.statements count wraps parse_statements the
+    # same way: one call per description, none for a verbatim gold file
+    build_esbm_tree(tmp_path)
+    descriptions = sorted(tmp_path.glob("*/*/*_desc.nt"))
+    statement_lines = [line for path in descriptions
+                       for line in path.read_text(encoding="utf-8").splitlines()
+                       if line.strip() and not line.lstrip().startswith("#")]
+    calls = counting_parser(monkeypatch)
+    manifest = load_esbm(tmp_path)
+    assert len(calls) == len(descriptions) == len(manifest.entities) == 10
+    assert sum(calls) == len(statement_lines) == 40
 
 
 # --------------------------------------------------------------------------

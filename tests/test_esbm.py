@@ -214,3 +214,23 @@ def test_a_gold_file_whose_k_is_not_spelled_as_a_gold_key_is_a_data_error(tmp_pa
     assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {copy}: gold size {k!r} is not a positive "
                                        "integer of at most 18 ASCII digits without a leading zero\n")
+
+
+@pytest.mark.parametrize("case", ["description-directory", "gold-directory", "empty-description"])
+def test_an_input_file_that_does_not_read_is_a_data_error(tmp_path, capsys, case):
+    # a directory opens as a file descriptor and fails only on its first
+    # read; an empty description reads but mentions no entity
+    build_esbm_tree(tmp_path)
+    entity_dir = tmp_path / "dbpedia" / "1"
+    if case == "empty-description":
+        path = entity_dir / "1_desc.nt"
+        path.write_bytes(b"")
+        message = f"{path}: no statement mentions <http://ex.org/dbpedia/e1>"
+    else:
+        name = "1_desc.nt" if case == "description-directory" else "1_gold_top5_0.nt"
+        path = entity_dir / name
+        path.unlink()
+        path.mkdir()
+        message = f"{path}: cannot read (Is a directory)"
+    assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
