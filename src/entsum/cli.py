@@ -41,7 +41,6 @@ from .model import (
 )
 from .training import (
     CrossValReport,
-    EarlyStopMetric,
     TrainConfig,
     cross_validate,
     evaluate_fold,
@@ -129,7 +128,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--max-epochs", type=_at_least(1), default=50)
     p.add_argument("--lr", type=_learning_rate, default=0.01)
-    p.add_argument("--early-stop", choices=["f1", "loss"], default="f1")
 
     p = sub.add_parser("evaluate", help="re-evaluate saved checkpoints or the oracle baseline")
     _add_manifest_args(p)
@@ -223,13 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = _load_dataset(args)
     store = _load_store(args, manifest)
     model_cfg = ModelConfig(embed_dim=store.dim, seed=args.seed)
-    train_cfg = TrainConfig(
-        k=args.k,
-        lr=args.lr,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
-        early_stop_metric=EarlyStopMetric(args.early_stop),
-    )
+    train_cfg = TrainConfig(k=args.k, lr=args.lr, max_epochs=args.max_epochs, seed=args.seed)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
     outcome: CrossValReport = cross_validate(manifest, model_cfg, train_cfg, store)

@@ -36,6 +36,7 @@ PARTS = ("train", "valid", "test")
 # <eid>_gold_top<k>_<annotator>.nt, fullmatched in ASCII digits only: \d
 # takes any Unicode digit.  k then has one spelling, as a manifest's gold key
 _GOLD_RE = re.compile(r"([0-9]+)_gold_top([0-9]+)_([0-9]+)\.nt")
+_FOLD_RE = re.compile(r"[Ff]old([0-9]+)")
 
 
 def _is_entity_id(name: str) -> bool:
@@ -71,9 +72,9 @@ def _load_entity(entity_dir: Path, eid: str, iri: str) -> EntityDescription:
     for name in sorted(os.listdir(base)):
         m = _GOLD_RE.fullmatch(name)
         if m and m.group(1) == eid:
-            path = os.path.join(base, name)
+            path = base + "/" + name
             golds.append((gold_size(m.group(2), f"{path}: gold size"), m.group(3), path))
-    return load_entity(iri, os.path.join(base, f"{eid}_desc.nt"), golds)
+    return load_entity(iri, base + "/" + eid + "_desc.nt", golds)
 
 
 def _read_split_file(fold_dir: Path, part: str) -> list[str]:
@@ -106,6 +107,15 @@ def _load_splits(root: Path, collection: str, elist: dict[str, str]) -> list[Fol
                 raise DataError(f"{fold_dir}: split references unknown entity id {missing[0]}")
             parts[part] = tuple(elist[e] for e in eids)
         folds.append(FoldSpec(index, parts["train"], parts["valid"], parts["test"]))
+    # the walk above stops at Fold4 and at the first missing index
+    skipped = sorted(
+        name for name in os.listdir(split_root)
+        if (m := _FOLD_RE.fullmatch(name)) and int(m.group(1)) >= len(folds)
+        and (split_root / name).is_dir()
+    )
+    if skipped:
+        reason = f"Fold{len(folds)} is missing" if len(folds) < 5 else "only Fold0..Fold4 are read"
+        raise DataError(f"{split_root / skipped[0]}: fold directory not read: {reason}")
     if not folds:
         raise DataError(f"{split_root}: no Fold0..Fold4 directories")
     return folds

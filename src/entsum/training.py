@@ -2,8 +2,9 @@
 
 One optimizer step per entity: the loss is the mean squared error between
 the score vector over the entity's candidates and the normalized
-gold-frequency targets.  After each epoch the validation metric is computed
-and the parameter snapshot of the best epoch wins (earlier epoch on ties).
+gold-frequency targets.  After each epoch the mean F1 of the validation
+entities is computed, and the parameter snapshot of the epoch where it is
+highest wins (earlier epoch on ties).
 Every source of randomness derives from the run seed, so a fixed seed
 reproduces results bit for bit.
 """
@@ -15,7 +16,6 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,12 +38,7 @@ from .model import (
     encode_description,
     select_summary,
 )
-from .nn import IGNORE_FLOAT_ERRORS, AdamState, adam_step, mse_loss
-
-
-class EarlyStopMetric(Enum):
-    VAL_F1 = "f1"
-    VAL_LOSS = "loss"
+from .nn import IGNORE_FLOAT_ERRORS, AdamState, adam_step
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,6 @@ class TrainConfig:
     lr: float = 0.01
     max_epochs: int = 50
     seed: int = 0
-    early_stop_metric: EarlyStopMetric = EarlyStopMetric.VAL_F1
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -105,28 +99,25 @@ def _prepare(
     return prepared
 
 
+def _entity_f1(model: TripleScorer, desc: EntityDescription,
+               vectors: EncodedDescription, k: int) -> float:
+    """F1 of the entity's top-k triples under ``model`` against its k-slot
+    golds: the one scoring path of validation and test entities."""
+    if k not in desc.gold:
+        raise DataError(f"no ground-truth summaries for k={k}")
+    scored = model.score_description(desc.entity, vectors)
+    return f1_against_golds(select_summary(scored, k), desc.gold[k])
+
+
 def _validation_metric(
     model: TripleScorer,
     prepared: Sequence[_PreparedEntity],
     cfg: TrainConfig,
 ) -> float:
-    """Mean validation F1 (higher is better) or mean loss (lower is better)."""
-    if cfg.early_stop_metric is EarlyStopMetric.VAL_F1:
-        total = 0.0
-        for ent in prepared:
-            scored = model.score_description(ent.desc.entity, ent.vectors)
-            summary = select_summary(scored, cfg.k)
-            total += f1_against_golds(summary, ent.desc.gold[cfg.k])
-        return total / len(prepared)
-    total = 0.0
-    for ent in prepared:
-        scored = model.score_description(ent.desc.entity, ent.vectors)
-        # scores and targets both iterate in ascending id order
-        n = len(ent.targets)
-        pred = np.fromiter(scored.scores.values(), np.float64, n)
-        loss, _ = mse_loss(pred, np.fromiter(ent.targets.values(), np.float64, n))
-        total += loss
-    return total / len(prepared)
+    """Mean F1 of the validation entities, summed as ``make_report`` sums a
+    test fold's: a fold that validates on its test entities reads the same
+    mean both ways."""
+    return sum(_entity_f1(model, ent.desc, ent.vectors, cfg.k) for ent in prepared) / len(prepared)
 
 
 @np.errstate(**IGNORE_FLOAT_ERRORS)
@@ -157,8 +148,7 @@ def train_fold(
     params = model.parameters()
     adam = AdamState.create(params, lr=train_cfg.lr)
 
-    maximize = train_cfg.early_stop_metric is EarlyStopMetric.VAL_F1
-    best_metric = -math.inf if maximize else math.inf
+    best_f1 = -math.inf
     best_epoch = 0
     best_params = model.flat.copy()
     history: list[float] = []
@@ -184,13 +174,12 @@ def train_fold(
 
         if valid_set:
             try:
-                metric = _validation_metric(model, valid_set, train_cfg)
+                f1 = _validation_metric(model, valid_set, train_cfg)
             except NumericError as exc:  # only a diverged model's scores fail here
                 raise NumericError(f"fold {fold.index}, epoch {epoch}, validation: {exc}") from exc
-            history.append(metric)
-            improved = metric > best_metric if maximize else metric < best_metric
-            if improved:
-                best_metric = metric
+            history.append(f1)
+            if f1 > best_f1:
+                best_f1 = f1
                 best_epoch = epoch
                 best_params = model.flat.copy()
         else:
@@ -224,14 +213,8 @@ def evaluate_fold(
 ) -> EvalReport:
     if encoded is None:
         encoded = encode_entities(manifest, fold.test, store)
-    per_entity: dict[str, float] = {}
-    for iri in fold.test:
-        desc = manifest.entity(iri)
-        if k not in desc.gold:
-            raise DataError(f"no ground-truth summaries for k={k}")
-        scored = model.score_description(desc.entity, encoded[iri])
-        summary = select_summary(scored, k)
-        per_entity[iri] = f1_against_golds(summary, desc.gold[k])
+    per_entity = {iri: _entity_f1(model, manifest.entity(iri), encoded[iri], k)
+                  for iri in fold.test}
     return make_report(per_entity, fold.index, chosen_epoch)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven in process through cli.main."""
 
+import argparse
 import base64
 import json
 import os
@@ -375,6 +376,33 @@ def test_bad_numeric_argument_is_a_usage_error(capsys, tmp_path, command, flag, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["f1", "loss"])
+def test_early_stop_flag_is_a_usage_error(capsys, tmp_path, value):
+    # training stops on validation F1 only, so no flag picks a metric
+    rc, stdout, err = invoke(
+        capsys, "train", "--manifest", MANIFEST, *required_args("train", tmp_path),
+        "--early-stop", value,
+    )
+    assert rc == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "--early-stop" in err
+    assert stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_command_line_and_parser_name_the_same_flags():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    written = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", section))
+    (commands,) = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    defined = {option for parser in commands.choices.values()
+               for action in parser._actions for option in action.option_strings}
+    assert "--vectors" in defined and "-h" in defined
+    assert defined - written == set(), "defined but not in README's Command line"
+    assert {w for w in written if w.startswith("--")} - defined == set(), \
+        "in README's Command line but not defined"
+
+
 # --------------------------------------------------------------------------
 # filter-vectors
 # --------------------------------------------------------------------------
@@ -615,16 +643,6 @@ def test_train_seed_changes_checkpoints(train_dir, capsys, tmp_path):
     )
     assert rc == 0
     assert (other / "fold0.ckpt").read_bytes() != (train_dir / "fold0.ckpt").read_bytes()
-
-
-def test_train_loss_early_stop_mode(capsys, tmp_path):
-    out = tmp_path / "loss-mode"
-    rc, stdout, _ = invoke(
-        capsys, "train", "--manifest", MANIFEST, "--vectors", VEC,
-        "--k", "2", "--max-epochs", "2", "--early-stop", "loss", "--out", str(out),
-    )
-    assert rc == 0
-    assert (out / "aggregate.json").is_file()
 
 
 def test_train_without_gold_slot(capsys, tmp_path):

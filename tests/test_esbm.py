@@ -167,6 +167,50 @@ def test_fold_count_mismatch_between_collections(tmp_path):
         load_esbm(tmp_path)
 
 
+def test_fold_after_a_gap_is_a_data_error(tmp_path, capsys):
+    # Fold1 renamed away in both collections: read up to the gap, the tree
+    # would train one fold and drop Fold2..Fold4 without a word
+    build_esbm_tree(tmp_path)
+    for coll in ("dbpedia", "lmdb"):
+        split_root = tmp_path / f"{coll}_split"
+        (split_root / "Fold1").rename(split_root / "held-out")
+    with pytest.raises(DataError, match=r"dbpedia_split/Fold2: fold directory not read: "
+                                        r"Fold1 is missing"):
+        load_esbm(tmp_path)
+    assert cli.main(["ingest", "--esbm", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dbpedia_split/Fold2: fold directory not read: Fold1 is missing" in err
+
+
+@pytest.mark.parametrize("prefix", ["Fold", "fold"])
+def test_fold_without_fold0_is_a_data_error(tmp_path, prefix):
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5}, fold_dir_prefix=prefix)
+    split_root = tmp_path / "dbpedia_split"
+    (split_root / f"{prefix}0").rename(split_root / "spare")
+    with pytest.raises(DataError, match=f"{prefix}1: fold directory not read: Fold0 is missing"):
+        load_esbm(tmp_path, "dbpedia")
+
+
+def test_fold_past_fold4_is_a_data_error(tmp_path):
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5}, n_folds=6)
+    with pytest.raises(DataError, match="Fold5: fold directory not read: only Fold0..Fold4"):
+        load_esbm(tmp_path, "dbpedia")
+
+
+def test_fold_named_files_and_empty_split_root(tmp_path):
+    build_esbm_tree(tmp_path, counts={"dbpedia": 5})
+    split_root = tmp_path / "dbpedia_split"
+    # a file is no fold directory, so nothing is skipped
+    (split_root / "Fold7").write_text("", encoding="utf-8")
+    assert len(load_esbm(tmp_path, "dbpedia").folds) == 5
+    for index in range(5):
+        (split_root / f"Fold{index}").rename(split_root / f"kept{index}")
+    with pytest.raises(DataError, match="no Fold0..Fold4 directories"):
+        load_esbm(tmp_path, "dbpedia")
+
+
 def test_missing_root_collections(tmp_path):
     with pytest.raises(MissingFile):
         load_esbm(tmp_path)

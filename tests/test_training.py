@@ -18,7 +18,6 @@ from entsum.model import (
     select_summary,
 )
 from entsum.training import (
-    EarlyStopMetric,
     TrainConfig,
     TrainResult,
     cross_validate,
@@ -27,7 +26,16 @@ from entsum.training import (
     train_fold,
 )
 
-from conftest import ARIA, BLUE, count_forks, memorization_corpus, use_cpus
+from conftest import (
+    ARIA,
+    BLUE,
+    count_forks,
+    memorization_corpus,
+    small_config,
+    synthetic_entity,
+    synthetic_store,
+    use_cpus,
+)
 
 TOY_MODEL = ModelConfig(
     embed_dim=4, candidate_hidden=(8, 8), context_hidden=(8, 8),
@@ -54,7 +62,6 @@ def test_train_config_defaults():
     cfg = TrainConfig(k=5)
     assert cfg.lr == 0.01
     assert cfg.max_epochs == 50
-    assert cfg.early_stop_metric is EarlyStopMetric.VAL_F1
 
 
 # --------------------------------------------------------------------------
@@ -105,14 +112,6 @@ def test_truncated_rerun_reproduces_chosen_parameters(toy_manifest, toy_store):
         assert np.array_equal(pa, pb)
 
 
-def test_loss_metric_mode_picks_first_minimum(toy_manifest, toy_store):
-    cfg = TrainConfig(k=2, max_epochs=8, early_stop_metric=EarlyStopMetric.VAL_LOSS)
-    result = train_fold(toy_manifest, toy_fold0(toy_manifest), TOY_MODEL, cfg, toy_store)
-    assert len(result.val_history) == 8
-    best = min(result.val_history)
-    assert result.chosen_epoch == result.val_history.index(best) + 1
-
-
 def test_single_epoch_run(toy_manifest, toy_store):
     result = train_fold(
         toy_manifest, toy_fold0(toy_manifest), TOY_MODEL,
@@ -144,10 +143,6 @@ def test_overflow_outside_the_scorer_warns_nothing(toy_manifest, toy_store):
     with pytest.raises(NumericError, match="fold 0, epoch 2: Adam's second-moment estimate"):
         train_fold(toy_manifest, fold, TOY_MODEL, TrainConfig(k=2, lr=1e17, max_epochs=5),
                    toy_store)
-    # at lr 1e35 the validation loss overflows to inf, then the training loss
-    cfg = TrainConfig(k=2, lr=1e35, max_epochs=5, early_stop_metric=EarlyStopMetric.VAL_LOSS)
-    with pytest.raises(NumericError, match="fold 0, epoch 2, entity"):
-        train_fold(toy_manifest, fold, TOY_MODEL, cfg, toy_store)
 
 
 def test_missing_gold_slot_rejected(toy_manifest, toy_store):
@@ -182,6 +177,37 @@ def test_evaluate_fold_covers_test_entities(toy_manifest, toy_store):
     assert report.fold_index == 0
     assert report.chosen_epoch == result.chosen_epoch
     assert 0.0 <= report.mean_f1 <= 1.0
+
+
+def five_entities_validated_on_test(k: int = 3, n: int = 10):
+    """Five entities with random golds that train, validate and test in one
+    fold, their vectors and k."""
+    rng = np.random.default_rng(5)
+    descs = tuple(
+        synthetic_entity(
+            n, gold={k: [sorted(rng.choice(n, k, replace=False).tolist()) for _ in range(3)]},
+            iri=f"http://ex.org/e{i}",
+        )
+        for i in range(5)
+    )
+    iris = tuple(d.entity.raw for d in descs)
+    manifest = DatasetManifest("five", descs, (FoldSpec(0, iris, iris, iris),))
+    return manifest, synthetic_store(rng, n, 6), k
+
+
+@pytest.mark.parametrize("corpus", [
+    lambda: (*memorization_corpus(100)[:2], 5),
+    five_entities_validated_on_test,
+], ids=["memorization", "five-entities"])
+def test_validation_and_test_scoring_agree(corpus):
+    # validation and test entities go through one scoring path, so a fold
+    # whose valid equals its test reads the chosen epoch's F1 both ways
+    manifest, store, k = corpus()
+    fold = manifest.folds[0]
+    assert fold.valid == fold.test
+    result = train_fold(manifest, fold, small_config(), TrainConfig(k=k, max_epochs=8), store)
+    report = evaluate_fold(result.model, manifest, fold, k, store, result.chosen_epoch)
+    assert result.val_history[result.chosen_epoch - 1] == report.mean_f1
 
 
 def test_evaluate_fold_missing_gold(toy_manifest, toy_store):
@@ -450,8 +476,7 @@ def test_no_worker_outlives_cross_validate(toy_manifest, toy_store, monkeypatch)
     assert os.sched_getaffinity(0) == mask
 
 
-@pytest.mark.parametrize("metric", list(EarlyStopMetric))
-def test_cross_validate_encodes_each_entity_once(toy_manifest, toy_store, monkeypatch, metric):
+def test_cross_validate_encodes_each_entity_once(toy_manifest, toy_store, monkeypatch):
     calls = []
 
     def counting_encode(desc, store):
@@ -459,7 +484,7 @@ def test_cross_validate_encodes_each_entity_once(toy_manifest, toy_store, monkey
         return encode_description(desc, store)
 
     monkeypatch.setattr(training, "encode_description", counting_encode)
-    cfg = TrainConfig(k=2, max_epochs=3, early_stop_metric=metric)
+    cfg = TrainConfig(k=2, max_epochs=3)
     cv = cross_validate(toy_manifest, TOY_MODEL, cfg, toy_store)
     assert sorted(calls) == sorted([ARIA, BLUE])
 
